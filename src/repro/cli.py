@@ -199,10 +199,11 @@ def _cmd_asm(args: argparse.Namespace) -> int:
         print(f"executed {result.instructions_executed} instructions"
               f" ({'halted' if result.halted else 'limit reached'})")
         print(f"branches: {mix.total_branches} ({mix.conditional} conditional)")
-        print(f"taken rate: {100 * taken_rate(result.branch_records):.1f}%")
+        records = result.branch_records
+        print(f"taken rate: {100 * taken_rate(records):.1f}%")
         if args.trace:
             writer = write_text_trace if args.trace.endswith(".txt") else write_trace
-            count = writer(result.branch_records, args.trace)
+            count = writer(records, args.trace)
             print(f"wrote {count} records to {args.trace}")
     return 0
 

@@ -167,7 +167,7 @@ OFFSET26_MIN, OFFSET26_MAX = -(1 << 25), (1 << 25) - 1
 #
 # The static analyses (repro.analysis) need to know which registers an
 # instruction reads and writes without re-deriving the interpreter's
-# semantics.  The tables mirror cpu.CPU.run exactly: stores read their
+# semantics.  The tables mirror the CPU exactly: stores read their
 # "destination" field as the value source, calls define the link register,
 # and rts reads it.
 # ----------------------------------------------------------------------
@@ -224,7 +224,7 @@ def registers_written(instruction: Instruction) -> Tuple[int, ...]:
 # Value semantics metadata.
 #
 # Pure functions over 32-bit unsigned register values, one per ALU opcode
-# and one predicate per conditional branch, mirroring cpu.CPU.run exactly
+# and one predicate per conditional branch, mirroring the CPU exactly
 # (same masking, same signedness, same truncation-toward-zero division).
 # The abstract interpreter in repro.analysis.absint and the closed-form
 # replay machinery in repro.analysis.predictability evaluate instructions

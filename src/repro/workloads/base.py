@@ -87,9 +87,10 @@ class WorkloadTrace:
     """A generated trace plus the statistics the figures need.
 
     The trace lives in whichever representation it was born with — the
-    ordinary record list from a fresh generation, or the columnar
-    :class:`~repro.trace.columnar.PackedTrace` from a warm store load
-    (possibly memory-mapped) — and derives the other form lazily.  At
+    columnar :class:`~repro.trace.columnar.PackedTrace` from a fresh
+    generation (the CPU appends straight into columns) or a warm store
+    load (possibly memory-mapped), or a record list handed in by a caller —
+    and derives the other form lazily.  At
     paper scale the distinction matters: a 20M-record trace loads from the
     store in milliseconds as columns, and boxing it into twenty million
     :class:`BranchRecord` tuples only happens if something actually reads
@@ -182,7 +183,7 @@ class Workload(ABC):
         program = assemble(self.build_source(chosen))
         cpu = CPU(program)
         result = cpu.run(max_conditional_branches=max_conditional)
-        return WorkloadTrace(records=result.branch_records, mix=result.mix)
+        return WorkloadTrace.from_packed(result.packed, result.mix)
 
 
 # ----------------------------------------------------------------------
