@@ -36,7 +36,6 @@ from repro.trace.columnar import _ADDR_TYPECODE, PackedTrace, pack_flags
 from repro.trace.record import BranchClass, BranchRecord, InstructionMix
 
 _WORD = 0xFFFFFFFF
-_SIGN = 0x80000000
 _LINK = 1  # r1, the bsr/jsr link register
 
 #: flag bytes of the unconditional branch events (columnar layout)
@@ -50,12 +49,12 @@ _REG_CALL = pack_flags(True, BranchClass.REG_UNCONDITIONAL, True)
 _NO_LIMIT = 1 << 62
 
 #: opcodes that end a block: HALT and every branch
-_CONTROL = frozenset({Opcode.HALT}) | frozenset(branch for branch in Opcode if branch >= Opcode.BEQ)
+_CONTROL = frozenset(op for op in Opcode if op == Opcode.HALT or op >= Opcode.BEQ)
 
 #: ops whose only effect is writing ``rd`` (dropped when ``rd`` is r0)
-_PURE = (frozenset(ALU_SEMANTICS) | frozenset(IMM_SEMANTICS) | {Opcode.LD, Opcode.LDB}) - {
-    Opcode.DIVS, Opcode.REMS,
-}
+_PURE = (
+    frozenset(ALU_SEMANTICS) | frozenset(IMM_SEMANTICS) | {Opcode.LD, Opcode.LDB}
+) - {Opcode.DIVS, Opcode.REMS}
 #: pure ops whose result is a constant when every source register is r0
 _FOLDABLE_IMM = frozenset(IMM_SEMANTICS)
 _FOLDABLE_ALU = _PURE & frozenset(ALU_SEMANTICS)
@@ -76,7 +75,9 @@ class CPUResult:
     instructions_executed: int
     halted: bool
     final_pc: int
-    _records: Optional[List[BranchRecord]] = field(default=None, repr=False, compare=False)
+    _records: Optional[List[BranchRecord]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def branch_records(self) -> List[BranchRecord]:
@@ -94,10 +95,11 @@ class CPUResult:
 # Translation of non-control instructions.
 #
 # Each factory takes (regs, words, rd, rs1, rs2, imm, pc) and returns the
-# closure that executes one instruction.  Signed views use
-# (x ^ _SIGN) - _SIGN; products are taken unsigned, which equals the
-# signed product modulo 2**32.  The rare divide ops reuse the semantics
-# table of repro.isa.instructions.
+# closure that executes one instruction.  Closures spell 0xFFFFFFFF and
+# 0x80000000 as literals because a constant load is cheaper than a global
+# lookup.  Signed views use (x ^ 0x80000000) - 0x80000000; products are
+# taken unsigned, which equals the signed product modulo 2**32.  The rare
+# divide ops reuse the semantics table of repro.isa.instructions.
 # ----------------------------------------------------------------------
 _EFFECTS: Dict[int, Callable[..., Op]] = {}
 

@@ -256,7 +256,7 @@ class TestLimitsAndAccounting:
         assert cpu.result.branch_records is cpu.result.branch_records  # boxed once
 
     def test_faults_report_the_faulting_pc(self):
-        cpu = CPU(assemble("_start: nop\nli r2, 4\ndivs r3, r2, r0\nhalt"))
+        cpu = CPU(assemble("_start: nop\nli r2, 4\nrems r3, r2, r0\nhalt"))
         with pytest.raises(ExecutionError) as excinfo:
             cpu.run()
         assert excinfo.value.pc == cpu.pc == cpu.program.text_base + 8
