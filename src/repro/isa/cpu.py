@@ -55,8 +55,8 @@ _CONTROL = frozenset(op for op in Opcode if op == Opcode.HALT or op >= Opcode.BE
 _PURE = (
     frozenset(ALU_SEMANTICS) | frozenset(IMM_SEMANTICS) | {Opcode.LD, Opcode.LDB}
 ) - {Opcode.DIVS, Opcode.REMS}
-#: pure ops whose result is a constant when every source register is r0
-_FOLDABLE_IMM = frozenset(IMM_SEMANTICS)
+#: register-register ops whose result is a constant when both sources are
+#: r0 (every immediate op folds when its source is r0)
 _FOLDABLE_ALU = _PURE & frozenset(ALU_SEMANTICS)
 
 Op = Callable[[], None]
@@ -95,11 +95,13 @@ class CPUResult:
 # Translation of non-control instructions.
 #
 # Each factory takes (regs, words, rd, rs1, rs2, imm, pc) and returns the
-# closure that executes one instruction.  Closures spell 0xFFFFFFFF and
-# 0x80000000 as literals because a constant load is cheaper than a global
-# lookup.  Signed views use (x ^ 0x80000000) - 0x80000000; products are
-# taken unsigned, which equals the signed product modulo 2**32.  The rare
-# divide ops reuse the semantics table of repro.isa.instructions.
+# closure that executes one instruction.  The ops the bundled workloads
+# execute most (each about 1% or more of their dynamic instructions) and
+# the memory ops get hand-specialised closures; every other ALU op calls
+# its function in the semantics tables of repro.isa.instructions.  Closures
+# spell 0xFFFFFFFF and 0x80000000 as literals because a constant load is
+# cheaper than a global lookup.  Products are taken unsigned, which equals
+# the signed product modulo 2**32.
 # ----------------------------------------------------------------------
 _EFFECTS: Dict[int, Callable[..., Op]] = {}
 
@@ -139,65 +141,11 @@ def _mul(regs, words, rd, rs1, rs2, imm, pc):
     return mul
 
 
-@_effect(Opcode.AND)
-def _and(regs, words, rd, rs1, rs2, imm, pc):
-    def and_() -> None:
-        regs[rd] = regs[rs1] & regs[rs2]
-    return and_
-
-
-@_effect(Opcode.OR)
-def _or(regs, words, rd, rs1, rs2, imm, pc):
-    def or_() -> None:
-        regs[rd] = regs[rs1] | regs[rs2]
-    return or_
-
-
 @_effect(Opcode.XOR)
 def _xor(regs, words, rd, rs1, rs2, imm, pc):
     def xor() -> None:
         regs[rd] = regs[rs1] ^ regs[rs2]
     return xor
-
-
-@_effect(Opcode.SHL)
-def _shl(regs, words, rd, rs1, rs2, imm, pc):
-    def shl() -> None:
-        regs[rd] = (regs[rs1] << (regs[rs2] & 31)) & 0xFFFFFFFF
-    return shl
-
-
-@_effect(Opcode.SHR)
-def _shr(regs, words, rd, rs1, rs2, imm, pc):
-    def shr() -> None:
-        regs[rd] = regs[rs1] >> (regs[rs2] & 31)
-    return shr
-
-
-@_effect(Opcode.SRA)
-def _sra(regs, words, rd, rs1, rs2, imm, pc):
-    def sra() -> None:
-        regs[rd] = (((regs[rs1] ^ 0x80000000) - 0x80000000) >> (regs[rs2] & 31)) & 0xFFFFFFFF
-    return sra
-
-
-def _divide(opcode: Opcode) -> None:
-    semantics = ALU_SEMANTICS[opcode]
-
-    @_effect(opcode)
-    def factory(regs, words, rd, rs1, rs2, imm, pc):
-        def divide() -> None:
-            try:
-                value = semantics(regs[rs1], regs[rs2])
-            except ZeroDivisionError:
-                raise ExecutionError("division by zero", pc=pc) from None
-            if rd:
-                regs[rd] = value
-        return divide
-
-
-_divide(Opcode.DIVS)
-_divide(Opcode.REMS)
 
 
 @_effect(Opcode.MULI)
@@ -216,24 +164,6 @@ def _andi(regs, words, rd, rs1, rs2, imm, pc):
     return andi
 
 
-@_effect(Opcode.ORI)
-def _ori(regs, words, rd, rs1, rs2, imm, pc):
-    mask = imm & 0xFFFF
-
-    def ori() -> None:
-        regs[rd] = regs[rs1] | mask
-    return ori
-
-
-@_effect(Opcode.XORI)
-def _xori(regs, words, rd, rs1, rs2, imm, pc):
-    mask = imm & 0xFFFF
-
-    def xori() -> None:
-        regs[rd] = regs[rs1] ^ mask
-    return xori
-
-
 @_effect(Opcode.SHLI)
 def _shli(regs, words, rd, rs1, rs2, imm, pc):
     shift = imm & 31
@@ -241,15 +171,6 @@ def _shli(regs, words, rd, rs1, rs2, imm, pc):
     def shli() -> None:
         regs[rd] = (regs[rs1] << shift) & 0xFFFFFFFF
     return shli
-
-
-@_effect(Opcode.SHRI)
-def _shri(regs, words, rd, rs1, rs2, imm, pc):
-    shift = imm & 31
-
-    def shri() -> None:
-        regs[rd] = regs[rs1] >> shift
-    return shri
 
 
 @_effect(Opcode.SRAI)
@@ -304,23 +225,38 @@ def _translate_effect(
     pc: int,
 ) -> Optional[Op]:
     """The closure for one non-control instruction, or None if it has no effect."""
-    if op in _PURE and not rd:
-        return None  # its only effect is a discarded write to r0
-    if (op in _FOLDABLE_IMM and not rs1) or (op in _FOLDABLE_ALU and not rs1 | rs2):
-        value = IMM_SEMANTICS[op](0, imm) if op in _FOLDABLE_IMM else ALU_SEMANTICS[op](0, 0)
+    if op == Opcode.NOP or (op in _PURE and not rd):
+        return None  # a pure op's only effect would be a discarded write to r0
+    if (op in IMM_SEMANTICS and not rs1) or (op in _FOLDABLE_ALU and not rs1 | rs2):
+        value = IMM_SEMANTICS[op](0, imm) if op in IMM_SEMANTICS else ALU_SEMANTICS[op](0, 0)
 
         def const() -> None:
             regs[rd] = value
         return const
     factory = _EFFECTS.get(op)
-    if factory is None:
-        if op == Opcode.NOP:
-            return None
+    if factory is not None:
+        return factory(regs, words, rd, rs1, rs2, imm, pc)
+    if op in IMM_SEMANTICS:
+        immediate_semantics = IMM_SEMANTICS[op]
 
-        def unimplemented() -> None:  # pragma: no cover - the enum is closed
-            raise ExecutionError(f"unimplemented opcode {op}", pc=pc)
-        return unimplemented
-    return factory(regs, words, rd, rs1, rs2, imm, pc)
+        def immediate() -> None:
+            regs[rd] = immediate_semantics(regs[rs1], imm)
+        return immediate
+    if op in ALU_SEMANTICS:
+        semantics = ALU_SEMANTICS[op]
+
+        def alu() -> None:  # divs/rems run even for rd == r0: they may fault
+            try:
+                value = semantics(regs[rs1], regs[rs2])
+            except ZeroDivisionError:
+                raise ExecutionError("division by zero", pc=pc) from None
+            if rd:
+                regs[rd] = value
+        return alu
+
+    def unimplemented() -> None:  # pragma: no cover - the enum is closed
+        raise ExecutionError(f"unimplemented opcode {op}", pc=pc)
+    return unimplemented
 
 
 # ----------------------------------------------------------------------
