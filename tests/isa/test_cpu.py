@@ -255,30 +255,6 @@ class TestLimitsAndAccounting:
         assert cpu.result.mix.conditional == packed.num_conditional == 1
         assert cpu.result.branch_records is cpu.result.branch_records  # boxed once
 
-    def test_faults_report_the_faulting_pc(self):
-        cpu = CPU(assemble("_start: nop\nli r2, 4\nrems r3, r2, r0\nhalt"))
-        with pytest.raises(ExecutionError) as excinfo:
-            cpu.run()
-        assert excinfo.value.pc == cpu.pc == cpu.program.text_base + 8
-        assert cpu.regs[2] == 4  # the instructions before the fault retired
-        cpu = CPU(assemble("_start: li r2, 0x40\njmp r2"))
-        with pytest.raises(ExecutionError) as excinfo:
-            cpu.run()
-        assert excinfo.value.pc == cpu.pc == 0x40
-
-    def test_max_instructions_stops_inside_a_block(self):
-        source = "_start: li r2, 1\naddi r2, r2, 1\naddi r2, r2, 1\nbeq r0, r0, _start"
-        cpu = CPU(assemble(source))
-        first = cpu.run(max_instructions=6)  # one block of 4, then 2 more
-        assert first.instructions_executed == 6
-        assert cpu.regs[2] == 2
-        assert cpu.pc == cpu.program.text_base + 8
-        assert first.mix.conditional == 1
-        second = cpu.run(max_instructions=2)  # finishes the block
-        assert cpu.regs[2] == 3
-        assert second.mix.conditional == 1
-        assert cpu.pc == cpu.program.text_base
-
     def test_replaced_register_file_is_honoured(self):
         cpu = CPU(assemble("_start: addi r3, r2, 1\nhalt"))
         cpu.run()
