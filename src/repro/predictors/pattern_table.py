@@ -13,6 +13,9 @@ from typing import List
 from repro.errors import ConfigError
 from repro.predictors.automata import Automaton
 
+#: the widest history a pattern table accepts (``2^24`` entries).
+MAX_HISTORY_LENGTH = 24
+
 
 class PatternTable:
     """A ``2^k``-entry table of automaton states.
@@ -30,7 +33,7 @@ class PatternTable:
     def __init__(self, history_length: int, automaton: Automaton):
         if history_length < 1:
             raise ConfigError(f"history length must be >= 1, got {history_length}")
-        if history_length > 24:
+        if history_length > MAX_HISTORY_LENGTH:
             raise ConfigError(
                 f"history length {history_length} would allocate 2^{history_length} entries"
             )

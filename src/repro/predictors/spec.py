@@ -39,7 +39,7 @@ from repro.predictors.modern import (
     TagePredictor,
     tage_geometries,
 )
-from repro.predictors.pattern_table import PatternTable
+from repro.predictors.pattern_table import MAX_HISTORY_LENGTH, PatternTable
 from repro.predictors.static_schemes import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -236,7 +236,7 @@ def parse_spec(text: str) -> PredictorSpec:
         automaton = automaton_by_name(match.group(3)) if match.group(3) else None
         return PredictorSpec(
             scheme=scheme,
-            history_length=int(match.group(2)),
+            history_length=_history_length(match.group(2), text),
             pt_automaton=automaton,
         )
     match = _MODERN.match(stripped)
@@ -315,12 +315,23 @@ def _parse_hrt_part(spec: PredictorSpec, hrt_part: str, full: str) -> None:
         spec.hrt_entries = _parse_size(size_text, full)
     sr_match = _SR_CONTENT.match(content)
     if sr_match:
-        spec.history_length = int(sr_match.group(1))
+        spec.history_length = _history_length(sr_match.group(1), full)
     else:
         try:
             spec.hrt_automaton = automaton_by_name(content)
         except ConfigError as exc:
             raise SpecParseError(f"{exc} in {full!r}") from exc
+
+
+def _history_length(digits: str, full: str) -> int:
+    """A pattern-table history length, bounded like :class:`PatternTable`
+    so no front end can request a zero-bit or ``2^k``-too-large table."""
+    k = int(digits)
+    if not 1 <= k <= MAX_HISTORY_LENGTH:
+        raise SpecParseError(
+            f"history length must be in 1..{MAX_HISTORY_LENGTH}, got {k} in {full!r}"
+        )
+    return k
 
 
 def _parse_pt_part(spec: PredictorSpec, pt_part: str, full: str) -> None:

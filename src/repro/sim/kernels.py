@@ -1,24 +1,22 @@
 """Vectorized predictor kernels over packed traces (the ``vector`` backend).
 
 The scalar engine dispatches one Python ``observe()`` call per conditional
-record — the wall-clock floor of every full-figure sweep.  This module
-scores whole predictor families with columnar batch operations instead:
+record — the wall-clock floor of every full-figure sweep.  The vector
+backend scores whole predictor families with columnar batch operations
+instead.  This module holds the per-family primitives and the one-spec
+entry points; the recipes that combine the primitives per scheme, the
+history windows and the automaton scan live in :mod:`repro.sim.sweep`,
+and every one-spec call here is a one-spec fused sweep.
 
 * **Stateless schemes** (Always Taken / Not Taken, BTFN, per-branch
   profiling) reduce to pure column comparisons.
 * **Small-FSM schemes** decompose into *independent buckets* whose state
-  evolutions never interact in the scalar engine either:
-
-  - Lee & Smith per-address automata (``LS(IHRT(,Atm),,)``) — one bucket
-    per branch address;
-  - the two-level AT pattern table under an ideal HRT
-    (``AT(IHRT(,kSR),PT(2^k,Atm),)``) — one bucket per k-bit history
-    pattern, with each record's pattern derived by a vectorized per-branch
-    sliding window over the outcome column;
-  - Static Training under an ideal HRT (profiled preset bits, so the test
-    pass is a pure table lookup after the same history derivation);
-  - the global-history extensions GAg and gshare (single global window).
-
+  evolutions never interact in the scalar engine either: Lee & Smith
+  per-address automata (one bucket per branch address), the two-level AT
+  pattern table (one bucket per k-bit history pattern, each record's
+  pattern derived by a per-branch sliding window), Static Training
+  (profiled preset bits, so the test pass is a table lookup), and the
+  global-history extensions GAg and gshare (single global window).
 * **Modern schemes** (:mod:`repro.predictors.modern`) use two further
   decompositions:
 
@@ -39,11 +37,6 @@ scores whole predictor families with columnar batch operations instead:
     passes, then drives the same :class:`~repro.predictors.modern.TageState`
     update rule the scalar predictor uses, guaranteeing bit-exactness.
 
-  Each bucket's outcome sequence is replayed through the automaton's
-  precomputed (at most 4-state) transition table with a segmented
-  function-composition doubling scan: ``O(n * states * log n)`` NumPy work
-  in place of ``n`` interpreter dispatches.
-
 * **Finite HRT front-ends** (AHRT / HHRT) reduce to the same bucket
   machinery through a *key remap*:
 
@@ -58,11 +51,10 @@ scores whole predictor families with columnar batch operations instead:
     fits in the ways — the common case — assign fully columnarly, and only
     *conflicted* sets walk their recency stack (see :class:`AhrtReplay`).
 
-Every kernel is **bit-exact** against the scalar engine: the per-record
-predictions are identical, so :class:`~repro.sim.results.PredictionStats`
-and per-site accuracies match exactly.  Every spec family the registry can
-parse now has a kernel — :func:`vectorizable` returns ``True`` across the
-board and the scalar engine remains only as the independent reference.
+Every kernel is **bit-exact** against the scalar engine, which remains the
+reference: the per-record predictions are identical, so
+:class:`~repro.sim.results.PredictionStats` and per-site accuracies match
+exactly.  Every spec family the registry can parse has a kernel.
 
 NumPy is an optional dependency (see :mod:`repro.sim.backend`); everything
 here raises :class:`~repro.errors.KernelError` when it is missing.
@@ -73,11 +65,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError, KernelError
-from repro.predictors.automata import A2, Automaton
 from repro.predictors.hrt import _HASH_MULTIPLIER
 from repro.predictors.modern import (
     BASE_EXTRA_BITS,
-    DEFAULT_ENTRY_BITS,
     TAG_BITS,
     WEIGHT_MAX,
     WEIGHT_MIN,
@@ -90,9 +80,6 @@ from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 
 _CLS_MASK = 0x0E
-
-#: spec schemes whose kernels need a training trace (profiling pass).
-_NEEDS_TRAINING = ("ST", "Profile")
 
 
 def _np() -> Any:
@@ -132,81 +119,25 @@ def _uint_view(np: Any, column: Any) -> Any:
     return np.frombuffer(column, dtype=np.dtype(f"=u{column.itemsize}"))
 
 
-def _conditional_columns(packed: PackedTrace) -> Tuple[Any, Any, Any]:
-    """The conditional-only ``(pc, target, taken)`` columns as int64/int64/
-    int8 arrays, straight from the packed byte columns (the lazily-derived
-    tuple columns are never materialised on this path)."""
-    np = _np()
+def _conditional_columns(np: Any, packed: PackedTrace) -> Tuple[Any, Any, Any, Any]:
+    """The conditional records' positions and their ``(pc, target, taken)``
+    columns as intp/int64/int64/int8 arrays, straight from the packed byte
+    columns (the lazily-derived tuple columns are never materialised)."""
     flags = np.frombuffer(packed.flags, dtype=np.uint8)
-    conditional = (flags & _CLS_MASK) == 0
-    pc = _uint_view(np, packed.pc)[conditional].astype(np.int64)
-    target = _uint_view(np, packed.target)[conditional].astype(np.int64)
-    taken = (flags[conditional] & 1).astype(np.int8)
-    return pc, target, taken
+    index = np.flatnonzero((flags & _CLS_MASK) == 0)
+    pc = _uint_view(np, packed.pc)[index].astype(np.int64)
+    target = _uint_view(np, packed.target)[index].astype(np.int64)
+    taken = (flags[index] & 1).astype(np.int8)
+    return index, pc, target, taken
 
 
 # ----------------------------------------------------------------------
-# bucket machinery
+# history columns and finite-HRT key remaps (AHRT / HHRT)
 # ----------------------------------------------------------------------
-def _segment_positions(np: Any, keys: Any) -> Tuple[Any, Any]:
-    """Stable sort by bucket key; returns ``(order, position-within-bucket)``.
-
-    The stable sort preserves trace order inside every bucket, which is what
-    makes per-bucket replay equivalent to the scalar engine's interleaved
-    updates: entries of different buckets never read each other's state.
-    """
-    n = len(keys)
-    order = np.argsort(keys, kind="stable")
-    if n == 0:
-        return order, np.zeros(0, dtype=np.int64)
-    sorted_keys = keys[order]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=seg_start[1:])
-    indices = np.arange(n, dtype=np.int64)
-    start_index = np.where(seg_start, indices, 0)
-    np.maximum.accumulate(start_index, out=start_index)
-    return order, indices - start_index
-
-
-def _history_per_branch(
-    np: Any, pc: Any, taken: Any, history_length: int, init_bit: int
-) -> Any:
-    """Per-record k-bit history register value *before* each record.
-
-    Equivalent to replaying ``new = ((old << 1) | taken) & mask`` per bucket
-    key (branch address, AHRT register, or HHRT slot — whatever ``pc``
-    holds) with registers initialised to all ``init_bit`` bits: bit ``j-1``
-    of a record's history is that branch's outcome ``j`` occurrences earlier
-    (or ``init_bit`` before its first occurrence).  Computed as a sliding
-    window over the outcome column in branch-sorted order — ``k`` vector
-    passes, no per-record dispatch.
-    """
-    n = len(pc)
-    order, pos = _segment_positions(np, pc)
-    taken_sorted = taken[order].astype(np.int64)
-    history = np.zeros(n, dtype=np.int64)
-    max_pos = int(pos.max()) if n else 0
-    for j in range(1, history_length + 1):
-        if j > max_pos:
-            # every remaining (older) bit is the init bit for all records
-            if init_bit:
-                remaining = history_length - j + 1
-                history |= ((1 << remaining) - 1) << (j - 1)
-            break
-        previous = np.empty(n, dtype=np.int64)
-        previous[:j] = init_bit
-        previous[j:] = taken_sorted[:-j]
-        bit = np.where(pos >= j, previous, init_bit)
-        history |= bit << (j - 1)
-    out = np.empty(n, dtype=np.int64)
-    out[order] = history
-    return out
-
-
 def _history_global(np: Any, taken: Any, history_length: int, init_bit: int) -> Any:
-    """Single global history register — the per-branch window degenerated to
-    one bucket, so no sort is needed at all."""
+    """Single global history register — the per-branch window of
+    :func:`repro.sim.sweep._branch_history` degenerated to one bucket, so
+    no sort is needed at all."""
     n = len(taken)
     taken64 = taken.astype(np.int64)
     history = np.zeros(n, dtype=np.int64)
@@ -219,9 +150,6 @@ def _history_global(np: Any, taken: Any, history_length: int, init_bit: int) -> 
     return history
 
 
-# ----------------------------------------------------------------------
-# finite-HRT key remaps (AHRT / HHRT)
-# ----------------------------------------------------------------------
 def _hash_buckets(np: Any, pc: Any, buckets: int) -> Any:
     """Columnar twin of :func:`repro.predictors.hrt._index_hash`.
 
@@ -352,106 +280,6 @@ def _hrt_keys(np: Any, spec: PredictorSpec, pc: Any) -> Any:
             raise ConfigError("HHRT entries must be >= 1")
         return _hash_buckets(np, pc, spec.hrt_entries)
     return pc
-
-
-_COMPOSE_TABLE: Any = None
-_DECODE_TABLE: Any = None
-
-
-def _composition_tables(np: Any) -> Tuple[Any, Any]:
-    """The (compose, decode) lookup tables for byte-coded state mappings.
-
-    Any function ``{0..3} -> {0..3}`` packs into one byte (two bits per
-    input state), so composing two mappings is a single gather in a
-    precomputed 256x256 table — automaton-independent, built once.
-    ``decode[code, s]`` evaluates the coded mapping at state ``s``;
-    ``compose[a, b]`` codes ``a after b`` (``b`` applied first).
-    """
-    global _COMPOSE_TABLE, _DECODE_TABLE
-    if _COMPOSE_TABLE is None:
-        codes = np.arange(256, dtype=np.intp)
-        decode = (codes[:, None] >> (2 * np.arange(4))) & 3  # (256, 4)
-        chained = decode[codes[:, None, None], decode[None, :, :]]  # (256, 256, 4)
-        _COMPOSE_TABLE = (
-            (chained << (2 * np.arange(4))).sum(axis=-1).astype(np.uint8)
-        )
-        _DECODE_TABLE = decode
-    return _COMPOSE_TABLE, _DECODE_TABLE
-
-
-def _fsm_predictions(np: Any, buckets: Any, taken: Any, automaton: Automaton) -> Any:
-    """Per-record predictions from replaying each bucket's outcome sequence
-    through ``automaton`` (entries initialised to its init state).
-
-    Uses a segmented Hillis–Steele scan over *function composition*: each
-    record's outcome is a state→state mapping, packed into one byte (the
-    automata have at most four states); after ``ceil(log2(longest bucket))``
-    doubling rounds, record ``i`` holds the composed mapping of its whole
-    bucket prefix, and the state seen by record ``i`` is its predecessor's
-    composition evaluated at the init state.  Each round is one uint8 gather
-    through the precomputed composition table — whole-column NumPy work, no
-    per-record dispatch.
-    """
-    n = len(buckets)
-    predictions_lut = np.array(automaton.predictions, dtype=bool)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    compose, decode = _composition_tables(np)
-    order, pos = _segment_positions(np, buckets)
-    taken_sorted = taken[order].astype(np.intp)
-    # per-record mapping code: state s -> transitions[s][taken]
-    transitions = np.asarray(automaton.transitions, dtype=np.int64)  # (S, 2)
-    step_codes = np.zeros(2, dtype=np.intp)
-    for state in range(automaton.num_states):
-        step_codes |= transitions[state].astype(np.intp) << (2 * state)
-    codes = step_codes[taken_sorted].astype(np.uint8)
-    # the rounds' active sets are nested (pos >= distance), so one ascending
-    # sort by position serves every round as a suffix view
-    by_pos = np.argsort(pos, kind="stable")
-    pos_sorted = pos[by_pos]
-    distance = 1
-    while True:
-        active = by_pos[np.searchsorted(pos_sorted, distance):]
-        if active.size == 0:
-            break
-        # window ending at i = (records through i) after (records through i-d)
-        codes[active] = compose[codes[active], codes[active - distance]]
-        distance <<= 1
-    state_before = np.full(n, automaton.init_state, dtype=np.intp)
-    inner = np.nonzero(pos > 0)[0]
-    state_before[inner] = decode[codes[inner - 1], automaton.init_state]
-    out = np.empty(n, dtype=bool)
-    out[order] = predictions_lut[state_before]
-    return out
-
-
-# ----------------------------------------------------------------------
-# scheme kernels
-# ----------------------------------------------------------------------
-def _profile_bias(np: Any, training: Tuple[Any, Any]) -> Tuple[Any, Any]:
-    """Sorted unique training pcs and their majority direction (ties taken)."""
-    train_pc, train_taken = training
-    unique_pc, inverse = np.unique(train_pc, return_inverse=True)
-    net = np.bincount(
-        inverse, weights=(2 * train_taken.astype(np.int64) - 1), minlength=len(unique_pc)
-    )
-    return unique_pc, net >= 0
-
-
-def _preset_bits(
-    np: Any, training: Tuple[Any, Any], history_length: int
-) -> Any:
-    """Static Training's profiled pattern table: majority outcome per
-    history pattern over the training trace (ties and unseen predict taken),
-    exactly :func:`repro.predictors.static_training.profile_pattern_table`."""
-    train_pc, train_taken = training
-    histories = _history_per_branch(np, train_pc, train_taken, history_length, 1)
-    net = np.bincount(
-        histories,
-        weights=(2 * train_taken.astype(np.int64) - 1),
-        minlength=1 << history_length,
-    )
-    return net >= 0
 
 
 # ----------------------------------------------------------------------
@@ -601,98 +429,14 @@ def _tage_predictions(
     return out
 
 
-def correct_mask(
-    spec: PredictorSpec,
-    packed: PackedTrace,
-    training: Optional[PackedTrace] = None,
-) -> Any:
-    """Boolean per-conditional-record correctness vector, in trace order.
+def _one_spec_trainings(
+    spec: PredictorSpec, training: Optional[PackedTrace]
+) -> Dict[str, PackedTrace]:
+    """The fused sweep's ``trainings`` map for one spec's training trace."""
+    from repro.sim.sweep import training_role
 
-    This is the kernels' primitive: summing it gives the
-    :class:`PredictionStats` counters, bucketing it by pc gives per-site
-    accuracy.  Raises :class:`~repro.errors.KernelError` for specs
-    :func:`vectorizable` rejects or when a required training trace is
-    missing.
-    """
-    np = _np()
-    if not vectorizable(spec):
-        raise KernelError(f"no vector kernel for spec {spec.canonical()!r}")
-    pc, target, taken = _conditional_columns(packed)
-    taken_bool = taken.astype(bool)
-
-    training_columns: Optional[Tuple[Any, Any]] = None
-    if spec.scheme in _NEEDS_TRAINING:
-        if training is None:
-            raise KernelError(
-                f"{spec.canonical()}: kernel needs a training trace (profiling pass)"
-            )
-        t_pc, _t_target, t_taken = _conditional_columns(training)
-        training_columns = (t_pc, t_taken)
-
-    if spec.scheme == "AlwaysTaken":
-        return taken_bool.copy()
-    if spec.scheme == "AlwaysNotTaken":
-        return ~taken_bool
-    if spec.scheme == "BTFN":
-        return (target < pc) == taken_bool
-    if spec.scheme == "Profile":
-        assert training_columns is not None
-        unique_pc, bias = _profile_bias(np, training_columns)
-        if len(unique_pc) == 0:
-            prediction = np.ones(len(pc), dtype=bool)  # default_taken
-        else:
-            slot = np.searchsorted(unique_pc, pc)
-            clamped = np.minimum(slot, len(unique_pc) - 1)
-            known = (slot < len(unique_pc)) & (unique_pc[clamped] == pc)
-            prediction = np.where(known, bias[clamped], True)
-        return prediction == taken_bool
-    if spec.scheme == "LS":
-        assert spec.hrt_automaton is not None
-        keys = _hrt_keys(np, spec, pc)
-        prediction = _fsm_predictions(np, keys, taken, spec.hrt_automaton)
-        return prediction == taken_bool
-    if spec.scheme == "AT":
-        assert spec.history_length is not None and spec.pt_automaton is not None
-        keys = _hrt_keys(np, spec, pc)
-        patterns = _history_per_branch(np, keys, taken, spec.history_length, 1)
-        prediction = _fsm_predictions(np, patterns, taken, spec.pt_automaton)
-        return prediction == taken_bool
-    if spec.scheme == "ST":
-        assert spec.history_length is not None and training_columns is not None
-        # profiling always runs through an IHRT (software accounting), so the
-        # preset bits ignore the test HRT; only the test pass is re-keyed
-        preset = _preset_bits(np, training_columns, spec.history_length)
-        keys = _hrt_keys(np, spec, pc)
-        patterns = _history_per_branch(np, keys, taken, spec.history_length, 1)
-        return preset[patterns] == taken_bool
-    if spec.scheme == "GAg":
-        assert spec.history_length is not None
-        history = _history_global(np, taken, spec.history_length, 1)
-        prediction = _fsm_predictions(np, history, taken, spec.pt_automaton or A2)
-        return prediction == taken_bool
-    if spec.scheme == "gshare":
-        assert spec.history_length is not None
-        mask = (1 << spec.history_length) - 1
-        history = _history_global(np, taken, spec.history_length, 0)
-        index = ((pc >> 2) ^ history) & mask
-        prediction = _fsm_predictions(np, index, taken, spec.pt_automaton or A2)
-        return prediction == taken_bool
-    if spec.scheme == "Perceptron":
-        assert spec.history_length is not None and spec.rows is not None
-        histories = _history_global(np, taken, spec.history_length, 0)
-        rows_index = (pc >> 2) % spec.rows
-        weights = _perceptron_table(np, spec)
-        prediction = _perceptron_predictions(
-            np, rows_index, histories, taken, spec.history_length, weights
-        )
-        return prediction == taken_bool
-    if spec.scheme == "TAGE":
-        assert spec.tage_tables is not None and spec.history_length is not None
-        state = TageState(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS)
-        histories = _history_global(np, taken, spec.history_length, 0)
-        prediction = _tage_predictions(np, pc, histories, taken, state)
-        return prediction == taken_bool
-    raise KernelError(f"no vector kernel for spec {spec.canonical()!r}")  # pragma: no cover
+    role = training_role(spec)
+    return {role: training} if role is not None and training is not None else {}
 
 
 def simulate_spec(
@@ -700,18 +444,18 @@ def simulate_spec(
     packed: PackedTrace,
     training: Optional[PackedTrace] = None,
 ) -> PredictionStats:
-    """Score ``spec`` over ``packed`` with the vector kernels.
+    """Score ``spec`` over ``packed`` with the vector kernels: a one-spec
+    :func:`repro.sim.sweep.fused_stats` call.
 
     Returns exactly the :class:`PredictionStats` that
     ``simulate(spec.build(...), packed)`` (no RAS) produces.  Raises
-    :class:`~repro.errors.KernelError` for non-vectorizable specs; use
-    :func:`score_spec` for the transparently-falling-back entry point.
+    :class:`~repro.errors.KernelError` for non-vectorizable specs or a
+    missing training trace; use :func:`score_spec` for the
+    transparently-falling-back entry point.
     """
-    mask = correct_mask(spec, packed, training)
-    return PredictionStats(
-        conditional_total=int(len(mask)),
-        conditional_correct=int(mask.sum()),
-    )
+    from repro.sim import sweep
+
+    return sweep.fused_stats([spec], packed, _one_spec_trainings(spec, training))[0]
 
 
 def per_site_accuracy(
@@ -721,17 +465,10 @@ def per_site_accuracy(
 ) -> Dict[int, Tuple[int, int]]:
     """Per-static-site ``(correct, total)`` — the kernels' twin of
     :func:`repro.sim.analysis.per_site_accuracy`, bit-exact for every
-    vectorizable spec."""
-    np = _np()
-    mask = correct_mask(spec, packed, training)
-    pc, _target, _taken = _conditional_columns(packed)
-    unique_pc, inverse = np.unique(pc, return_inverse=True)
-    totals = np.bincount(inverse, minlength=len(unique_pc))
-    corrects = np.bincount(inverse, weights=mask, minlength=len(unique_pc))
-    return {
-        int(site): (int(correct), int(total))
-        for site, correct, total in zip(unique_pc, corrects, totals)
-    }
+    vectorizable spec (a one-spec :func:`repro.sim.sweep.fused_per_site`)."""
+    from repro.sim import sweep
+
+    return sweep.fused_per_site([spec], packed, _one_spec_trainings(spec, training))[0]
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,11 @@
-"""Fused multi-spec sweep kernels: score a whole figure grid in one pass.
+"""The vector scoring core: family recipes over shared trace intermediates.
 
-Every figure is a *sweep* — dozens of :class:`PredictorSpec`s against the
-same trace — and the per-cell path (:func:`repro.sim.kernels.score_spec`)
-recomputes the trace-wide intermediates for every cell: the conditional
+Every vector path — a figure sweep, one spec scored offline, the serve
+tier's fused sessions — scores through this module.  A figure is a *sweep*
+(dozens of :class:`PredictorSpec`s against the same trace), and most of its
+trace-wide intermediates are identical across specs: the conditional
 columns, the HRT key remap, the k-bit history windows and the per-bucket
-segment sorts are identical across most of a figure's specs.  This module
-scores the whole spec list against one :class:`PackedTrace` while paying
-for each shared intermediate exactly once:
+segment sorts.  The fused scorer pays for each of them exactly once:
 
 * A :class:`TraceContext` memoises, per trace, the conditional columns,
   each HRT front-end's key column (one AHRT replay serves every spec with
@@ -15,28 +14,32 @@ for each shared intermediate exactly once:
   any ``k <= K`` — so the context keeps only the *widest* window per key
   space and serves shorter ones as a mask (``fig7``'s whole ladder runs on
   one window).
+* Each scheme's semantics is one *recipe* written against a context:
+  :func:`_direct_mask` for the scan-free families, :func:`_scan_request`
+  for the automaton families.  The multi-session streaming scorer
+  (:mod:`repro.sim.streaming`) runs the same recipes against a context
+  whose keys are namespaced by session slot and whose registers and
+  automaton states carry across feeds; the primitives below take that
+  carried state as an optional argument, so fresh-state calls never pay
+  for it.
 * Per distinct *bucket column* (pattern values, LS keys, global-history
   indices) the fused scorer builds the segment sort once and replays every
   automaton that scores against it; ``fig5``'s four automata share one
   sort, one position column and one outcome gather.
-* The automaton replay itself uses a two-level scan that is bit-exact
-  against the kernels' doubling scan but does the bulk of its work in
-  contiguous passes: an 8-outcome window LUT (automaton steps compose
-  into one byte, so an eight-step composition is one 2048-entry table
-  lookup over a sliding outcome window) yields every within-chunk prefix
-  directly, and only the per-chunk totals — one eighth of the records —
-  enter a segmented doubling scan.  The totals of *every* request in the
-  batch are concatenated into a single scan (the PR-7 slot-namespacing
-  idea: disjoint row ranges keep segments from different requests apart),
-  so many specs replay through one segmented scan.
+* The automaton replay is a two-level scan: an 8-outcome window LUT
+  (automaton steps compose into one byte, so an eight-step composition is
+  one 2048-entry table lookup over a sliding outcome window) yields every
+  within-chunk prefix directly, and only the per-chunk totals — one eighth
+  of the records — enter a segmented doubling scan.  The totals of *every*
+  request in the batch are concatenated into a single scan (disjoint row
+  ranges keep segments from different requests apart).
 * Stats and per-site tallies are computed in bucket-sorted order
   (``bincount`` over the sorted site index), so no scatter back to trace
-  order is ever needed on the fused path.
+  order is needed on the fused path.
 
-Everything here is **bit-exact** against the per-spec kernels — the
-property tests replay random spec subsets over all workload variants and
-require equality with :func:`~repro.sim.kernels.score_spec` — and the
-per-spec path remains the independent reference implementation.
+Everything here is **bit-exact** against the scalar engine, which is the
+reference: the property tests replay random spec subsets over all workload
+variants and require equality with ``score_spec(..., backend="scalar")``.
 """
 
 from __future__ import annotations
@@ -52,10 +55,8 @@ from repro.sim.kernels import (
     _history_global,
     _hrt_keys,
     _np,
-    _composition_tables,
     _perceptron_predictions,
     _perceptron_table,
-    _profile_bias,
     _tage_predictions,
     vectorizable,
 )
@@ -77,6 +78,12 @@ _CHUNK = 8
 #: byte code of the identity state mapping (state s -> s, two bits each).
 _IDENTITY_CODE = 0b11100100
 
+#: per-session namespace shift of the streaming context: packed records
+#: carry 32-bit pcs, so ``(slot << 32) | key`` is collision-free for every
+#: key space (addresses, HHRT slots, AHRT register ids, history patterns).
+_NS_SHIFT = 32
+
+
 def training_role(spec: PredictorSpec) -> Optional[str]:
     """Which trace a spec profiles: ``None`` (adaptive — no profiling pass),
     ``"test"`` (Profile and ST-Same profile the execution data set) or
@@ -89,7 +96,7 @@ def training_role(spec: PredictorSpec) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# shared per-trace intermediates
+# primitives: segment sort, history window
 # ----------------------------------------------------------------------
 def _hrt_token(spec: PredictorSpec) -> Tuple[Any, ...]:
     """Hashable identity of a spec's HRT front-end key space."""
@@ -118,50 +125,85 @@ def _compact_sort_keys(np: Any, keys: Any) -> Any:
     return keys
 
 
-def _sorted_segments(np: Any, keys: Any) -> Tuple[Any, Any]:
-    """``(order, position-within-bucket)`` for a bucket key column — the
-    kernels' ``_segment_positions`` with the radix-width fast path."""
+def _segments(np: Any, keys: Any) -> Tuple[Any, Any, Any, Any]:
+    """Stable sort by bucket key: ``(order, sorted keys, segment-start
+    mask, position within segment)``.
+
+    The stable sort preserves trace order inside every bucket, which is what
+    makes per-bucket replay equivalent to the scalar engine's interleaved
+    updates: entries of different buckets never read each other's state.
+    """
     n = len(keys)
     order = np.argsort(_compact_sort_keys(np, keys), kind="stable")
-    if n == 0:
-        return order, np.zeros(0, dtype=np.int64)
-    sorted_keys = keys[order]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=seg_start[1:])
+    values = keys[order]
+    start = np.empty(n, dtype=bool)
+    if n:
+        start[0] = True
+        np.not_equal(values[1:], values[:-1], out=start[1:])
     indices = np.arange(n, dtype=np.int64)
-    start_index = np.where(seg_start, indices, 0)
-    np.maximum.accumulate(start_index, out=start_index)
-    return order, indices - start_index
+    first = np.where(start, indices, 0)
+    np.maximum.accumulate(first, out=first)
+    return order, values, start, indices - first
+
+
+def _segment_bounds(np: Any, start: Any) -> Tuple[Any, Any, Any]:
+    """``(first index, last index, segment id per record)`` of a sorted
+    column's segments."""
+    starts = np.flatnonzero(start)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1:] = len(start) - 1
+    return starts, ends, np.cumsum(start) - 1
 
 
 def _branch_history(
-    np: Any, keys: Any, taken: Any, history_length: int, init_bit: int
+    np: Any,
+    keys: Any,
+    taken: Any,
+    history_length: int,
+    init_bit: int,
+    state: Any = None,
 ) -> Any:
-    """Bit-exact twin of the kernels' ``_history_per_branch``, built as a
-    sliding pack: ``k`` shift-or passes over the key-sorted outcome column
-    build the raw window (with garbage bits across segment boundaries),
-    then one per-record validity mask swaps the out-of-segment bits for
-    init bits — no per-bit ``where`` pass."""
+    """Per-record k-bit history register *before* each record, one
+    register per key (branch address, AHRT register, HHRT slot, or session).
+
+    Equivalent to replaying ``new = ((old << 1) | taken) & mask`` per key:
+    ``k`` shift-or passes over the key-sorted outcome column build the raw
+    window (with garbage bits across segment boundaries), then one
+    per-record validity mask swaps the out-of-segment bits for the bits of
+    the register the segment started from.  Fresh registers hold all
+    ``init_bit`` bits; with ``state`` (a carried key store) each segment
+    starts from its stored register instead and stores its final one back.
+    """
     n = len(keys)
-    order, pos = _sorted_segments(np, keys)
+    mask = (1 << history_length) - 1
+    order, values, start, pos = _segments(np, keys)
     taken_sorted = taken[order].astype(np.int64)
     raw = np.zeros(n, dtype=np.int64)
     for j in range(1, history_length + 1):
         raw[j:] |= taken_sorted[:-j] << (j - 1)
-    valid = (np.int64(1) << np.minimum(pos, history_length)) - 1
-    history = raw & valid
-    if init_bit:
-        history |= ((1 << history_length) - 1) & ~valid
+    shift = np.minimum(pos, history_length)
+    history = raw & ((np.int64(1) << shift) - 1)
+    if state is None:
+        if init_bit:
+            history |= (mask << shift) & mask
+    else:
+        starts, ends, segment = _segment_bounds(np, start)
+        carried = state.get(values[starts], mask if init_bit else 0)
+        history |= (carried[segment] << shift) & mask
+        state.put(values[starts], ((history[ends] << 1) | taken_sorted[ends]) & mask)
     out = np.empty(n, dtype=np.int64)
     out[order] = history
     return out
 
 
+# ----------------------------------------------------------------------
+# shared per-trace intermediates
+# ----------------------------------------------------------------------
 class TraceContext:
     """Memoised shared intermediates for scoring many specs on one trace.
 
-    One context per :class:`PackedTrace`; the fused scorer asks it for the
+    One context per :class:`PackedTrace`; the recipes ask it for the
     conditional columns, HRT key columns (by front-end geometry), history
     windows (by key space, widest-k wins) and profiling summaries, each
     computed at most once.  A context over a *training* trace additionally
@@ -169,19 +211,26 @@ class TraceContext:
     a spec trains on the test trace itself (Profile, ST-Same) the very
     same context instance is used for both roles, so even the profiling
     pass shares the key sort with the test pass.
+
+    The fresh-state hooks (:meth:`namespace`, :meth:`sessions`,
+    :meth:`scan_state`, :meth:`_window`, :meth:`_keys_for`) are where the
+    streaming session context substitutes slot namespacing and carried
+    state.
     """
 
     def __init__(self, packed: PackedTrace):
-        self.np = _np()
-        self.packed = packed
-        self.pc, self.target, self.taken = _conditional_columns(packed)
-        self.taken_bool = self.taken.astype(bool)
+        np = _np()
+        _index, pc, target, taken = _conditional_columns(np, packed)
+        self._setup(np, pc, target, taken)
+
+    def _setup(self, np: Any, pc: Any, target: Any, taken: Any) -> None:
+        self.np = np
+        self.pc, self.target, self.taken = pc, target, taken
+        self.taken_bool = taken.astype(bool)
         self._keys: Dict[Tuple[Any, ...], Any] = {}
-        #: (hrt token, init bit) -> (window length, window column)
-        self._history: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
-        self._global_history: Dict[int, Tuple[int, Any]] = {}
-        self._history_reserve: Dict[Tuple[Any, ...], int] = {}
-        self._global_reserve: Dict[int, int] = {}
+        #: key-space token -> (window length, window column)
+        self._windows: Dict[Tuple[Any, ...], Tuple[int, Any]] = {}
+        self._reserve: Dict[Tuple[Any, ...], int] = {}
         self._bias: Optional[Tuple[Any, Any]] = None
         self._preset: Dict[int, Any] = {}
         self._site: Optional[Tuple[Any, Any]] = None
@@ -195,29 +244,44 @@ class TraceContext:
         key space computes its window once at the widest length instead of
         growing through re-computation."""
         for spec in specs:
-            if spec.history_length is None:
+            k = spec.history_length
+            if k is None:
                 continue
             if spec.scheme in ("AT", "ST"):
-                token = _hrt_token(spec)
-                self._history_reserve[token] = max(
-                    self._history_reserve.get(token, 0), spec.history_length
-                )
+                # the profiling pass is always IHRT-keyed, whatever the test
+                # HRT — reserve that window on the training side too
+                tokens = [_hrt_token(spec)]
                 if spec.scheme == "ST":
-                    # the profiling pass is always IHRT-keyed, whatever the
-                    # test HRT — reserve that window on the training side too
-                    self._history_reserve[("IHRT",)] = max(
-                        self._history_reserve.get(("IHRT",), 0), spec.history_length
-                    )
-            elif spec.scheme == "GAg":
-                self._global_reserve[1] = max(
-                    self._global_reserve.get(1, 0), spec.history_length
-                )
-            elif spec.scheme in ("gshare", "Perceptron", "TAGE"):
-                # all three share the init-0 global window (TAGE's
-                # history_length is its longest geometric table)
-                self._global_reserve[0] = max(
-                    self._global_reserve.get(0, 0), spec.history_length
-                )
+                    tokens.append(("IHRT",))
+            else:
+                # GAg's window starts all-ones; gshare, perceptron and TAGE
+                # share the init-0 one (TAGE's history_length is its
+                # longest geometric table)
+                tokens = [("global", 1 if spec.scheme == "GAg" else 0)]
+            for token in tokens:
+                self._reserve[token] = max(self._reserve.get(token, 0), k)
+
+    # -- fresh-state hooks ---------------------------------------------
+    def namespace(self, column: Any, shift: int = _NS_SHIFT) -> Any:
+        """A bucket column made unique per session (identity here)."""
+        return column
+
+    def sessions(self, token: Tuple[Any, ...], factory: Any) -> List[Tuple[Any, Any]]:
+        """``(records, state)`` per session for the sequential families:
+        here one session over every record, from fresh state."""
+        return [(slice(None), factory())]
+
+    def scan_state(self, handle: Tuple[Any, ...]) -> Any:
+        """The carried automaton states of one scan request (none here)."""
+        return None
+
+    def _keys_for(self, spec: PredictorSpec) -> Any:
+        return _hrt_keys(self.np, spec, self.pc)
+
+    def _window(self, token: Tuple[Any, ...], keys: Any, k: int, init_bit: int) -> Any:
+        if keys is None:
+            return _history_global(self.np, self.taken, k, init_bit)
+        return _branch_history(self.np, keys, self.taken, k, init_bit)
 
     # -- shared columns ------------------------------------------------
     def hrt_keys(self, spec: PredictorSpec) -> Any:
@@ -226,54 +290,49 @@ class TraceContext:
         token = _hrt_token(spec)
         keys = self._keys.get(token)
         if keys is None:
-            keys = _hrt_keys(self.np, spec, self.pc)
-            self._keys[token] = keys
+            keys = self._keys[token] = self._keys_for(spec)
         return keys
 
-    def history(self, spec: PredictorSpec) -> Any:
-        """The per-record k-bit history pattern column for an AT/ST spec.
-
-        Served from the widest window computed for the spec's key space:
+    def _history(
+        self, token: Tuple[Any, ...], spec: Optional[PredictorSpec], k: int, init_bit: int
+    ) -> Any:
+        """Served from the widest window computed for the key space:
         ``window_k = window_K & ((1 << k) - 1)`` for any ``k <= K`` because
-        both replay the same shift register from the same all-ones init.
-        """
-        assert spec.history_length is not None
-        token = _hrt_token(spec)
-        k = spec.history_length
-        cached = self._history.get(token)
+        both replay the same shift register from the same init."""
+        cached = self._windows.get(token)
         if cached is None or cached[0] < k:
-            width = max(k, self._history_reserve.get(token, 0))
-            window = _branch_history(self.np, self.hrt_keys(spec), self.taken, width, 1)
-            cached = (width, window)
-            self._history[token] = cached
+            width = max(k, self._reserve.get(token, 0))
+            keys = None if spec is None else self.hrt_keys(spec)
+            cached = self._windows[token] = (width, self._window(token, keys, width, init_bit))
         width, window = cached
-        if width == k:
-            return window
-        return window & ((1 << k) - 1)
+        return window if width == k else window & ((1 << k) - 1)
+
+    def history(self, spec: PredictorSpec) -> Any:
+        """The per-record k-bit history pattern column for an AT/ST spec."""
+        assert spec.history_length is not None
+        return self._history(_hrt_token(spec), spec, spec.history_length, 1)
 
     def global_history(self, k: int, init_bit: int) -> Any:
-        """The single global history register column (GAg / gshare), with
-        the same widest-window masking as :meth:`history`."""
-        cached = self._global_history.get(init_bit)
-        if cached is None or cached[0] < k:
-            width = max(k, self._global_reserve.get(init_bit, 0))
-            window = _history_global(self.np, self.taken, width, init_bit)
-            cached = (width, window)
-            self._global_history[init_bit] = cached
-        width, window = cached
-        if width == k:
-            return window
-        return window & ((1 << k) - 1)
+        """The single global history register column (GAg, gshare,
+        perceptron, TAGE)."""
+        return self._history(("global", init_bit), None, k, init_bit)
 
     # -- profiling summaries (training-trace role) ---------------------
     def profile_bias(self) -> Tuple[Any, Any]:
         """Sorted unique pcs and their majority direction (ties taken)."""
         if self._bias is None:
-            self._bias = _profile_bias(self.np, (self.pc, self.taken))
+            np = self.np
+            unique_pc, inverse = np.unique(self.pc, return_inverse=True)
+            net = np.bincount(
+                inverse, weights=2 * self.taken.astype(np.int64) - 1, minlength=len(unique_pc)
+            )
+            self._bias = (unique_pc, net >= 0)
         return self._bias
 
     def preset_bits(self, history_length: int) -> Any:
-        """Static Training's profiled pattern table over this trace.
+        """Static Training's profiled pattern table over this trace: the
+        majority outcome per history pattern (ties and unseen predict
+        taken), exactly :func:`repro.predictors.static_training.profile_pattern_table`.
 
         Profiling always runs through an ideal HRT (software accounting),
         so the window column is the IHRT one — shared with any AT/ST spec
@@ -282,14 +341,12 @@ class TraceContext:
         bits = self._preset.get(history_length)
         if bits is None:
             ihrt = PredictorSpec(scheme="ST", hrt_kind="IHRT", history_length=history_length)
-            histories = self.history(ihrt)
             net = self.np.bincount(
-                histories,
+                self.history(ihrt),
                 weights=(2 * self.taken.astype(self.np.int64) - 1),
                 minlength=1 << history_length,
             )
-            bits = net >= 0
-            self._preset[history_length] = bits
+            bits = self._preset[history_length] = net >= 0
         return bits
 
     # -- per-site tallies ----------------------------------------------
@@ -300,10 +357,40 @@ class TraceContext:
         return self._site
 
 
+def _lookup(np: Any, keys: Any, values: Any, queries: Any, default: Any) -> Any:
+    """``values`` at each query's position in the sorted ``keys`` column,
+    ``default`` where the query is absent."""
+    if len(keys) == 0:
+        return np.full(len(queries), default, dtype=values.dtype)
+    index = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return np.where(keys[index] == queries, values[index], default)
+
+
 # ----------------------------------------------------------------------
 # the two-level automaton scan
 # ----------------------------------------------------------------------
-_AUTOMATON_TABLES: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+_COMPOSE_TABLE: Any = None
+_DECODE_TABLE: Any = None
+_AUTOMATON_TABLES: Dict[Tuple[Any, ...], Tuple[Any, Any, Any, Any]] = {}
+
+
+def _composition_tables(np: Any) -> Tuple[Any, Any]:
+    """The (compose, decode) lookup tables for byte-coded state mappings.
+
+    Any function ``{0..3} -> {0..3}`` packs into one byte (two bits per
+    input state), so composing two mappings is a single gather in a
+    precomputed 256x256 table — automaton-independent, built once.
+    ``decode[code, s]`` evaluates the coded mapping at state ``s``;
+    ``compose[a, b]`` codes ``a after b`` (``b`` applied first).
+    """
+    global _COMPOSE_TABLE, _DECODE_TABLE
+    if _COMPOSE_TABLE is None:
+        codes = np.arange(256, dtype=np.intp)
+        decode = (codes[:, None] >> (2 * np.arange(4))) & 3  # (256, 4)
+        chained = decode[codes[:, None, None], decode[None, :, :]]  # (256, 256, 4)
+        _COMPOSE_TABLE = (chained << (2 * np.arange(4))).sum(axis=-1).astype(np.uint8)
+        _DECODE_TABLE = decode
+    return _COMPOSE_TABLE, _DECODE_TABLE
 
 
 def _automaton_key(automaton: Automaton) -> Tuple[Any, ...]:
@@ -315,8 +402,9 @@ def _automaton_key(automaton: Automaton) -> Tuple[Any, ...]:
     )
 
 
-def _automaton_tables(np: Any, automaton: Automaton) -> Tuple[Any, Any, Any]:
-    """``(step codes, window LUT, prediction-by-code LUT)`` for one automaton.
+def _automaton_tables(np: Any, automaton: Automaton) -> Tuple[Any, Any, Any, Any]:
+    """``(step codes, window LUT, prediction-by-code LUT, prediction-by-state
+    LUT)`` for one automaton.
 
     ``wlut[w - 1, bits]`` is the byte-coded composition of ``w`` automaton
     steps whose outcomes are ``bits`` (bit ``j`` = the outcome ``j`` steps
@@ -347,7 +435,7 @@ def _automaton_tables(np: Any, automaton: Automaton) -> Tuple[Any, Any, Any]:
     predictions = np.zeros(4, dtype=bool)
     predictions[: automaton.num_states] = automaton.predictions
     pred256 = predictions[decode[:, automaton.init_state]]
-    tables = (step_u8, wlut, pred256)
+    tables = (step_u8, wlut, pred256, predictions)
     _AUTOMATON_TABLES[key] = tables
     return tables
 
@@ -364,10 +452,7 @@ class _Group:
     """
 
     def __init__(self, np: Any, column: Any, taken: Any):
-        self.np = np
-        n = len(column)
-        self.order = np.argsort(_compact_sort_keys(np, column), kind="stable")
-        values = column[self.order]
+        self.order, self.values, self.start_mask, pos = _segments(np, column)
         self.taken_bool_sorted = taken[self.order].astype(bool)
         # the shared sliding outcome window feeding every automaton's wlut
         packed = self.taken_bool_sorted.astype(np.int16)
@@ -375,17 +460,8 @@ class _Group:
         for j in range(1, _CHUNK):
             window[j:] |= packed[:-j] << j
         self.window = window
-        start_mask = np.empty(n, dtype=bool)
-        if n:
-            start_mask[0] = True
-            np.not_equal(values[1:], values[:-1], out=start_mask[1:])
-        indices = np.arange(n, dtype=np.int64)
-        start = np.where(start_mask, indices, 0)
-        np.maximum.accumulate(start, out=start)
-        pos = indices - start
-        self.start_mask = start_mask
         self.width = (pos & (_CHUNK - 1)).astype(np.intp)
-        self.max_pos = int(pos.max()) if n else 0
+        self.max_pos = int(pos.max()) if len(pos) else 0
         if self.max_pos >= _CHUNK:
             is_end = self.width == (_CHUNK - 1)
             self.rows = np.nonzero(is_end)[0]
@@ -393,6 +469,7 @@ class _Group:
             ends_before = np.cumsum(is_end)
             ends_before -= is_end
             chunk = pos >> 3
+            start = np.arange(len(pos), dtype=np.int64) - pos
             # index into the identity-prefixed scanned-totals array: chunk
             # c > 0 reads its segment's (c-1)-th scanned total (shifted up
             # one by the identity row), chunk 0 reads the identity
@@ -408,9 +485,11 @@ class _ScanBatch:
     replays them all: within-chunk prefixes come straight from each
     automaton's window LUT over the group's shared outcome window, and the
     per-chunk totals of *every* request are concatenated into one
-    segmented doubling scan (the PR-7 slot-namespacing idea: disjoint row
-    ranges keep segments from different requests apart).  Results are
-    per-record correctness columns in each group's sorted order.
+    segmented doubling scan (disjoint row ranges keep segments from
+    different requests apart).  A request may carry a key store of
+    initial automaton states per bucket; it is read for each segment's
+    starting state and left holding each segment's final state.  Results
+    are per-record correctness columns in each group's sorted order.
     """
 
     def __init__(self, np: Any, taken: Any):
@@ -418,38 +497,41 @@ class _ScanBatch:
         self.taken = taken
         self.groups: Dict[Tuple[Any, ...], _Group] = {}
         self.columns: Dict[Tuple[Any, ...], Any] = {}
-        #: handle -> (group token, automaton)
-        self.requests: Dict[Tuple[Any, ...], Tuple[Tuple[Any, ...], Automaton]] = {}
+        #: handle -> (group token, automaton, carried states or None)
+        self.requests: Dict[Tuple[Any, ...], Tuple[Tuple[Any, ...], Automaton, Any]] = {}
         self.results: Dict[Tuple[Any, ...], Any] = {}
 
+    @staticmethod
+    def handle(token: Tuple[Any, ...], automaton: Automaton) -> Tuple[Any, ...]:
+        return (token, _automaton_key(automaton))
+
     def add(
-        self, token: Tuple[Any, ...], column: Any, automaton: Automaton
+        self, token: Tuple[Any, ...], column: Any, automaton: Automaton, state: Any = None
     ) -> Tuple[Any, ...]:
         """Register a replay request; returns the handle ``run`` resolves."""
-        handle = (token, _automaton_key(automaton))
+        handle = self.handle(token, automaton)
         if handle not in self.requests:
-            self.requests[handle] = (token, automaton)
+            self.requests[handle] = (token, automaton, state)
             self.columns.setdefault(token, column)
         return handle
 
     def group(self, token: Tuple[Any, ...]) -> _Group:
         group = self.groups.get(token)
         if group is None:
-            group = _Group(self.np, self.columns[token], self.taken)
-            self.groups[token] = group
+            group = self.groups[token] = _Group(self.np, self.columns[token], self.taken)
         return group
 
     def run(self) -> None:
         np = self.np
-        compose, _decode = _composition_tables(np)
+        compose, decode = _composition_tables(np)
         partial: Dict[Tuple[Any, ...], Any] = {}
         totals_parts: List[Any] = []
         pos_parts: List[Any] = []
         spans: List[Tuple[Tuple[Any, ...], int, int]] = []
         offset = 0
-        for handle, (token, automaton) in self.requests.items():
+        for handle, (token, automaton, _state) in self.requests.items():
             group = self.group(token)
-            _step, wlut, _pred = _automaton_tables(np, automaton)
+            _step, wlut, _pred, _lut = _automaton_tables(np, automaton)
             codes = wlut[group.width, group.window]
             partial[handle] = codes
             if group.rows is not None:
@@ -471,9 +553,7 @@ class _ScanBatch:
                 )
                 distance <<= 1
             for handle, start, stop in spans:
-                token, _automaton = self.requests[handle]
-                group = self.group(token)
-                codes = partial[handle]
+                group = self.group(self.requests[handle][0])
                 # identity-prefixed gather: every record composes with its
                 # preceding chunks' scanned total (the identity for records
                 # still inside their segment's first chunk) — a straight
@@ -481,22 +561,26 @@ class _ScanBatch:
                 scanned = np.empty(stop - start + 1, dtype=np.uint8)
                 scanned[0] = _IDENTITY_CODE
                 scanned[1:] = totals[start:stop]
-                partial[handle] = compose[codes, scanned[group.row_index]]
-        for handle, (token, automaton) in self.requests.items():
+                partial[handle] = compose[partial[handle], scanned[group.row_index]]
+        for handle, (token, automaton, state) in self.requests.items():
             group = self.group(token)
-            _step, _wlut, pred256 = _automaton_tables(np, automaton)
+            _step, _wlut, pred256, lut = _automaton_tables(np, automaton)
             codes = partial[handle]
-            n = len(codes)
             # a record's state is its predecessor's composed prefix applied
-            # to the init state; segment heads see the identity composition
+            # to its segment's initial state; segment heads see the identity
             previous = np.empty_like(codes)
-            if n:
+            if len(codes):
                 previous[0] = _IDENTITY_CODE
                 previous[1:] = codes[:-1]
-                np.copyto(
-                    previous, np.uint8(_IDENTITY_CODE), where=group.start_mask
-                )
-            self.results[handle] = pred256[previous] == group.taken_bool_sorted
+                np.copyto(previous, np.uint8(_IDENTITY_CODE), where=group.start_mask)
+            if state is None:
+                predicted = pred256[previous]
+            else:
+                starts, ends, segment = _segment_bounds(np, group.start_mask)
+                initial = state.get(group.values[starts], automaton.init_state)
+                predicted = lut[decode[previous, initial[segment]]]
+                state.put(group.values[starts], decode[codes[ends], initial])
+            self.results[handle] = predicted == group.taken_bool_sorted
 
     def correct_sorted(self, handle: Tuple[Any, ...]) -> Tuple[Any, _Group]:
         """A resolved request's per-record correctness (sorted order) and
@@ -507,23 +591,17 @@ class _ScanBatch:
 # ----------------------------------------------------------------------
 # spec recipes
 # ----------------------------------------------------------------------
-def _require_training(
-    spec: PredictorSpec, trainings: Mapping[str, TraceContext]
-) -> TraceContext:
+def _require_training(spec: PredictorSpec, trainings: Mapping[str, Any]) -> Any:
     role = training_role(spec)
     assert role is not None
     ctx = trainings.get(role)
     if ctx is None:
-        raise KernelError(
-            f"{spec.canonical()}: fused sweep needs a {role!r} training context"
-        )
+        raise KernelError(f"{spec.canonical()}: scoring needs a {role!r} training trace")
     return ctx
 
 
 def _direct_mask(
-    spec: PredictorSpec,
-    ctx: TraceContext,
-    trainings: Mapping[str, TraceContext],
+    spec: PredictorSpec, ctx: TraceContext, trainings: Mapping[str, Any]
 ) -> Optional[Any]:
     """Trace-order correctness for the scan-free schemes (None otherwise)."""
     np = ctx.np
@@ -535,32 +613,35 @@ def _direct_mask(
         return (ctx.target < ctx.pc) == ctx.taken_bool
     if spec.scheme == "Profile":
         unique_pc, bias = _require_training(spec, trainings).profile_bias()
-        if len(unique_pc) == 0:
-            prediction = np.ones(len(ctx.pc), dtype=bool)
-        else:
-            slot = np.searchsorted(unique_pc, ctx.pc)
-            clamped = np.minimum(slot, len(unique_pc) - 1)
-            known = (slot < len(unique_pc)) & (unique_pc[clamped] == ctx.pc)
-            prediction = np.where(known, bias[clamped], True)
+        prediction = _lookup(np, unique_pc, bias, ctx.namespace(ctx.pc), True)
         return prediction == ctx.taken_bool
     if spec.scheme == "ST":
-        assert spec.history_length is not None
-        preset = _require_training(spec, trainings).preset_bits(spec.history_length)
-        return preset[ctx.history(spec)] == ctx.taken_bool
+        k = spec.history_length
+        assert k is not None
+        preset = _require_training(spec, trainings).preset_bits(k)
+        return preset[ctx.namespace(ctx.history(spec), k)] == ctx.taken_bool
     if spec.scheme == "Perceptron":
         assert spec.history_length is not None and spec.rows is not None
         histories = ctx.global_history(spec.history_length, 0)
         rows_index = (ctx.pc >> 2) % spec.rows
-        weights = _perceptron_table(np, spec)
-        prediction = _perceptron_predictions(
-            np, rows_index, histories, ctx.taken, spec.history_length, weights
-        )
+        prediction = np.empty(len(ctx), dtype=bool)
+        for rows, weights in ctx.sessions(("weights",), lambda: _perceptron_table(np, spec)):
+            prediction[rows] = _perceptron_predictions(
+                np, rows_index[rows], histories[rows], ctx.taken[rows],
+                spec.history_length, weights,
+            )
         return prediction == ctx.taken_bool
     if spec.scheme == "TAGE":
         assert spec.tage_tables is not None and spec.history_length is not None
-        state = TageState(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS)
         histories = ctx.global_history(spec.history_length, 0)
-        prediction = _tage_predictions(np, ctx.pc, histories, ctx.taken, state)
+        prediction = np.empty(len(ctx), dtype=bool)
+        for rows, state in ctx.sessions(
+            ("tage",),
+            lambda: TageState(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS),
+        ):
+            prediction[rows] = _tage_predictions(
+                np, ctx.pc[rows], histories[rows], ctx.taken[rows], state
+            )
         return prediction == ctx.taken_bool
     return None
 
@@ -580,22 +661,18 @@ def _scan_request(
     """
     if spec.scheme == "LS":
         assert spec.hrt_automaton is not None
-        token = ("keys",) + _hrt_token(spec)
-        return token, ctx.hrt_keys(spec), spec.hrt_automaton
+        return ("keys",) + _hrt_token(spec), ctx.hrt_keys(spec), spec.hrt_automaton
+    k = spec.history_length
+    assert k is not None
     if spec.scheme == "AT":
-        assert spec.history_length is not None and spec.pt_automaton is not None
-        token = ("pattern",) + _hrt_token(spec) + (spec.history_length,)
-        return token, ctx.history(spec), spec.pt_automaton
+        assert spec.pt_automaton is not None
+        token = ("pattern",) + _hrt_token(spec) + (k,)
+        return token, ctx.namespace(ctx.history(spec)), spec.pt_automaton
     if spec.scheme == "GAg":
-        assert spec.history_length is not None
-        token = ("ghist", spec.history_length)
-        return token, ctx.global_history(spec.history_length, 1), spec.pt_automaton or A2
+        return ("ghist", k), ctx.namespace(ctx.global_history(k, 1)), spec.pt_automaton or A2
     if spec.scheme == "gshare":
-        assert spec.history_length is not None
-        mask = (1 << spec.history_length) - 1
-        token = ("gidx", spec.history_length)
-        index = ((ctx.pc >> 2) ^ ctx.global_history(spec.history_length, 0)) & mask
-        return token, index, spec.pt_automaton or A2
+        index = ((ctx.pc >> 2) ^ ctx.global_history(k, 0)) & ((1 << k) - 1)
+        return ("gidx", k), ctx.namespace(index), spec.pt_automaton or A2
     raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
 
 
@@ -604,20 +681,19 @@ class _FusedScores:
 
     Phase one compiles each spec to either a direct trace-order mask or a
     deferred scan request; phase two runs the whole scan batch; phase
-    three reads stats (and per-site tallies) per spec.
+    three reads stats, per-site tallies or trace-order correctness per
+    spec.
     """
 
     def __init__(
         self,
         specs: Sequence[PredictorSpec],
         ctx: TraceContext,
-        trainings: Mapping[str, TraceContext],
+        trainings: Mapping[str, Any],
     ):
         for spec in specs:
             if not vectorizable(spec):
-                raise KernelError(
-                    f"no fused kernel for spec {spec.canonical()!r}"
-                )
+                raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
         self.ctx = ctx
         ctx.reserve(specs)
         for training in trainings.values():
@@ -631,8 +707,18 @@ class _FusedScores:
                 self._masks[index] = mask
                 continue
             token, column, automaton = _scan_request(spec, ctx)
-            self._handles[index] = self.batch.add(token, column, automaton)
+            state = ctx.scan_state(_ScanBatch.handle(token, automaton))
+            self._handles[index] = self.batch.add(token, column, automaton, state)
         self.batch.run()
+
+    def correct(self, index: int) -> Any:
+        """Spec ``index``'s per-record correctness in trace order."""
+        mask = self._masks.get(index)
+        if mask is None:
+            sorted_mask, group = self.batch.correct_sorted(self._handles[index])
+            mask = self.ctx.np.empty_like(sorted_mask)
+            mask[group.order] = sorted_mask
+        return mask
 
     def stats(self, index: int) -> PredictionStats:
         mask = self._masks.get(index)
@@ -672,8 +758,8 @@ def fused_stats(
     ``trainings`` maps the roles :func:`training_role` reports (``"test"``
     / ``"train"``) to the traces the profiled schemes profile; passing the
     test trace itself under ``"test"`` shares one context for both roles.
-    Bit-exact against per-spec :func:`~repro.sim.kernels.score_spec`.
-    Callers scoring several spec groups can pass prebuilt contexts.
+    Bit-exact against the scalar engine.  Callers scoring several spec
+    groups can pass prebuilt contexts.
     """
     ctx, training_ctxs = _contexts(packed, trainings, context, training_contexts)
     scores = _FusedScores(specs, ctx, training_ctxs)
@@ -690,7 +776,7 @@ def fused_per_site(
     """Per-static-site ``(correct, total)`` maps for every spec, fused.
 
     The multi-predictor twin of
-    :func:`repro.sim.kernels.per_site_accuracy`: one trace pass, shared
+    :func:`repro.sim.analysis.per_site_accuracy`: one trace pass, shared
     intermediates, identical tallies.
     """
     ctx, training_ctxs = _contexts(packed, trainings, context, training_contexts)

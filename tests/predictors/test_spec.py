@@ -178,6 +178,12 @@ class TestErrors:
             "tage(5)",  # beyond MAX_TABLES
             "tage(4,0)",  # entry bits out of range
             "tage(4,17)",
+            "GAg(0,A2)",  # history length out of range
+            "gshare(25,A2)",
+            "gshare(70,A2)",
+            "AT(IHRT(,0SR),PT(2^0,A2),)",
+            "AT(IHRT(,40SR),PT(2^40,A2),)",
+            "ST(AHRT(512,25SR),PT(2^25,PB),Same)",
         ],
     )
     def test_rejected(self, bad):

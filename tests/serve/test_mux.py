@@ -244,6 +244,33 @@ class TestV2Protocol:
 
         asyncio.run(_run_unknown())
 
+    def test_out_of_range_history_refused(self, program_trace):
+        """An OPEN for a 2^30-entry table is refused as bad-spec before
+        any predictor state exists, and the server keeps serving."""
+        records = program_trace[:64]
+
+        async def _run():
+            server = await _serve()
+            try:
+                client = await MuxPredictionClient.connect(
+                    server.host, server.port
+                )
+                with pytest.raises(ProtocolError) as excinfo:
+                    await client.open(0, "gshare(30,A2)")
+                assert excinfo.value.code == "bad-spec"
+                other = await MuxPredictionClient.connect(
+                    server.host, server.port
+                )
+                await other.open(0, "gshare(8,A2)")
+                served = await other.predict(0, records)
+                expected, _stats = _reference("gshare(8,A2)", records, "vector")
+                assert [None if r is None else r.predicted for r in served] == expected
+                await other.finish()
+            finally:
+                await server.stop(drain=False)
+
+        asyncio.run(_run())
+
     def test_session_cap_enforced(self):
         async def _run():
             server = await _serve()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigError, KernelError
+from repro.errors import ConfigError, KernelError, SpecParseError
 from repro.predictors.spec import parse_spec
 from repro.sim import analysis
 from repro.sim.backend import (
@@ -30,6 +30,7 @@ from repro.sim.kernels import (
     vectorizable,
 )
 from repro.sim.runner import SweepRunner
+from repro.sim.streaming import make_multi_scorer
 from repro.trace.columnar import pack_records
 from repro.trace.record import BranchClass, BranchRecord
 from repro.workloads.base import get_workload, workload_names
@@ -225,6 +226,20 @@ class TestBackendDispatch:
                 scalar.run_one(spec_text, "eqntott").stats
                 == vector.run_one(spec_text, "eqntott").stats
             ), spec_text
+
+    @pytest.mark.parametrize("backend", ["scalar", "vector"] if has_numpy() else ["scalar"])
+    @pytest.mark.parametrize(
+        "spec_text",
+        ["GAg(0,A2)", "gshare(30,A2)", "gshare(70,A2)", "AT(IHRT(,40SR),PT(2^40,A2),)"],
+    )
+    def test_out_of_range_history_rejected(self, spec_text, backend, trace_cache):
+        """k outside 1..24 fails at parse time, before either backend can
+        score it differently or allocate a 2^k table."""
+        runner = SweepRunner(["li"], 300, trace_cache, backend=backend)
+        with pytest.raises(SpecParseError, match="history length"):
+            runner.run_one(spec_text, "li")
+        with pytest.raises(SpecParseError, match="history length"):
+            make_multi_scorer(spec_text, backend)
 
     @needs_numpy
     def test_ahrt_geometry_validated(self, eqntott_trace):

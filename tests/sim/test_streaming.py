@@ -3,9 +3,11 @@ scoring, for every backend and any chunking.
 
 The core invariant (see :mod:`repro.sim.streaming`): ``feed(a); feed(b)``
 produces the same per-record predictions and the same accumulated stats as
-``feed(a + b)`` — and both equal the offline engines.  The property tests
-chunk random traces at random boundaries; the workload test replays real
-traces in awkward chunk sizes through every spec family.
+``feed(a + b)`` — and both equal the scalar engine.  The property tests
+chunk random traces at random boundaries through the fused multi-session
+scorer (one session or several) and compare with
+:class:`ScalarStreamingScorer`; the workload test replays real traces in
+awkward chunk sizes through every spec family.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from repro.sim.streaming import (
     ScalarMultiSessionScorer,
     ScalarStreamingScorer,
     VectorMultiSessionScorer,
-    VectorStreamingScorer,
     make_multi_scorer,
-    make_scorer,
     needs_training,
 )
 from repro.trace.columnar import pack_records
@@ -88,6 +88,22 @@ def _chunks(records, sizes):
     return out
 
 
+class _OneSession:
+    """One session of the fused vector scorer, in the ``feed`` shape of
+    :class:`ScalarStreamingScorer`."""
+
+    def __init__(self, spec, training_records=None):
+        self.fused = make_multi_scorer(spec, "vector")
+        self.fused.open_session(0, training_records)
+
+    def feed(self, records):
+        return self.fused.feed_many([(0, records)])[0]
+
+    @property
+    def stats(self):
+        return self.fused.session_stats(0)
+
+
 def _feed_chunked(scorer, records, rng):
     predictions = []
     start = 0
@@ -100,7 +116,7 @@ def _feed_chunked(scorer, records, rng):
 
 @needs_numpy
 class TestChunkInvariance:
-    """feed in chunks == feed whole == the offline scalar engine."""
+    """One fused session fed in chunks == the scalar engine fed whole."""
 
     @pytest.mark.parametrize("spec_text", STREAM_SPECS)
     @given(records=_MIXED_RECORDS, seed=st.integers(0, 2**16))
@@ -108,15 +124,10 @@ class TestChunkInvariance:
     def test_chunked_equals_whole(self, spec_text, records, seed):
         spec = parse_spec(spec_text)
         training = records if needs_training(spec) else None
-
-        whole = make_scorer(spec, "vector", training_records=training)
-        whole_predictions = whole.feed(records)
-
-        chunked = make_scorer(spec, "vector", training_records=training)
+        whole = ScalarStreamingScorer(spec, training_records=training)
+        chunked = _OneSession(spec, training)
         rng = random.Random(seed)
-        chunked_predictions = _feed_chunked(chunked, records, rng)
-
-        assert chunked_predictions == whole_predictions
+        assert _feed_chunked(chunked, records, rng) == whole.feed(records)
         assert chunked.stats == whole.stats
 
     @pytest.mark.parametrize("spec_text", STREAM_SPECS)
@@ -125,9 +136,8 @@ class TestChunkInvariance:
     def test_vector_equals_scalar(self, spec_text, records):
         spec = parse_spec(spec_text)
         training = records if needs_training(spec) else None
-        vector = make_scorer(spec, "vector", training_records=training)
-        scalar = make_scorer(spec, "scalar", training_records=training)
-        assert vector.backend == "vector" and scalar.backend == "scalar"
+        vector = _OneSession(spec, training)
+        scalar = ScalarStreamingScorer(spec, training_records=training)
         assert vector.feed(records) == scalar.feed(records)
         assert vector.stats == scalar.stats
 
@@ -136,7 +146,7 @@ class TestChunkInvariance:
         for spec_text in STREAM_SPECS:
             spec = parse_spec(spec_text)
             training = records if needs_training(spec) else None
-            scorer = make_scorer(spec, "vector", training_records=training)
+            scorer = _OneSession(spec, training)
             for chunk in _chunks(records, [1, 7, 300, 4096]):
                 scorer.feed(chunk)
             expected = simulate(
@@ -149,38 +159,41 @@ class TestDispatch:
     @needs_numpy
     def test_finite_hrt_gets_vector_session(self):
         for spec_text in ("AT(AHRT(64,4SR),PT(2^4,A2),)", "LS(HHRT(64,A2),,)"):
-            scorer = make_scorer(spec_text, "vector")
-            assert isinstance(scorer, VectorStreamingScorer)
+            scorer = make_multi_scorer(spec_text, "vector")
+            assert isinstance(scorer, VectorMultiSessionScorer)
             assert scorer.backend == "vector"
 
     @needs_numpy
     def test_vector_selected_when_possible(self):
-        assert isinstance(make_scorer("BTFN", "vector"), VectorStreamingScorer)
-        assert isinstance(make_scorer("BTFN", "auto"), VectorStreamingScorer)
+        assert isinstance(make_multi_scorer("BTFN", "vector"), VectorMultiSessionScorer)
+        assert isinstance(make_multi_scorer("BTFN", "auto"), VectorMultiSessionScorer)
 
     def test_scalar_always_available(self):
-        assert isinstance(make_scorer("BTFN", "scalar"), ScalarStreamingScorer)
+        assert isinstance(make_multi_scorer("BTFN", "scalar"), ScalarMultiSessionScorer)
 
     def test_spec_text_accepted(self):
-        scorer = make_scorer("GAg(4,A2)", "scalar")
+        scorer = make_multi_scorer("GAg(4,A2)", "scalar")
         assert scorer.spec.scheme == "GAg"
 
     def test_needs_training(self):
         assert needs_training(parse_spec("Profile"))
         assert needs_training(parse_spec("ST(IHRT(,4SR),PT(2^4,PB),Same)"))
+        assert needs_training(parse_spec("ST(IHRT(,4SR),PT(2^4,PB),Diff)"))
         assert not needs_training(parse_spec("AT(IHRT(,4SR),PT(2^4,A2),)"))
 
     @pytest.mark.parametrize("backend", ["scalar", "auto"])
     def test_training_required(self, backend):
         with pytest.raises(ConfigError, match="training"):
-            make_scorer("Profile", backend)
+            make_multi_scorer("Profile", backend).open_session(0)
+        with pytest.raises(ConfigError, match="training"):
+            ScalarStreamingScorer(parse_spec("Profile"))
 
     def test_skipped_records_are_none(self, periodic_trace):
         call = BranchRecord(
             pc=0x9000, cls=BranchClass.IMM_UNCONDITIONAL, taken=True,
             target=0x100, is_call=True,
         )
-        scorer = make_scorer("AlwaysTaken", "scalar")
+        scorer = ScalarStreamingScorer(parse_spec("AlwaysTaken"))
         predictions = scorer.feed([call] + periodic_trace[:3] + [call])
         assert predictions[0] is None and predictions[-1] is None
         assert predictions[1:4] == [True, True, True]
@@ -194,13 +207,14 @@ class TestMultiSessionFusion:
     The cross-session fusion invariant (see
     :class:`repro.sim.streaming.MultiSessionScorer`): any interleaving of
     per-session batches through one fused scorer is bit-exact with running
-    each session through its own :class:`StreamingScorer`, record lists and
-    :class:`PackedTrace` columns alike.
+    each session through its own :class:`ScalarStreamingScorer`, record
+    lists and :class:`PackedTrace` columns alike.  A single stream is the
+    one-session chunk-invariance case.
     """
 
     @pytest.mark.parametrize("spec_text", STREAM_SPECS)
     @given(
-        streams=st.lists(_MIXED_RECORDS, min_size=2, max_size=4),
+        streams=st.lists(_MIXED_RECORDS, min_size=1, max_size=4),
         seed=st.integers(0, 2**16),
         packed=st.booleans(),
     )
@@ -212,7 +226,7 @@ class TestMultiSessionFusion:
         for key, records in enumerate(streams):
             training = records if needs_training(spec) else None
             fused.open_session(key, training)
-            references[key] = make_scorer(spec, "vector", training_records=training)
+            references[key] = ScalarStreamingScorer(spec, training_records=training)
 
         # chop every stream at random boundaries, then interleave the
         # chunks randomly across feed_many calls of random width
@@ -224,7 +238,6 @@ class TestMultiSessionFusion:
                 size = rng.randint(1, max(1, len(records) // 3))
                 queue.append((key, records[start:start + size]))
                 start += size
-        rng.shuffle_keyed = None  # keep per-session order: shuffle by merge
         merged = []
         cursors = {key: [c for c in queue if c[0] == key] for key in references}
         while any(cursors.values()):
@@ -283,7 +296,7 @@ class TestMultiSessionFusion:
     def test_mid_stream_close_leaves_others_exact(self, periodic_trace):
         records = periodic_trace[:90]
         fused = make_multi_scorer("gshare(8,A2)", "vector")
-        reference = make_scorer("gshare(8,A2)", "vector")
+        reference = ScalarStreamingScorer(parse_spec("gshare(8,A2)"))
         fused.open_session(0)
         fused.open_session(1)
         served = []

@@ -1,11 +1,13 @@
 """Fused sweep engine and sweep-result cache.
 
 The fused scorer (:mod:`repro.sim.sweep`) must be bit-exact against the
-per-spec :func:`~repro.sim.kernels.score_spec` path it replaces: the
-property tests score random spec *subsets* together (fusion shares
-intermediates across whichever specs happen to group) on synthetic traces
-and on every one of the fourteen workload variants, and the parallel
-tests pin the (benchmark x spec-group) partitioning to the serial sweep.
+scalar engine: the property tests score random spec *subsets* together
+(fusion shares intermediates across whichever specs happen to group) on
+synthetic traces and on every one of the fourteen workload variants, the
+carried-state tests cut columns at random points and require the carried
+history window and automaton scan to equal one fresh whole-column call,
+and the parallel tests pin the (benchmark x spec-group) partitioning to
+the serial sweep.
 The result-cache tests cover the persistence layer the runner rides: a
 round trip, the backend's presence in the key (backend-agreement tests
 are the verification that makes caching sound), eviction, and corrupt
@@ -18,13 +20,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.predictors.automata import automaton_by_name
 from repro.predictors.spec import parse_spec
 from repro.sim.backend import has_numpy
 from repro.sim.kernels import score_spec
 from repro.sim.result_cache import ResultCache, result_key
 from repro.sim.results import PredictionStats
 from repro.sim.runner import SweepRunner
-from repro.sim.sweep import SweepPlan, fused_stats, training_role
+from repro.sim.streaming import KeyedState
+from repro.sim.sweep import (
+    SweepPlan,
+    _branch_history,
+    _ScanBatch,
+    fused_stats,
+    training_role,
+)
 from repro.trace.columnar import pack_records
 from repro.trace.record import BranchClass, BranchRecord
 from repro.workloads.base import TraceCache, get_workload, workload_names
@@ -63,16 +73,16 @@ _COND_RECORDS = st.lists(
 
 
 def _per_spec_stats(specs, packed):
-    """The reference path: each spec scored alone by score_spec."""
+    """The reference: each spec scored alone by the scalar engine."""
     return [
-        score_spec(spec, packed, backend="vector", training=packed)
+        score_spec(spec, packed, backend="scalar", training=packed)
         for spec in specs
     ]
 
 
 @needs_numpy
 class TestFusedProperty:
-    """fused_stats == per-spec score_spec for arbitrary spec subsets."""
+    """fused_stats == the scalar engine for arbitrary spec subsets."""
 
     @given(
         records=_COND_RECORDS,
@@ -118,6 +128,61 @@ class TestFusedProperty:
         assert training_role(parse_spec("ST(IHRT(,4SR),PT(2^4,PB),Same)")) == "test"
         assert training_role(parse_spec("ST(IHRT(,4SR),PT(2^4,PB),Diff)")) == "train"
         assert training_role(parse_spec("BTFN")) is None
+
+
+def _scan_correct(np, keys, taken, automaton, state=None):
+    """One scan request's per-record correctness, in column order."""
+    batch = _ScanBatch(np, taken)
+    handle = batch.add(("column",), keys, automaton, state)
+    batch.run()
+    correct, group = batch.correct_sorted(handle)
+    out = np.empty_like(correct)
+    out[group.order] = correct
+    return out
+
+
+@needs_numpy
+class TestCarriedPrimitives:
+    """Feeding cut pieces with carried state == one fresh whole call."""
+
+    @given(
+        column=st.lists(
+            st.tuples(
+                # small keys radix-sort, namespaced ones take the int64 path
+                st.sampled_from([0, 1, 7, 1 << 32, (2 << 32) | 7]),
+                st.integers(0, 1),
+            ),
+            max_size=160,
+        ),
+        cuts=st.lists(st.integers(0, 160), max_size=6),
+        history_length=st.integers(1, 10),
+        init_bit=st.integers(0, 1),
+        automaton=st.sampled_from(["A1", "A2", "A3", "A4", "LT"]),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_pieces_equal_whole(self, column, cuts, history_length, init_bit, automaton):
+        import numpy as np
+
+        keys = np.array([key for key, _ in column], dtype=np.int64)
+        taken = np.array([bit for _, bit in column], dtype=np.int8)
+        machine = automaton_by_name(automaton)
+        bounds = [0] + sorted(min(cut, len(column)) for cut in cuts) + [len(column)]
+        histories, scans = KeyedState(np), KeyedState(np)
+        pieces_history, pieces_correct = [], []
+        for start, stop in zip(bounds, bounds[1:]):
+            piece_keys, piece_taken = keys[start:stop], taken[start:stop]
+            pieces_history.append(
+                _branch_history(
+                    np, piece_keys, piece_taken, history_length, init_bit, histories
+                )
+            )
+            pieces_correct.append(
+                _scan_correct(np, piece_keys, piece_taken, machine, scans)
+            )
+        whole_history = _branch_history(np, keys, taken, history_length, init_bit)
+        assert np.concatenate(pieces_history).tolist() == whole_history.tolist()
+        whole_correct = _scan_correct(np, keys, taken, machine)
+        assert np.concatenate(pieces_correct).tolist() == whole_correct.tolist()
 
 
 @needs_numpy
