@@ -38,7 +38,7 @@ examples:
 	@for example in examples/*.py; do echo "== $$example"; $(PYTHON) $$example; done
 
 # Small end-to-end run of the prediction service: 6 sessions multiplexed
-# over 2 protocol-v2 connections into a 2-worker pre-fork pool,
+# over 2 connections into a 2-worker pre-fork pool,
 # served-vs-offline parity verified; appends a trend entry.
 serve-demo:
 	PYTHONPATH=src $(PYTHON) -m repro bench-serve --sessions 6 --scale 2000 --workers 2 --connections 2 -o BENCH_serve.json

@@ -69,19 +69,14 @@ def _best_of(run, repeats=5):
 
 
 def load_trend_entries(path: Path = _RESULT_PATH) -> list:
-    """BENCH_kernels.json trend entries, auto-converting a legacy payload.
-
-    A pre-trend file held the sections at top level; it becomes the first
-    entry with ``date: null`` so history survives the format change.
-    """
+    """BENCH_kernels.json trend entries; none for a missing, corrupt or
+    non-trend file."""
     try:
         existing = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return []
     if isinstance(existing, dict) and isinstance(existing.get("entries"), list):
         return existing["entries"]
-    if isinstance(existing, dict) and existing:
-        return [{"date": None, **existing}]
     return []
 
 

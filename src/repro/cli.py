@@ -615,9 +615,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             existing = None
         if isinstance(existing, dict) and isinstance(existing.get("entries"), list):
             entries = existing["entries"]
-        elif isinstance(existing, dict) and existing:
-            # a pre-trend single-run payload becomes the first trend entry
-            entries = [{"date": None, **existing}]
     entries.append(entry)
     with open(args.output, "w") as handle:
         json.dump({"entries": entries}, handle, indent=2, sort_keys=True)
@@ -1008,8 +1005,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_serve_parser.add_argument(
         "--connections", type=int, default=None, metavar="N",
-        help="multiplex all sessions over N protocol-v2 connections"
-        " (default: one v1 connection per session)",
+        help="multiplex all sessions over N connections"
+        " (default: one connection per session)",
     )
     bench_serve_parser.add_argument(
         "--workers", type=int, default=1, metavar="N",

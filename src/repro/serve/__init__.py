@@ -5,9 +5,8 @@ scoring service:
 
 * :mod:`repro.serve.protocol` — the length-prefixed binary wire format
   (frames carrying YPTRACE2 branch records, prediction bytes, JSON control
-  payloads and typed errors), in two versions: v1 (one connection = one
-  session) and v2 (per-frame session ids multiplexing thousands of
-  logical sessions over one connection);
+  payloads and typed errors), whose per-frame session ids multiplex
+  thousands of logical sessions over one connection;
 * :mod:`repro.serve.server` — the asyncio server: logical predictor
   sessions resolved through the spec registry and
   :mod:`repro.sim.backend`, with a server-wide score loop that *fuses*
@@ -17,8 +16,8 @@ scoring service:
 * :mod:`repro.serve.supervisor` — a pre-fork worker pool sharing one
   listen port via ``SO_REUSEPORT`` (inherited-socket fallback), with
   SIGTERM-drains-everything semantics and an aggregated-stats endpoint;
-* :mod:`repro.serve.client` — sync and asyncio v1 clients plus the
-  multiplexing :class:`MuxPredictionClient`;
+* :mod:`repro.serve.client` — the asyncio :class:`MuxPredictionClient`
+  and :class:`PredictionClient`, its blocking single-session wrapper;
 * :mod:`repro.serve.loadgen` — a concurrent-session load generator and the
   ``repro bench-serve`` benchmark harness.
 
@@ -29,17 +28,11 @@ fused replay is the same computation the batch sweep performs.  See
 ``docs/serving.md`` for the protocol specification and scaling recipe.
 """
 
-from repro.serve.client import (
-    AsyncPredictionClient,
-    MuxPredictionClient,
-    PredictionClient,
-    PredictionResult,
-)
+from repro.serve.client import MuxPredictionClient, PredictionClient, PredictionResult
 from repro.serve.server import PredictionServer, ServeStats, ServerConfig
 from repro.serve.supervisor import Supervisor
 
 __all__ = [
-    "AsyncPredictionClient",
     "MuxPredictionClient",
     "PredictionClient",
     "PredictionResult",

@@ -1,22 +1,6 @@
 """Client libraries for the prediction service.
 
-:class:`AsyncPredictionClient` speaks the protocol over asyncio streams;
-:class:`PredictionClient` is its blocking twin over a plain socket for
-scripts and REPLs.  Both enforce the session state machine client-side and
-raise :class:`~repro.errors.ProtocolError` (with the server's typed error
-code) when the server reports a fault.
-
-Typical use::
-
-    with PredictionClient.connect("127.0.0.1", 9797, "BTFN") as client:
-        results = client.predict(records)          # one round trip
-        summary = client.finish()                  # final session stats
-
-``predict`` returns one entry per submitted record: a
-:class:`PredictionResult` for conditional branches, ``None`` for records
-the direction predictor does not score.
-
-:class:`MuxPredictionClient` speaks protocol v2: one TCP connection
+:class:`MuxPredictionClient` is the asyncio client: one TCP connection
 carrying many logical sessions, each with its own spec and predictor
 state.  Submissions pipeline — ``submit`` returns an awaitable without
 waiting for the answer, so thousands of sessions can keep frames in
@@ -29,15 +13,29 @@ flight concurrently::
     fut_b = await client.submit(1, records_b)
     results_a, results_b = await fut_a, await fut_b
     final = await client.finish()
+
+:class:`PredictionClient` is the blocking single-session surface for
+scripts and REPLs — session 0 of a :class:`MuxPredictionClient` driven on
+a private event loop::
+
+    with PredictionClient.connect("127.0.0.1", 9797, "BTFN") as client:
+        results = client.predict(records)          # one round trip
+        summary = client.finish()                  # final session stats
+
+``predict`` returns one entry per submitted record: a
+:class:`PredictionResult` for conditional branches, ``None`` for records
+the direction predictor does not score.  Both clients raise
+:class:`~repro.errors.ProtocolError` (with the server's typed error code)
+when the server reports a fault.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 from collections import deque
 from typing import (
     Any,
+    Awaitable,
     Deque,
     Dict,
     Iterable,
@@ -45,7 +43,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
-    Tuple,
+    TypeVar,
 )
 
 from repro.errors import ProtocolError
@@ -58,14 +56,11 @@ from repro.serve.protocol import (
     FRAME_HELLO,
     FRAME_OK,
     FRAME_OPEN,
-    FRAME_PREDICTIONS,
     FRAME_PREDICTIONS2,
-    FRAME_RECORDS,
     FRAME_RECORDS2,
     FRAME_STATS,
     FRAME_STATS_REQUEST,
     FRAME_TRAIN2,
-    FRAME_TRAIN,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     SESSION_ID,
@@ -73,10 +68,11 @@ from repro.serve.protocol import (
 
 __all__ = [
     "PredictionResult",
-    "AsyncPredictionClient",
     "MuxPredictionClient",
     "PredictionClient",
 ]
+
+_T = TypeVar("_T")
 
 
 class PredictionResult(NamedTuple):
@@ -94,119 +90,8 @@ def _as_results(payload: bytes) -> "List[Optional[PredictionResult]]":
     ]
 
 
-def _raise_if_error(frame: "Optional[Tuple[int, bytes]]", expected: int) -> bytes:
-    """Validate a reply frame's type, surfacing server-reported errors."""
-    if frame is None:
-        raise ProtocolError("server closed the connection", "bad-frame")
-    frame_type, payload = frame
-    if frame_type == FRAME_ERROR:
-        error = protocol.unpack_json(payload, FRAME_ERROR)
-        raise ProtocolError(
-            str(error.get("error", "server error")), str(error.get("code", "internal"))
-        )
-    if frame_type != expected:
-        got = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
-        want = protocol.FRAME_NAMES.get(expected, str(expected))
-        raise ProtocolError(f"expected {want} frame, got {got}", "bad-frame")
-    return payload
-
-
-class AsyncPredictionClient:
-    """One asyncio predictor session against a running server."""
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_frame: int = MAX_FRAME_BYTES,
-    ):
-        self._reader = reader
-        self._writer = writer
-        self._max_frame = max_frame
-        self.session_info: Dict[str, Any] = {}
-
-    @classmethod
-    async def connect(
-        cls,
-        host: str,
-        port: int,
-        spec: str,
-        backend: Optional[str] = None,
-        max_frame: int = MAX_FRAME_BYTES,
-    ) -> "AsyncPredictionClient":
-        """Open a session: TCP connect plus the HELLO/OK handshake."""
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, max_frame)
-        try:
-            await client._hello(spec, backend)
-        except BaseException:
-            await client.close()
-            raise
-        return client
-
-    async def _hello(self, spec: str, backend: Optional[str]) -> None:
-        hello: Dict[str, Any] = {"spec": spec}
-        if backend is not None:
-            hello["backend"] = backend
-        self._writer.write(protocol.pack_json(FRAME_HELLO, hello))
-        await self._writer.drain()
-        payload = _raise_if_error(await self._read(), FRAME_OK)
-        self.session_info = protocol.unpack_json(payload, FRAME_OK)
-
-    async def _read(self) -> "Optional[Tuple[int, bytes]]":
-        return await protocol.read_frame(self._reader, self._max_frame)
-
-    @property
-    def backend(self) -> Optional[str]:
-        """The backend the server resolved for this session."""
-        return self.session_info.get("backend")
-
-    async def train(self, records: Iterable[BranchRecord]) -> None:
-        """Stream profiling/training records (before the first predict)."""
-        self._writer.write(protocol.pack_records(list(records), FRAME_TRAIN))
-        await self._writer.drain()
-
-    async def predict(
-        self, records: Sequence[BranchRecord]
-    ) -> "List[Optional[PredictionResult]]":
-        """Score a chunk of the stream; one result per submitted record."""
-        self._writer.write(protocol.pack_records(records, FRAME_RECORDS))
-        await self._writer.drain()
-        payload = _raise_if_error(await self._read(), FRAME_PREDICTIONS)
-        return _as_results(payload)
-
-    async def stats(self) -> Dict[str, Any]:
-        """The server's live stats frame (server-wide + this session)."""
-        self._writer.write(protocol.pack_frame(FRAME_STATS_REQUEST))
-        await self._writer.drain()
-        payload = _raise_if_error(await self._read(), FRAME_STATS)
-        return protocol.unpack_json(payload, FRAME_STATS)
-
-    async def finish(self) -> Dict[str, Any]:
-        """End the session cleanly; returns the final stats frame."""
-        self._writer.write(protocol.pack_frame(FRAME_BYE))
-        await self._writer.drain()
-        payload = _raise_if_error(await self._read(), FRAME_STATS)
-        final = protocol.unpack_json(payload, FRAME_STATS)
-        await self.close()
-        return final
-
-    async def close(self) -> None:
-        try:
-            self._writer.close()
-            await self._writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-
-    async def __aenter__(self) -> "AsyncPredictionClient":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
-
 class MuxPredictionClient:
-    """A protocol v2 connection multiplexing many predictor sessions.
+    """One connection multiplexing many predictor sessions.
 
     Replies are demultiplexed by a background reader task: OPEN
     acknowledgements, per-session prediction frames and stats frames each
@@ -240,10 +125,12 @@ class MuxPredictionClient:
         max_sessions: int = 4096,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> "MuxPredictionClient":
-        """Connect and negotiate protocol v2 with ``max_sessions``."""
+        """Connect and negotiate a HELLO with ``max_sessions``."""
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, max_frame)
+        client._reader_task = asyncio.ensure_future(client._demux_loop())
         try:
+            future = client._expect(client._pending_ok)
             writer.write(
                 protocol.pack_json(
                     FRAME_HELLO,
@@ -251,14 +138,10 @@ class MuxPredictionClient:
                 )
             )
             await writer.drain()
-            payload = _raise_if_error(
-                await protocol.read_frame(reader, max_frame), FRAME_OK
-            )
-            client.connection_info = protocol.unpack_json(payload, FRAME_OK)
+            client.connection_info = protocol.unpack_json(await future, FRAME_OK)
         except BaseException:
             await client.close()
             raise
-        client._reader_task = asyncio.ensure_future(client._demux_loop())
         return client
 
     @property
@@ -336,7 +219,7 @@ class MuxPredictionClient:
         lane.append(future)
         return future
 
-    # -- the v2 verbs --------------------------------------------------
+    # -- the verbs -----------------------------------------------------
     async def open(
         self, session: int, spec: str, backend: Optional[str] = None
     ) -> Dict[str, Any]:
@@ -474,11 +357,18 @@ class _ResultFuture:
 
 
 class PredictionClient:
-    """Blocking predictor session over a plain socket (scripts, REPLs)."""
+    """Blocking predictor session (scripts, REPLs): session 0 of a
+    :class:`MuxPredictionClient` on a private event loop."""
 
-    def __init__(self, sock: socket.socket, max_frame: int = MAX_FRAME_BYTES):
-        self._sock = sock
-        self._max_frame = max_frame
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        mux: MuxPredictionClient,
+        timeout: Optional[float] = 30.0,
+    ):
+        self._loop = loop
+        self._mux = mux
+        self._timeout = timeout
         self.session_info: Dict[str, Any] = {}
 
     @classmethod
@@ -491,55 +381,64 @@ class PredictionClient:
         timeout: Optional[float] = 30.0,
         max_frame: int = MAX_FRAME_BYTES,
     ) -> "PredictionClient":
-        """Open a session: TCP connect plus the HELLO/OK handshake."""
-        sock = socket.create_connection((host, port), timeout=timeout)
-        client = cls(sock, max_frame)
+        """Open a session: TCP connect, HELLO and OPEN."""
+        loop = asyncio.new_event_loop()
         try:
-            hello: Dict[str, Any] = {"spec": spec}
-            if backend is not None:
-                hello["backend"] = backend
-            sock.sendall(protocol.pack_json(FRAME_HELLO, hello))
-            payload = _raise_if_error(client._read(), FRAME_OK)
-            client.session_info = protocol.unpack_json(payload, FRAME_OK)
+            mux = loop.run_until_complete(
+                asyncio.wait_for(
+                    MuxPredictionClient.connect(
+                        host, port, max_sessions=1, max_frame=max_frame
+                    ),
+                    timeout,
+                )
+            )
+        except BaseException:
+            loop.close()
+            raise
+        client = cls(loop, mux, timeout)
+        try:
+            client.session_info = client._run(mux.open(0, spec, backend))
         except BaseException:
             client.close()
             raise
         return client
 
-    def _read(self) -> "Optional[Tuple[int, bytes]]":
-        return protocol.read_frame_sync(self._sock.recv, self._max_frame)
+    def _run(self, call: "Awaitable[_T]") -> _T:
+        return self._loop.run_until_complete(asyncio.wait_for(call, self._timeout))
 
     @property
     def backend(self) -> Optional[str]:
+        """The backend the server resolved for this session."""
         return self.session_info.get("backend")
 
     def train(self, records: Iterable[BranchRecord]) -> None:
-        self._sock.sendall(protocol.pack_records(list(records), FRAME_TRAIN))
+        """Stream profiling/training records (before the first predict)."""
+        self._run(self._mux.train(0, records))
 
     def predict(
         self, records: Sequence[BranchRecord]
     ) -> "List[Optional[PredictionResult]]":
-        self._sock.sendall(protocol.pack_records(records, FRAME_RECORDS))
-        payload = _raise_if_error(self._read(), FRAME_PREDICTIONS)
-        return _as_results(payload)
+        """Score a chunk of the stream; one result per submitted record."""
+        return self._run(self._mux.predict(0, records))
 
     def stats(self) -> Dict[str, Any]:
-        self._sock.sendall(protocol.pack_frame(FRAME_STATS_REQUEST))
-        payload = _raise_if_error(self._read(), FRAME_STATS)
-        return protocol.unpack_json(payload, FRAME_STATS)
+        """The server's live stats frame (server-wide + this session)."""
+        return self._run(self._mux.stats(0))
 
     def finish(self) -> Dict[str, Any]:
-        self._sock.sendall(protocol.pack_frame(FRAME_BYE))
-        payload = _raise_if_error(self._read(), FRAME_STATS)
-        final = protocol.unpack_json(payload, FRAME_STATS)
+        """End the session cleanly; returns its final stats frame."""
+        final = self._run(self._mux.close_session(0))
+        self._run(self._mux.finish())
         self.close()
         return final
 
     def close(self) -> None:
+        if self._loop.is_closed():
+            return
         try:
-            self._sock.close()
-        except OSError:  # pragma: no cover
-            pass
+            self._loop.run_until_complete(self._mux.close())
+        finally:
+            self._loop.close()
 
     def __enter__(self) -> "PredictionClient":
         return self

@@ -2,17 +2,17 @@
 
 ``run_loadgen`` drives N concurrent predictor sessions against a server,
 each replaying a workload variant's branch records in fixed-size chunks
-with a configurable pipelining window (several RECORDS frames in flight
-per connection — this is what makes the server's per-tick micro-batching
+with a configurable pipelining window (several RECORDS2 frames in flight
+per session — this is what makes the server's per-tick micro-batching
 visible), and reports aggregate throughput plus per-frame latency
 percentiles.
 
-With ``connections`` set, sessions are *multiplexed*: the loadgen opens
-that many protocol v2 connections and spreads all the logical sessions
-across them (:class:`~repro.serve.client.MuxPredictionClient`), which is
-how thousands of sessions are driven without thousands of sockets — and
-what makes the server's cross-session batch fusion kick in.  Left unset,
-each session gets its own v1 connection, exactly as in earlier releases.
+Sessions ride :class:`~repro.serve.client.MuxPredictionClient`
+connections.  With ``connections`` set, the loadgen opens that many and
+spreads all the logical sessions across them, which is how thousands of
+sessions are driven without thousands of sockets — and what makes the
+server's cross-session batch fusion kick in.  Left unset, each session
+gets a connection of its own.
 
 ``bench_serve`` is the ``repro bench-serve`` engine: it generates the
 workload traces, starts an in-process server — or, with ``workers > 1``,
@@ -40,14 +40,6 @@ from repro.trace.record import BranchRecord
 from repro.workloads.base import TraceCache, default_cache, get_workload
 from repro.serve import protocol
 from repro.serve.client import MuxPredictionClient
-from repro.serve.protocol import (
-    FRAME_HELLO,
-    FRAME_OK,
-    FRAME_PREDICTIONS,
-    FRAME_RECORDS,
-    FRAME_STATS,
-    FRAME_TRAIN,
-)
 from repro.serve.server import PredictionServer, ServerConfig
 from repro.serve.supervisor import Supervisor
 
@@ -120,103 +112,6 @@ def _latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
-async def _run_session(
-    host: str, port: int, plan: SessionPlan, chunk: int, window: int
-) -> SessionOutcome:
-    """Replay one plan: pipelined RECORDS frames, per-frame latency."""
-    outcome = SessionOutcome(plan=plan)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        hello: Dict[str, Any] = {"spec": plan.spec}
-        if plan.backend is not None:
-            hello["backend"] = plan.backend
-        writer.write(protocol.pack_json(FRAME_HELLO, hello))
-        await writer.drain()
-        frame = await protocol.read_frame(reader)
-        payload = _expect(frame, FRAME_OK)
-        outcome.backend = protocol.unpack_json(payload, FRAME_OK).get("backend")
-
-        if plan.training:
-            for start in range(0, len(plan.training), chunk):
-                writer.write(
-                    protocol.pack_records(plan.training[start:start + chunk], FRAME_TRAIN)
-                )
-            await writer.drain()
-
-        chunks = [
-            plan.records[start:start + chunk]
-            for start in range(0, len(plan.records), chunk)
-        ]
-        outcome.started = time.perf_counter()
-        send_times: "deque[Tuple[float, int]]" = deque()
-        next_chunk = 0
-
-        async def _collect_one() -> None:
-            reply = await protocol.read_frame(reader)
-            body = _expect(reply, FRAME_PREDICTIONS)
-            sent_at, size = send_times.popleft()
-            outcome.latencies.append(time.perf_counter() - sent_at)
-            if len(body) != size:
-                raise ProtocolError(
-                    f"PREDICTIONS size {len(body)} != {size} records sent", "bad-frame"
-                )
-            for byte in body:
-                if not byte & protocol.PRED_SKIPPED:
-                    outcome.conditional += 1
-                    if byte & protocol.PRED_CORRECT:
-                        outcome.correct += 1
-
-        while next_chunk < len(chunks) or send_times:
-            if next_chunk < len(chunks) and len(send_times) < window:
-                batch = chunks[next_chunk]
-                next_chunk += 1
-                send_times.append((time.perf_counter(), len(batch)))
-                writer.write(protocol.pack_records(batch, FRAME_RECORDS))
-                await writer.drain()
-                outcome.records_sent += len(batch)
-                outcome.frames += 1
-            else:
-                await _collect_one()
-        outcome.finished = time.perf_counter()
-
-        writer.write(protocol.pack_frame(protocol.FRAME_BYE))
-        await writer.drain()
-        final = _expect(await protocol.read_frame(reader), FRAME_STATS)
-        session = protocol.unpack_json(final, FRAME_STATS).get("session", {})
-        outcome.accuracy = float(session.get("accuracy", 0.0))
-        server_conditional = int(session.get("conditional", -1))
-        server_correct = int(session.get("correct", -1))
-        if (server_conditional, server_correct) != (outcome.conditional, outcome.correct):
-            raise ProtocolError(
-                f"session summary {server_conditional}/{server_correct} disagrees with"
-                f" the prediction bytes {outcome.conditional}/{outcome.correct}",
-                "internal",
-            )
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-    return outcome
-
-
-def _expect(frame: "Optional[Tuple[int, bytes]]", expected: int) -> bytes:
-    if frame is None:
-        raise ProtocolError("server closed the connection", "bad-frame")
-    frame_type, payload = frame
-    if frame_type == protocol.FRAME_ERROR:
-        error = protocol.unpack_json(payload, protocol.FRAME_ERROR)
-        raise ProtocolError(
-            str(error.get("error", "server error")), str(error.get("code", "internal"))
-        )
-    if frame_type != expected:
-        raise ProtocolError(
-            f"expected frame {expected}, got {frame_type}", "bad-frame"
-        )
-    return payload
-
-
 def _encoded_chunks(
     records: Sequence[BranchRecord],
     chunk: int,
@@ -265,7 +160,7 @@ async def _run_mux_session(
     window: int,
     payload_cache: "Dict[Tuple[int, int], List[bytes]]",
 ) -> SessionOutcome:
-    """Replay one plan as a logical session on a shared v2 connection."""
+    """Replay one plan as a logical session on a shared connection."""
     outcome = SessionOutcome(plan=plan)
     info = await client.open(sid, plan.spec, plan.backend)
     outcome.backend = info.get("backend")
@@ -328,7 +223,7 @@ async def _run_mux_connection(
     window: int,
     payload_cache: "Dict[Tuple[int, int], List[bytes]]",
 ) -> "List[SessionOutcome]":
-    """Drive many logical sessions concurrently over one v2 connection."""
+    """Drive many logical sessions concurrently over one connection."""
     client = await MuxPredictionClient.connect(
         host, port, max_sessions=max(len(plans), 1)
     )
@@ -355,17 +250,10 @@ async def run_loadgen_async(
 ) -> "List[SessionOutcome]":
     """Run every plan concurrently against ``host:port``.
 
-    ``connections=None`` opens one v1 connection per session (the
-    original behavior); an integer multiplexes all sessions over that
-    many protocol v2 connections.
+    ``connections=None`` gives every session a connection of its own; an
+    integer multiplexes all sessions over that many connections.
     """
-    if connections is None:
-        return list(
-            await asyncio.gather(
-                *(_run_session(host, port, plan, chunk, window) for plan in plans)
-            )
-        )
-    connections = max(1, min(connections, len(plans) or 1))
+    connections = _connection_count(len(plans), connections)
     assigned: "List[List[Tuple[int, SessionPlan]]]" = [
         [] for _ in range(connections)
     ]
@@ -390,6 +278,13 @@ async def run_loadgen_async(
     # restore the plan order so callers can zip outcomes with plans
     by_plan = {id(outcome.plan): outcome for group in grouped for outcome in group}
     return [by_plan[id(plan)] for plan in plans]
+
+
+def _connection_count(sessions: int, connections: Optional[int]) -> int:
+    """How many connections ``sessions`` sessions are spread over."""
+    if connections is None:
+        return max(sessions, 1)
+    return max(1, min(connections, sessions or 1))
 
 
 def run_loadgen(
@@ -492,7 +387,7 @@ def bench_serve(
     Starts a server on an ephemeral loopback port — in-process for
     ``workers=1``, a pre-fork :class:`Supervisor` pool otherwise —
     replays ``sessions`` concurrent predictor sessions over the workload
-    traces (multiplexed over ``connections`` v2 connections when given),
+    traces (multiplexed over ``connections`` connections when given),
     and (with ``verify``) checks every session's served accuracy
     statistics against the offline engine — a failed parity check raises.
     """
@@ -544,8 +439,7 @@ def bench_serve(
             "window": window,
             "backend": backend or "auto",
             "workers": workers,
-            "connections": connections if connections is not None else "per-session",
-            "protocol": 1 if connections is None else 2,
+            "connections": _connection_count(sessions, connections),
         },
         "sessions": [
             {

@@ -6,44 +6,35 @@ Every message is a *frame*::
     uint8  type     (FRAME_* constant)
     bytes  payload  (length bytes)
 
-Record-bearing frames (``TRAIN``, ``RECORDS``) carry a whole number of
-9-byte YPTRACE2 records — exactly the on-disk record layout of
-:mod:`repro.trace.encoding` (``encode_record`` / ``decode_record``), so a
-binary trace file body can be streamed to the server unmodified.
+A connection opens with a HELLO carrying ``"version": 2`` (and an
+optional ``max_sessions`` request); the OK reply echoes ``version`` and the
+granted ``max_sessions``.  The connection then carries any number of
+logical predictor sessions, each named by a client-chosen 32-bit session
+id:
 
-``PREDICTIONS`` answers a ``RECORDS`` frame with one byte per submitted
-record:
+* ``OPEN`` / ``CLOSE`` (JSON) start and end a logical session — OPEN is
+  answered with an ``OK``, CLOSE with that session's final ``STATS``;
+* ``TRAIN2`` / ``RECORDS2`` carry ``uint32 session_id``
+  (:data:`SESSION_ID`) followed by a whole number of 9-byte YPTRACE2
+  records — exactly the on-disk record layout of
+  :mod:`repro.trace.encoding` (``encode_record`` / ``decode_record``);
+* ``PREDICTIONS2`` answers each ``RECORDS2`` frame with the same session-id
+  prefix and one byte per submitted record:
 
-* ``PRED_SKIPPED`` (0x80) — the record was not a conditional branch, so the
-  direction predictor did not score it;
-* otherwise a combination of ``PRED_TAKEN`` (predicted direction),
-  ``PRED_ACTUAL`` (the trace's actual outcome, echoed) and ``PRED_CORRECT``.
+  * ``PRED_SKIPPED`` (0x80) — the record was not a conditional branch, so
+    the direction predictor did not score it;
+  * otherwise a combination of ``PRED_TAKEN`` (predicted direction),
+    ``PRED_ACTUAL`` (the trace's actual outcome, echoed) and
+    ``PRED_CORRECT``;
 
-Control frames (``HELLO``, ``OK``, ``STATS``, ``ERROR``) carry UTF-8 JSON
-objects.  ``ERROR`` payloads are ``{"code": <ERROR_CODES entry>,
-"error": <message>}`` and map onto :class:`repro.errors.ProtocolError`.
-
-The v1 session state machine (enforced by the server, mirrored by the
-clients)::
-
-    connect -> HELLO -> OK -> [TRAIN ...] -> {RECORDS -> PREDICTIONS}* -> BYE -> STATS -> close
-                                  (STATS_REQUEST -> STATS anywhere after OK)
-
-**Protocol v2 — session multiplexing.**  A HELLO carrying ``"version": 2``
-(and no spec) negotiates a multiplexed connection: the OK reply echoes
-``version`` and the granted ``max_sessions``, and every record-bearing
-frame thereafter carries a client-chosen 32-bit session id so one TCP
-connection can interleave thousands of logical predictor sessions:
-
-* ``OPEN`` / ``CLOSE`` (JSON) start and end a logical session — CLOSE is
-  answered with that session's final ``STATS``;
-* ``RECORDS2`` / ``TRAIN2`` prefix the v1 record payload with
-  ``uint32 session_id`` (:data:`SESSION_ID`); ``PREDICTIONS2`` answers
-  ``RECORDS2`` with the same prefix so clients can demultiplex;
+* ``STATS_REQUEST`` (optionally ``{"session": id}``) is answered with a
+  ``STATS`` frame anywhere after OK;
 * ``BYE`` ends the whole connection, closing every remaining session.
 
-v1 single-session clients are untouched: a HELLO naming a spec (no
-``version`` field) behaves exactly as before.
+Control frames (``HELLO``, ``OK``, ``OPEN``, ``CLOSE``, ``STATS``,
+``ERROR``) carry UTF-8 JSON objects.  ``ERROR`` payloads are
+``{"code": <ERROR_CODES entry>, "error": <message>}`` and map onto
+:class:`repro.errors.ProtocolError`.
 
 Any protocol violation earns the connection a single ``ERROR`` frame and a
 close; other connections are unaffected.
@@ -66,9 +57,6 @@ from repro.trace.record import BranchRecord
 __all__ = [
     "FRAME_HELLO",
     "FRAME_OK",
-    "FRAME_TRAIN",
-    "FRAME_RECORDS",
-    "FRAME_PREDICTIONS",
     "FRAME_STATS_REQUEST",
     "FRAME_STATS",
     "FRAME_BYE",
@@ -92,7 +80,6 @@ __all__ = [
     "pack_frame",
     "pack_json",
     "pack_error",
-    "pack_records",
     "pack_records2",
     "pack_predictions2",
     "split_session_payload",
@@ -103,16 +90,15 @@ __all__ = [
     "encode_predictions_fused",
     "decode_predictions",
     "read_frame",
-    "read_frame_sync",
 ]
 
 #: frame header: payload length + frame type.
 HEADER = struct.Struct("<IB")
 
-#: session-id prefix of v2 record-bearing frames (little-endian uint32).
+#: session-id prefix of record-bearing frames (little-endian uint32).
 SESSION_ID = struct.Struct("<I")
 
-#: the newest protocol version a HELLO may negotiate.
+#: the protocol version every HELLO must carry.
 PROTOCOL_VERSION = 2
 
 #: largest client-chosen logical session id (fits the uint32 prefix).
@@ -123,14 +109,10 @@ MAX_FRAME_BYTES = 1 << 20
 
 FRAME_HELLO = 1
 FRAME_OK = 2
-FRAME_TRAIN = 3
-FRAME_RECORDS = 4
-FRAME_PREDICTIONS = 5
 FRAME_STATS_REQUEST = 6
 FRAME_STATS = 7
 FRAME_BYE = 8
 FRAME_ERROR = 9
-# protocol v2 (session multiplexing)
 FRAME_OPEN = 10
 FRAME_CLOSE = 11
 FRAME_RECORDS2 = 12
@@ -140,9 +122,6 @@ FRAME_TRAIN2 = 14
 FRAME_NAMES: Dict[int, str] = {
     FRAME_HELLO: "HELLO",
     FRAME_OK: "OK",
-    FRAME_TRAIN: "TRAIN",
-    FRAME_RECORDS: "RECORDS",
-    FRAME_PREDICTIONS: "PREDICTIONS",
     FRAME_STATS_REQUEST: "STATS_REQUEST",
     FRAME_STATS: "STATS",
     FRAME_BYE: "BYE",
@@ -161,7 +140,7 @@ ERROR_CODES = (
     "bad-hello",        # HELLO payload unparseable or missing fields
     "bad-spec",         # predictor spec string rejected by the registry
     "bad-backend",      # backend name unknown or unavailable
-    "bad-session",      # v2 session id unknown, duplicate, or over the cap
+    "bad-session",      # session id unknown, duplicate, or over the cap
     "protocol",         # frame legal but out of order for the session state
     "timeout",          # connection idle past the server's read timeout
     "busy",             # server at its max-connections limit
@@ -204,19 +183,12 @@ def unpack_json(payload: bytes, frame_type: int) -> Dict[str, Any]:
     return obj
 
 
-def pack_records(
-    records: Sequence[BranchRecord], frame_type: int = FRAME_RECORDS
-) -> bytes:
-    """A TRAIN/RECORDS frame carrying ``records`` in YPTRACE2 layout."""
-    return pack_frame(frame_type, b"".join(encode_record(record) for record in records))
-
-
 def pack_records2(
     session_id: int,
     records: Sequence[BranchRecord],
     frame_type: int = FRAME_RECORDS2,
 ) -> bytes:
-    """A v2 RECORDS2/TRAIN2 frame: session-id prefix + YPTRACE2 records."""
+    """A RECORDS2/TRAIN2 frame: session-id prefix + YPTRACE2 records."""
     return pack_frame(
         frame_type,
         SESSION_ID.pack(session_id)
@@ -225,14 +197,14 @@ def pack_records2(
 
 
 def pack_predictions2(session_id: int, prediction_bytes: bytes) -> bytes:
-    """A v2 PREDICTIONS2 frame: session-id prefix + prediction bytes."""
+    """A PREDICTIONS2 frame: session-id prefix + prediction bytes."""
     return pack_frame(
         FRAME_PREDICTIONS2, SESSION_ID.pack(session_id) + prediction_bytes
     )
 
 
 def split_session_payload(payload: bytes, frame_type: int) -> Tuple[int, bytes]:
-    """Split a v2 session-scoped payload into ``(session id, rest)``.
+    """Split a session-scoped payload into ``(session id, rest)``.
 
     Raises :class:`ProtocolError` (code ``bad-frame``) when the payload is
     too short to carry the session-id prefix.
@@ -406,36 +378,4 @@ async def read_frame(
             f" got {len(exc.partial)}",
             "bad-frame",
         ) from exc
-    return frame_type, payload
-
-
-def read_frame_sync(
-    read: Any, max_frame: int = MAX_FRAME_BYTES
-) -> "Optional[Tuple[int, bytes]]":
-    """Blocking twin of :func:`read_frame` over a ``read(n)`` callable (e.g.
-    ``socket.makefile('rb').read``)."""
-
-    def read_exact(n: int) -> bytes:
-        chunks = b""
-        while len(chunks) < n:
-            piece = read(n - len(chunks))
-            if not piece:
-                return chunks
-            chunks += piece
-        return chunks
-
-    header = read_exact(HEADER.size)
-    if not header:
-        return None
-    if len(header) < HEADER.size:
-        raise ProtocolError("connection closed mid frame header", "bad-frame")
-    length, frame_type = HEADER.unpack(header)
-    _check_length(length, max_frame)
-    payload = read_exact(length) if length else b""
-    if len(payload) < length:
-        raise ProtocolError(
-            f"connection closed mid frame: expected {length} payload bytes,"
-            f" got {len(payload)}",
-            "bad-frame",
-        )
     return frame_type, payload

@@ -1,12 +1,10 @@
 """The asyncio prediction server.
 
-A client connection carries one or many *predictor sessions*.  A v1 HELLO
-names a Table 2 predictor spec and the whole connection is that one
-session, exactly as in the original service.  A v2 HELLO (``"version": 2``)
-negotiates *session multiplexing*: the client then OPENs logical sessions —
-each with its own spec, backend and predictor state — and interleaves
-record frames for thousands of them over the single TCP stream, every
-frame carrying its session id.
+A client connection carries one or many *predictor sessions*.  Its HELLO
+(``"version": 2``) negotiates *session multiplexing*: the client then OPENs
+logical sessions — each with its own Table 2 predictor spec, backend and
+predictor state — and interleaves record frames for thousands of them over
+the single TCP stream, every frame carrying its session id.
 
 **Cross-session batch fusion.**  Scoring is no longer per connection: a
 single server-wide score loop drains everything queued during the previous
@@ -18,7 +16,7 @@ state is namespaced inside the scorer, so fusion is bit-exact with running
 every session alone, under any chunking and interleaving; what fusion buys
 is batch size — under load the vector kernels see one large batch per tick
 instead of dozens of small ones, and per-record cost collapses.  Each
-RECORDS frame is still answered individually, in per-session order.
+RECORDS2 frame is still answered individually, in per-session order.
 
 **Robustness.**  Malformed frames, oversized frames, protocol violations,
 bad specs/backends/session-ids and read timeouts each earn the *offending
@@ -47,7 +45,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigError, ProtocolError, ReproError, SpecParseError
 from repro.predictors.spec import PredictorSpec, parse_spec
-from repro.sim.kernels import choose_backend
+from repro.sim.backend import resolve_backend
 from repro.sim.results import PredictionStats
 from repro.sim.streaming import (
     FusedPredictions,
@@ -63,12 +61,9 @@ from repro.serve.protocol import (
     FRAME_HELLO,
     FRAME_OK,
     FRAME_OPEN,
-    FRAME_PREDICTIONS,
-    FRAME_RECORDS,
     FRAME_RECORDS2,
     FRAME_STATS,
     FRAME_STATS_REQUEST,
-    FRAME_TRAIN,
     FRAME_TRAIN2,
     MAX_FRAME_BYTES,
     MAX_SESSION_ID,
@@ -79,7 +74,7 @@ __all__ = ["ServerConfig", "ServeStats", "PredictionServer"]
 
 
 def _parse_records(payload: bytes) -> Any:
-    """Decode a RECORDS payload, columnar when NumPy allows.
+    """Decode a RECORDS2 payload, columnar when NumPy allows.
 
     The packed form flows through the scorers unchanged: the vector engine
     consumes the columns directly (and answers with a
@@ -104,11 +99,11 @@ class ServerConfig:
     read_timeout: float = 30.0  #: seconds a session may sit idle mid-stream
     drain_timeout: float = 10.0  #: grace period for in-flight sessions on stop
     queue_frames: int = 64  #: per-connection frame backlog before backpressure
-    max_sessions: int = 4096  #: logical sessions one v2 connection may hold
+    max_sessions: int = 4096  #: logical sessions one connection may hold
     #: seconds the score loop lingers collecting frames from concurrent
     #: sessions before scoring, so they fuse into one kernel call; never
     #: applied while a single session is active (request-response latency
-    #: is unchanged for lone v1 clients)
+    #: is unchanged for a lone session)
     fuse_window: float = 0.002
 
 
@@ -199,19 +194,18 @@ class _FusionGroup:
 
 @dataclass
 class _Session:
-    """One logical predictor session (v1: the whole connection; v2: one of
-    many multiplexed over it)."""
+    """One logical predictor session, one of many multiplexed over a
+    connection."""
 
     key: int  #: server-global id; namespaces this session's predictor state
-    sid: int  #: client-visible session id (v1 clients see ``key``)
+    sid: int  #: client-chosen session id, unique within its connection
     conn: "_Connection"
     spec: PredictorSpec
     backend_request: Optional[str]
     resolved_backend: str
-    display_id: int
     training: List[BranchRecord] = field(default_factory=list)
     group: Optional[_FusionGroup] = None
-    started: bool = False  #: first RECORDS seen; scorer state exists
+    started: bool = False  #: first RECORDS2 seen; scorer state exists
     closed: bool = False
 
     def stats(self) -> PredictionStats:
@@ -222,7 +216,7 @@ class _Session:
     def as_dict(self) -> Dict[str, Any]:
         stats = self.stats()
         return {
-            "session": self.display_id,
+            "session": self.sid,
             "scheme": self.spec.canonical(),
             "backend": self.resolved_backend,
             "conditional": stats.conditional_total,
@@ -232,12 +226,12 @@ class _Session:
 
 
 class _Connection:
-    """Per-TCP-connection state: protocol version and logical sessions."""
+    """Per-TCP-connection state: the negotiated session cap and the
+    logical sessions."""
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         self.reader = reader
         self.writer = writer
-        self.version = 1
         self.hello_done = False
         self.max_sessions = 1
         self.sessions: Dict[int, _Session] = {}  #: client sid -> session
@@ -414,22 +408,9 @@ class PredictionServer:
                     return
                 elif not conn.hello_done:
                     raise ProtocolError("frame before HELLO", "protocol")
-                elif frame_type == FRAME_TRAIN:
-                    session = self._v1_session(conn, frame_type)
-                    if session.started:
-                        raise ProtocolError(
-                            "TRAIN after the first RECORDS frame", "protocol"
-                        )
-                    session.training.extend(protocol.unpack_records(payload))
-                elif frame_type == FRAME_RECORDS:
-                    session = self._v1_session(conn, frame_type)
-                    records = _parse_records(payload)
-                    if not session.started:
-                        self._start_scoring(session)
-                    await queue.put(("records", session, records))
                 elif frame_type == FRAME_TRAIN2:
                     sid, body = protocol.split_session_payload(payload, frame_type)
-                    session = self._v2_session(conn, sid, frame_type)
+                    session = self._session(conn, sid, frame_type)
                     if session.started:
                         raise ProtocolError(
                             "TRAIN2 after the first RECORDS2 frame", "protocol"
@@ -437,7 +418,7 @@ class PredictionServer:
                     session.training.extend(protocol.unpack_records(body))
                 elif frame_type == FRAME_RECORDS2:
                     sid, body = protocol.split_session_payload(payload, frame_type)
-                    session = self._v2_session(conn, sid, frame_type)
+                    session = self._session(conn, sid, frame_type)
                     records = _parse_records(body)
                     if not session.started:
                         self._start_scoring(session)
@@ -451,30 +432,24 @@ class PredictionServer:
                         raise ProtocolError(
                             "CLOSE must carry an integer 'session'", "bad-session"
                         )
-                    session = self._v2_session(conn, sid, frame_type)
+                    session = self._session(conn, sid, frame_type)
                     # drop it from the connection now so the sid can be
                     # reused; predictor state is freed by the score loop
                     # after queued batches flush
                     del conn.sessions[sid]
                     await queue.put(("close", session))
                 elif frame_type == FRAME_STATS_REQUEST:
-                    session: Optional[_Session]
-                    if conn.version == 1:
-                        session = self._v1_session(conn, frame_type)
-                    elif payload:
+                    session: Optional[_Session] = None
+                    if payload:
                         obj = protocol.unpack_json(payload, frame_type)
                         sid = obj.get("session")
-                        if sid is None:
-                            session = None
-                        elif isinstance(sid, int):
-                            session = self._v2_session(conn, sid, frame_type)
-                        else:
+                        if isinstance(sid, int):
+                            session = self._session(conn, sid, frame_type)
+                        elif sid is not None:
                             raise ProtocolError(
                                 "STATS_REQUEST 'session' must be an integer",
                                 "bad-session",
                             )
-                    else:
-                        session = None
                     await queue.put(("stats", conn, session))
                 else:
                     name = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
@@ -503,59 +478,29 @@ class PredictionServer:
         if conn.hello_done:
             raise ProtocolError("duplicate HELLO", "protocol")
         hello = protocol.unpack_json(payload, FRAME_HELLO)
-        version = hello.get("version", 1)
-        if version not in (1, PROTOCOL_VERSION):
+        version = hello.get("version")
+        if version != PROTOCOL_VERSION or "spec" in hello:
             raise ProtocolError(
-                f"unsupported protocol version {version!r}"
-                f" (this server speaks 1 and {PROTOCOL_VERSION})",
+                f"HELLO must carry \"version\": {PROTOCOL_VERSION} and no spec"
+                f" (got version {version!r}); sessions are opened with OPEN"
+                " frames",
                 "bad-hello",
             )
-        if version == PROTOCOL_VERSION:
-            if "spec" in hello:
-                raise ProtocolError(
-                    "v2 HELLO negotiates the connection; sessions are opened"
-                    " with OPEN frames, not a HELLO spec",
-                    "bad-hello",
-                )
-            requested = hello.get("max_sessions", self.config.max_sessions)
-            if not isinstance(requested, int) or requested < 1:
-                raise ProtocolError(
-                    "HELLO 'max_sessions' must be a positive integer", "bad-hello"
-                )
-            conn.version = PROTOCOL_VERSION
-            conn.max_sessions = min(requested, self.config.max_sessions)
-            conn.hello_done = True
-            conn.writer.write(
-                protocol.pack_json(
-                    FRAME_OK,
-                    {
-                        "version": PROTOCOL_VERSION,
-                        "max_sessions": conn.max_sessions,
-                    },
-                )
+        requested = hello.get("max_sessions", self.config.max_sessions)
+        if not isinstance(requested, int) or requested < 1:
+            raise ProtocolError(
+                "HELLO 'max_sessions' must be a positive integer", "bad-hello"
             )
-            return
-        # v1: the connection is the session
-        session = self._open_session(
-            conn, sid=0, spec_text=hello.get("spec"), backend=hello.get("backend")
-        )
-        conn.max_sessions = 1
+        conn.max_sessions = min(requested, self.config.max_sessions)
         conn.hello_done = True
         conn.writer.write(
             protocol.pack_json(
                 FRAME_OK,
-                {
-                    "session": session.display_id,
-                    "scheme": session.spec.canonical(),
-                    "backend": session.resolved_backend,
-                    "needs_training": needs_training(session.spec),
-                },
+                {"version": PROTOCOL_VERSION, "max_sessions": conn.max_sessions},
             )
         )
 
     def _handle_open(self, conn: _Connection, payload: bytes) -> None:
-        if conn.version != PROTOCOL_VERSION:
-            raise ProtocolError("OPEN on a v1 connection", "protocol")
         obj = protocol.unpack_json(payload, FRAME_OPEN)
         sid = obj.get("session")
         if not isinstance(sid, int) or not 0 <= sid <= MAX_SESSION_ID:
@@ -570,40 +515,17 @@ class PredictionServer:
                 f"connection at its negotiated {conn.max_sessions}-session limit",
                 "bad-session",
             )
-        session = self._open_session(
-            conn, sid=sid, spec_text=obj.get("spec"), backend=obj.get("backend")
-        )
-        conn.writer.write(
-            protocol.pack_json(
-                FRAME_OK,
-                {
-                    "session": sid,
-                    "scheme": session.spec.canonical(),
-                    "backend": session.resolved_backend,
-                    "needs_training": needs_training(session.spec),
-                },
-            )
-        )
-
-    def _open_session(
-        self,
-        conn: _Connection,
-        sid: int,
-        spec_text: Any,
-        backend: Any,
-    ) -> _Session:
+        spec_text, backend = obj.get("spec"), obj.get("backend")
         if not isinstance(spec_text, str) or not spec_text:
-            frame = "OPEN" if conn.version == PROTOCOL_VERSION else "HELLO"
-            code = "bad-session" if conn.version == PROTOCOL_VERSION else "bad-hello"
-            raise ProtocolError(f"{frame} must carry a 'spec' string", code)
+            raise ProtocolError("OPEN must carry a 'spec' string", "bad-session")
         spec = parse_spec(spec_text)  # SpecParseError -> bad-spec
         if backend is not None and not isinstance(backend, str):
-            raise ProtocolError("'backend' must be a string", "bad-hello")
+            raise ProtocolError("'backend' must be a string", "bad-backend")
         if backend is None:
             backend = self.config.backend
-        # resolve now so an impossible request fails the handshake, not the
-        # first RECORDS frame; ConfigError -> bad-backend
-        resolved = choose_backend(spec, backend)
+        # resolve now so an impossible request fails the OPEN, not the
+        # first RECORDS2 frame; ConfigError -> bad-backend
+        resolved = resolve_backend(backend)
         self._next_session += 1
         session = _Session(
             key=self._next_session,
@@ -612,26 +534,23 @@ class PredictionServer:
             spec=spec,
             backend_request=backend,
             resolved_backend=resolved,
-            display_id=(
-                sid if conn.version == PROTOCOL_VERSION else self._next_session
-            ),
         )
         conn.sessions[sid] = session
         self.stats.session_opened()
-        return session
+        conn.writer.write(
+            protocol.pack_json(
+                FRAME_OK,
+                {
+                    "session": sid,
+                    "scheme": spec.canonical(),
+                    "backend": resolved,
+                    "needs_training": needs_training(spec),
+                },
+            )
+        )
 
     @staticmethod
-    def _v1_session(conn: _Connection, frame_type: int) -> _Session:
-        if conn.version != 1:
-            name = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
-            raise ProtocolError(f"v1 frame {name} on a v2 connection", "protocol")
-        return conn.sessions[0]
-
-    @staticmethod
-    def _v2_session(conn: _Connection, sid: int, frame_type: int) -> _Session:
-        if conn.version != PROTOCOL_VERSION:
-            name = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
-            raise ProtocolError(f"v2 frame {name} on a v1 connection", "protocol")
+    def _session(conn: _Connection, sid: int, frame_type: int) -> _Session:
         session = conn.sessions.get(sid)
         if session is None:
             name = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
@@ -639,12 +558,12 @@ class PredictionServer:
         return session
 
     def _start_scoring(self, session: _Session) -> None:
-        """Bind the session into its fusion group at the first RECORDS."""
+        """Bind the session into its fusion group at the first RECORDS2."""
         training = session.training if session.training else None
         if needs_training(session.spec) and training is None:
             raise ProtocolError(
-                f"{session.spec.canonical()} sessions need TRAIN frames before"
-                " RECORDS",
+                f"{session.spec.canonical()} sessions need TRAIN2 frames before"
+                " RECORDS2",
                 "protocol",
             )
         group_key = (session.spec.canonical(), session.resolved_backend)
@@ -783,15 +702,7 @@ class PredictionServer:
                     body = protocol.encode_predictions_fused(frame_predictions)
                 else:
                     body = protocol.encode_predictions(records, frame_predictions)
-                if session.conn.version == 1:
-                    self._write(
-                        session.conn,
-                        protocol.pack_frame(FRAME_PREDICTIONS, body),
-                    )
-                else:
-                    self._write(
-                        session.conn, protocol.pack_predictions2(session.sid, body)
-                    )
+                self._write(session.conn, protocol.pack_predictions2(session.sid, body))
                 touched.add(session.conn)
         pending.clear()
 
@@ -833,14 +744,11 @@ class PredictionServer:
         return payload
 
     def _bye_payload(self, conn: _Connection) -> Dict[str, Any]:
-        if conn.version == 1:
-            session = conn.sessions.get(0)
-            return self._stats_payload(session, final=True)
-        payload: Dict[str, Any] = {"server": self.stats.as_dict(), "final": True}
-        payload["sessions"] = [
-            session.as_dict() for session in conn.sessions.values()
-        ]
-        return payload
+        return {
+            "server": self.stats.as_dict(),
+            "final": True,
+            "sessions": [session.as_dict() for session in conn.sessions.values()],
+        }
 
     # ------------------------------------------------------------------
     async def _send_error(

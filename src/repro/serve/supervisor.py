@@ -469,13 +469,18 @@ class Supervisor:
                 continue
             except OSError:
                 return
+            conn.settimeout(5.0)
+            stream = conn.makefile("rb")
             try:
-                conn.settimeout(5.0)
                 while True:
-                    frame = protocol.read_frame_sync(conn.recv)
-                    if frame is None:
+                    header = stream.read(protocol.HEADER.size)
+                    if len(header) < protocol.HEADER.size:
                         break
-                    frame_type, _payload = frame
+                    length, frame_type = protocol.HEADER.unpack(header)
+                    if length > protocol.MAX_FRAME_BYTES:
+                        break
+                    if len(stream.read(length)) < length:
+                        break  # payloads carry nothing the endpoint reads
                     if frame_type == FRAME_STATS_REQUEST:
                         conn.sendall(
                             protocol.pack_json(FRAME_STATS, self.stats())
@@ -494,8 +499,9 @@ class Supervisor:
                             )
                         )
                         break
-            except (OSError, socket.timeout, protocol.ProtocolError):
+            except OSError:
                 pass
             finally:
+                stream.close()  # the socket closes only once its file does
                 with contextlib.suppress(OSError):
                     conn.close()

@@ -20,7 +20,7 @@ from repro.sim.backend import (
 )
 from repro.sim.engine import simulate, simulate_packed
 from repro.sim.export import rows_to_markdown, sweep_to_csv, sweep_to_markdown
-from repro.sim.kernels import choose_backend, score_spec, simulate_spec, vectorizable
+from repro.sim.kernels import score_spec, simulate_spec
 from repro.sim.pipeline import PipelineConfig, PipelineResult, simulate_pipeline
 from repro.sim.results import (
     BenchmarkResult,
@@ -34,13 +34,11 @@ from repro.sim.runner import SweepRunner, run_sweep
 __all__ = [
     "BACKEND_CHOICES",
     "BenchmarkResult",
-    "choose_backend",
     "default_backend",
     "has_numpy",
     "resolve_backend",
     "score_spec",
     "simulate_spec",
-    "vectorizable",
     "PatternConflictStats",
     "PipelineConfig",
     "PipelineResult",

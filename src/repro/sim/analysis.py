@@ -189,12 +189,11 @@ def per_site_accuracy_specs(
     (:func:`repro.sim.sweep.fused_per_site`) — shared per-pc grouping,
     shared history windows, one two-level scan per group — with tallies
     identical to the replay loop.  Returns ``None`` when the vector
-    backend is unavailable or any spec falls outside the fused kernel's
-    coverage, in which case the caller should replay instead.
+    backend is unavailable or a spec profiles a separate training trace,
+    in which case the caller should replay instead.
     """
     from repro.predictors.spec import parse_spec
     from repro.sim.backend import resolve_backend
-    from repro.sim.kernels import vectorizable
     from repro.sim.sweep import fused_per_site, training_role
     from repro.trace.columnar import pack_records
 
@@ -202,8 +201,6 @@ def per_site_accuracy_specs(
         return None
     names = list(spec_texts)
     parsed = [parse_spec(spec_texts[name]) for name in names]
-    if not all(vectorizable(spec) for spec in parsed):
-        return None
     if any(training_role(spec) == "train" for spec in parsed):
         return None  # ST-Diff needs a separate training trace; not our job
     packed = pack_records(

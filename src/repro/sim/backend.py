@@ -10,10 +10,9 @@ Two backends can score a predictor spec over a packed trace:
   *optional* dependency: the kernels are only offered when it imports.
 
 ``auto`` (the default everywhere) resolves to ``vector`` when NumPy is
-installed and the spec is vectorizable, and to ``scalar`` otherwise, so the
-fast path is picked up automatically without changing any result — the
-kernels are bit-exact against the scalar engine, and specs they cannot
-express exactly fall back to the scalar path transparently.
+installed and to ``scalar`` otherwise, so the fast path is picked up
+automatically without changing any result — the kernels are bit-exact
+against the scalar engine for every spec the registry can parse.
 
 The process-wide default can be forced with the ``REPRO_BACKEND``
 environment variable (same three values); the CLI's ``--backend`` flag

@@ -75,7 +75,7 @@ from repro.predictors.modern import (
     perceptron_threshold,
 )
 from repro.predictors.spec import PredictorSpec
-from repro.sim.backend import numpy_or_none
+from repro.sim.backend import numpy_or_none, resolve_backend
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 
@@ -87,28 +87,6 @@ def _np() -> Any:
     if numpy is None:
         raise KernelError("vectorized kernels require NumPy, which is not installed")
     return numpy
-
-
-def vectorizable(spec: PredictorSpec) -> bool:
-    """Whether the vector backend can score ``spec`` bit-exactly.
-
-    ``True`` for every spec family the registry can parse.  The finite HRTs
-    (AHRT/HHRT), once excluded because their cross-branch state sharing is
-    order-dependent, are handled by remapping each record to its *register*
-    key before the bucket replay — see :func:`_hrt_keys` — so the function
-    now only rejects genuinely unknown schemes.
-    """
-    if spec.scheme in ("AlwaysTaken", "AlwaysNotTaken", "BTFN", "Profile"):
-        return True
-    if spec.scheme in ("GAg", "gshare"):
-        return spec.history_length is not None
-    if spec.scheme in ("AT", "ST", "LS"):
-        return spec.hrt_kind in ("IHRT", "AHRT", "HHRT")
-    if spec.scheme == "Perceptron":
-        return spec.history_length is not None
-    if spec.scheme == "TAGE":
-        return spec.tage_tables is not None
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -449,9 +427,9 @@ def simulate_spec(
 
     Returns exactly the :class:`PredictionStats` that
     ``simulate(spec.build(...), packed)`` (no RAS) produces.  Raises
-    :class:`~repro.errors.KernelError` for non-vectorizable specs or a
-    missing training trace; use :func:`score_spec` for the
-    transparently-falling-back entry point.
+    :class:`~repro.errors.KernelError` for a scheme without a kernel or a
+    missing training trace; use :func:`score_spec` for the backend-choosing
+    entry point.
     """
     from repro.sim import sweep
 
@@ -465,7 +443,7 @@ def per_site_accuracy(
 ) -> Dict[int, Tuple[int, int]]:
     """Per-static-site ``(correct, total)`` — the kernels' twin of
     :func:`repro.sim.analysis.per_site_accuracy`, bit-exact for every
-    vectorizable spec (a one-spec :func:`repro.sim.sweep.fused_per_site`)."""
+    spec (a one-spec :func:`repro.sim.sweep.fused_per_site`)."""
     from repro.sim import sweep
 
     return sweep.fused_per_site([spec], packed, _one_spec_trainings(spec, training))[0]
@@ -474,20 +452,6 @@ def per_site_accuracy(
 # ----------------------------------------------------------------------
 # backend dispatch
 # ----------------------------------------------------------------------
-def choose_backend(spec: PredictorSpec, backend: Optional[str] = None) -> str:
-    """The concrete backend that will score ``spec``: resolves the request
-    (see :func:`repro.sim.backend.resolve_backend`) and applies the
-    transparent scalar fallback for specs the kernels cannot express.
-    Every registry family is now vectorizable, so the fallback only fires
-    for schemes added without a kernel."""
-    from repro.sim.backend import resolve_backend
-
-    resolved = resolve_backend(backend)
-    if resolved == "vector" and not vectorizable(spec):
-        return "scalar"
-    return resolved
-
-
 def score_spec(
     spec: PredictorSpec,
     packed: PackedTrace,
@@ -504,7 +468,7 @@ def score_spec(
     kernels) and/or ``training_records`` (any record iterable, used by the
     scalar path; defaults to iterating ``training``).
     """
-    if choose_backend(spec, backend) == "vector":
+    if resolve_backend(backend) == "vector":
         return simulate_spec(spec, packed, training)
     from repro.sim.engine import simulate
 

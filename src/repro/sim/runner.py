@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.errors import WorkloadError
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
-from repro.sim.kernels import choose_backend, score_spec
+from repro.sim.kernels import score_spec
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import BenchmarkResult, PredictionStats, SweepResult
 from repro.sim.sweep import SweepPlan, TraceContext, fused_stats, training_role
@@ -127,11 +127,11 @@ class SweepRunner:
         elif parsed.scheme == "Profile":
             # the paper's profiling scheme profiles the execution data set
             training = trace
-        # the vector kernels where they apply, else the scalar engine over
-        # the packed columnar form (which replays measurably faster and
+        # the vector kernels when NumPy is there, else the scalar engine
+        # over the packed columnar form (which replays measurably faster and
         # scores identically — see repro.sim.engine.simulate_packed and
         # repro.sim.kernels); either way the stats are bit-identical
-        backend = choose_backend(parsed, self.backend)
+        backend = resolve_backend(self.backend)
         needs_packed_training = training is not None and backend == "vector"
         # the scalar path gets a one-pass record iterator rather than the
         # boxed list: at paper scale a warm-store trace is mmap-backed
@@ -173,9 +173,9 @@ class SweepRunner:
         """Score every spec against one benchmark, sharing the trace pass.
 
         This is the fused engine's entry point (also used by the parallel
-        workers): vectorizable specs score through one
+        workers): on the vector backend the specs score through one
         :func:`repro.sim.sweep.fused_stats` call over shared trace
-        intermediates, the rest fall back to the per-spec scalar path, and
+        intermediates, on the scalar backend through the per-spec path, and
         the result cache is consulted per cell either way.  Returns one
         stats row per spec, aligned with ``specs``; ``None`` marks an
         unavailable cell (ST-Diff on a benchmark without a Table 3
@@ -200,14 +200,12 @@ class SweepRunner:
                 )
             available.append(index)
 
-        plan = SweepPlan(
-            [parsed[index] for index in available], resolve_backend(self.backend)
-        )
+        backend = resolve_backend(self.backend)
+        plan = SweepPlan([parsed[index] for index in available], backend)
         fused_pending: List[int] = []
         scalar_pending: List[int] = []
         for position, index in enumerate(available):
             spec = parsed[index]
-            backend = choose_backend(spec, self.backend)
             if self.result_cache is not None:
                 test_stem, train_stem = self._cell_stems(spec, workload)
                 hit = self.result_cache.get(
@@ -246,7 +244,6 @@ class SweepRunner:
                 if stats is None:
                     continue
                 spec = parsed[index]
-                backend = choose_backend(spec, self.backend)
                 test_stem, train_stem = self._cell_stems(spec, workload)
                 self.result_cache.put(
                     spec.canonical(), test_stem, train_stem, backend, stats

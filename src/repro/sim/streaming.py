@@ -30,12 +30,12 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Un
 
 from repro.errors import ConfigError
 from repro.predictors.spec import PredictorSpec, parse_spec
+from repro.sim.backend import resolve_backend
 from repro.sim.kernels import (
     AhrtReplay,
     _conditional_columns,
     _hrt_keys,
     _np,
-    choose_backend,
 )
 from repro.sim.results import PredictionStats
 from repro.sim.sweep import (
@@ -491,10 +491,10 @@ def make_multi_scorer(
 
     ``backend`` accepts the usual ``auto`` / ``scalar`` / ``vector`` (or
     ``None`` for the process default); the resolution rules are those of
-    the offline dispatch (:func:`repro.sim.kernels.choose_backend`), and
+    the offline dispatch (:func:`repro.sim.backend.resolve_backend`), and
     the predictions are identical whichever backend runs.
     """
     parsed = _as_spec(spec)
-    if choose_backend(parsed, backend) == "vector":
+    if resolve_backend(backend) == "vector":
         return VectorMultiSessionScorer(parsed)
     return ScalarMultiSessionScorer(parsed)

@@ -58,7 +58,6 @@ from repro.sim.kernels import (
     _perceptron_predictions,
     _perceptron_table,
     _tage_predictions,
-    vectorizable,
 )
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
@@ -663,17 +662,16 @@ def _scan_request(
         assert spec.hrt_automaton is not None
         return ("keys",) + _hrt_token(spec), ctx.hrt_keys(spec), spec.hrt_automaton
     k = spec.history_length
-    assert k is not None
+    if k is None or spec.scheme not in ("AT", "GAg", "gshare"):
+        raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
     if spec.scheme == "AT":
         assert spec.pt_automaton is not None
         token = ("pattern",) + _hrt_token(spec) + (k,)
         return token, ctx.namespace(ctx.history(spec)), spec.pt_automaton
     if spec.scheme == "GAg":
         return ("ghist", k), ctx.namespace(ctx.global_history(k, 1)), spec.pt_automaton or A2
-    if spec.scheme == "gshare":
-        index = ((ctx.pc >> 2) ^ ctx.global_history(k, 0)) & ((1 << k) - 1)
-        return ("gidx", k), ctx.namespace(index), spec.pt_automaton or A2
-    raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
+    index = ((ctx.pc >> 2) ^ ctx.global_history(k, 0)) & ((1 << k) - 1)
+    return ("gidx", k), ctx.namespace(index), spec.pt_automaton or A2
 
 
 class _FusedScores:
@@ -691,9 +689,6 @@ class _FusedScores:
         ctx: TraceContext,
         trainings: Mapping[str, Any],
     ):
-        for spec in specs:
-            if not vectorizable(spec):
-                raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
         self.ctx = ctx
         ctx.reserve(specs)
         for training in trainings.values():
@@ -753,7 +748,7 @@ def fused_stats(
     context: Optional[TraceContext] = None,
     training_contexts: Optional[Mapping[str, TraceContext]] = None,
 ) -> List[PredictionStats]:
-    """Score every (vectorizable) spec over ``packed`` in one fused pass.
+    """Score every spec over ``packed`` in one fused pass.
 
     ``trainings`` maps the roles :func:`training_role` reports (``"test"``
     / ``"train"``) to the traces the profiled schemes profile; passing the
@@ -803,10 +798,10 @@ def _contexts(
 # sweep planning
 # ----------------------------------------------------------------------
 class SweepPlan:
-    """How a spec list splits into fused groups and per-spec fallbacks.
+    """How a spec list splits into the fused group and per-spec scoring.
 
-    The fused kernel handles every vectorizable spec; the rest (schemes
-    without a vector kernel) stay on the per-spec scalar path.  Specs are
+    On the vector backend the fused kernel handles every spec; on the
+    scalar backend each spec takes the per-spec scalar path.  Specs are
     additionally partitioned by :func:`training_role`, which is what the
     parallel layer needs to know per benchmark: ``"train"``-role cells
     (ST-Diff) do not exist on benchmarks without a Table 3 training set.
@@ -815,13 +810,9 @@ class SweepPlan:
     def __init__(self, specs: Sequence[PredictorSpec], backend: str):
         self.specs = list(specs)
         self.backend = backend
-        self.fused: List[int] = []
-        self.scalar: List[int] = []
-        for index, spec in enumerate(self.specs):
-            if backend == "vector" and vectorizable(spec):
-                self.fused.append(index)
-            else:
-                self.scalar.append(index)
+        everything = list(range(len(self.specs)))
+        self.fused: List[int] = everything if backend == "vector" else []
+        self.scalar: List[int] = [] if backend == "vector" else everything
 
     @property
     def roles(self) -> List[Optional[str]]:

@@ -186,7 +186,7 @@ def pack_records(records: Iterable[BranchRecord]) -> PackedTrace:
 
 
 def read_packed_trace(source: "Union[str, Path, IO[bytes]]") -> PackedTrace:
-    """Read a binary trace file (v1 or v2) directly into columns.
+    """Read a binary trace file directly into columns.
 
     Equivalent to ``pack_records(read_trace(source))`` but skips the
     per-record ``BranchRecord`` construction, so loading a cached trace costs
@@ -201,19 +201,19 @@ def read_packed_trace(source: "Union[str, Path, IO[bytes]]") -> PackedTrace:
 def _read_packed_handle(handle: IO[bytes]) -> PackedTrace:
     from repro.trace import encoding
 
-    count, record_struct = encoding.read_header(handle)
-    expected_bytes = count * record_struct.size
+    count = encoding.read_header(handle)
+    expected_bytes = count * encoding.RECORD_SIZE
     raw = handle.read(expected_bytes)
     if len(raw) != expected_bytes:
         raise TraceFormatError(
             f"truncated trace body: header promised {count} records"
             f" ({expected_bytes} bytes), got {len(raw)} bytes"
-            f" ({len(raw) // record_struct.size} complete records)"
+            f" ({len(raw) // encoding.RECORD_SIZE} complete records)"
         )
     pcs = array(_ADDR_TYPECODE)
     targets = array(_ADDR_TYPECODE)
     flags = bytearray()
-    for fields in record_struct.iter_unpack(raw):
+    for fields in encoding.RECORD.iter_unpack(raw):
         pcs.append(fields[0])
         flags.append(fields[1])
         targets.append(fields[2])

@@ -5,11 +5,11 @@ Version 2 layout (all little-endian):
 * 16-byte header: magic ``b"YPTRACE2"``, ``uint32`` record count,
   ``uint32`` reserved (zero).
 * one 9-byte record per branch: ``uint32 pc``, ``uint8`` packed class/taken
-  (bit 0 = taken, bits 1..3 = class, bit 4 = is_call), ``uint32 target``.
+  (bit 0 = taken, bits 1..3 = class, bit 4 = is_call, bits 5..7 reserved
+  and zero), ``uint32 target``.
 
-Version 1 (magic ``b"YPTRACE1"``) carried an additional reserved ``uint32``
-per record (13 bytes each); the reader still accepts v1 files so existing
-disk caches keep working, while the writer always emits v2.
+The flag byte is packed and checked by :mod:`repro.trace.columnar`
+(``pack_flags`` / ``unpack_flags``), the one pair every reader shares.
 
 The format exists so long trace generations can be cached on disk (the ISA
 simulator is the expensive stage; predictor sweeps re-read the cache).  It is
@@ -22,75 +22,56 @@ from __future__ import annotations
 import io
 import struct
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Union
 
 from repro.errors import TraceFormatError
-from repro.trace.record import BranchClass, BranchRecord
+from repro.trace.columnar import pack_flags, unpack_flags
+from repro.trace.record import BranchRecord
 
 MAGIC = b"YPTRACE2"
-MAGIC_V1 = b"YPTRACE1"
 _HEADER = struct.Struct("<8sII")
-_RECORD = struct.Struct("<IBI")
-_RECORD_V1 = struct.Struct("<IBII")
+#: one YPTRACE2 record: ``pc``, flag byte, ``target``.
+RECORD = struct.Struct("<IBI")
 
 PathOrFile = Union[str, Path, IO[bytes]]
 
 
-#: size in bytes of one v2 (YPTRACE2) record — the unit the prediction
+#: size in bytes of one YPTRACE2 record — the unit the prediction
 #: service's record frames are counted in.
-RECORD_SIZE = _RECORD.size
-
-
-def _pack_flags(record: BranchRecord) -> int:
-    return (
-        (1 if record.taken else 0)
-        | (int(record.cls) << 1)
-        | (0x10 if record.is_call else 0)
-    )
-
-
-def _unpack_flags(flags: int) -> "tuple[bool, BranchClass, bool]":
-    taken = bool(flags & 1)
-    is_call = bool(flags & 0x10)
-    cls_value = (flags >> 1) & 0x7
-    try:
-        cls = BranchClass(cls_value)
-    except ValueError as exc:
-        raise TraceFormatError(f"invalid branch class {cls_value}") from exc
-    if cls is BranchClass.NON_BRANCH:
-        raise TraceFormatError("NON_BRANCH records are not allowed in traces")
-    return taken, cls, is_call
+RECORD_SIZE = RECORD.size
 
 
 def encode_record(record: BranchRecord) -> bytes:
-    """Encode one record in the v2 (YPTRACE2) 9-byte wire layout.
+    """Encode one record in the YPTRACE2 9-byte wire layout.
 
     The single-record unit shared by the trace-file writer and the
     prediction service's record frames (:mod:`repro.serve.protocol`).
     """
-    return _RECORD.pack(
-        record.pc & 0xFFFFFFFF, _pack_flags(record), record.target & 0xFFFFFFFF
+    return RECORD.pack(
+        record.pc & 0xFFFFFFFF,
+        pack_flags(record.taken, record.cls, record.is_call),
+        record.target & 0xFFFFFFFF,
     )
 
 
 def decode_record(data: bytes, offset: int = 0) -> BranchRecord:
-    """Decode one v2 record from ``data`` at ``offset``.
+    """Decode one YPTRACE2 record from ``data`` at ``offset``.
 
     Raises :class:`~repro.errors.TraceFormatError` on short input or an
-    invalid flag byte (bad class, NON_BRANCH).
+    invalid flag byte (bad class, NON_BRANCH, a reserved bit set).
     """
     if len(data) - offset < RECORD_SIZE:
         raise TraceFormatError(
             f"truncated record: need {RECORD_SIZE} bytes,"
             f" got {max(len(data) - offset, 0)}"
         )
-    pc, flags, target = _RECORD.unpack_from(data, offset)
-    taken, cls, is_call = _unpack_flags(flags)
+    pc, flags, target = RECORD.unpack_from(data, offset)
+    taken, cls, is_call = unpack_flags(flags)
     return BranchRecord(pc=pc, cls=cls, taken=taken, target=target, is_call=is_call)
 
 
 def write_trace(records: Iterable[BranchRecord], destination: PathOrFile) -> int:
-    """Write ``records`` to ``destination`` (v2 format); return the count.
+    """Write ``records`` to ``destination``; return the count.
 
     ``destination`` may be a path or a binary file object.  The record count
     is written into the header, so the iterable is drained into the body
@@ -112,22 +93,15 @@ def write_trace(records: Iterable[BranchRecord], destination: PathOrFile) -> int
     return count
 
 
-def read_header(handle: IO[bytes]) -> Tuple[int, struct.Struct]:
-    """Consume and validate a trace header.
-
-    Returns the record count and the per-record :class:`struct.Struct` for
-    the file's format version (the first three fields of every version are
-    ``pc``, ``flags``, ``target``).
-    """
+def read_header(handle: IO[bytes]) -> int:
+    """Consume and validate a trace header; return its record count."""
     header = handle.read(_HEADER.size)
     if len(header) != _HEADER.size:
         raise TraceFormatError("truncated trace header")
     magic, count, _reserved = _HEADER.unpack(header)
-    if magic == MAGIC:
-        return count, _RECORD
-    if magic == MAGIC_V1:
-        return count, _RECORD_V1
-    raise TraceFormatError(f"bad magic {magic!r}; expected {MAGIC!r} or {MAGIC_V1!r}")
+    if magic != MAGIC:
+        raise TraceFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
+    return count
 
 
 def read_trace(source: PathOrFile) -> List[BranchRecord]:
@@ -149,15 +123,15 @@ def iter_trace(source: PathOrFile) -> Iterator[BranchRecord]:
 
 
 def _iter_handle(handle: IO[bytes]) -> Iterator[BranchRecord]:
-    count, record_struct = read_header(handle)
+    count = read_header(handle)
     for index in range(count):
-        raw = handle.read(record_struct.size)
-        if len(raw) != record_struct.size:
+        raw = handle.read(RECORD_SIZE)
+        if len(raw) != RECORD_SIZE:
             raise TraceFormatError(
                 f"truncated trace body: header promised {count} records"
-                f" ({count * record_struct.size} bytes), stream ended at record"
-                f" {index} ({index * record_struct.size + len(raw)} bytes received)"
+                f" ({count * RECORD_SIZE} bytes), stream ended at record"
+                f" {index} ({index * RECORD_SIZE + len(raw)} bytes received)"
             )
-        pc, flags, target = record_struct.unpack(raw)[:3]
-        taken, cls, is_call = _unpack_flags(flags)
+        pc, flags, target = RECORD.unpack(raw)
+        taken, cls, is_call = unpack_flags(flags)
         yield BranchRecord(pc=pc, cls=cls, taken=taken, target=target, is_call=is_call)

@@ -337,12 +337,6 @@ class TraceStore:
     ``store(...)`` after.  The ``repro cache`` CLI drives the inspection
     surface (:meth:`entries`, :meth:`verify`, :meth:`evict`,
     :meth:`clear`).
-
-    Creating a store on a directory that holds the legacy ``.trc`` cache
-    performs a one-shot invalidation: legacy entries predate
-    content-addressed keys (their names never covered data-set parameters)
-    and re-reading them record-wise is exactly the cost this store exists
-    to remove, so they are deleted rather than migrated in place.
     """
 
     def __init__(
@@ -358,29 +352,6 @@ class TraceStore:
             raise ConfigError("TraceStore max_bytes must be positive")
         self.compression = compression
         self._index_path = self.root / "index.json"
-        self._invalidate_legacy()
-
-    # -- legacy migration ----------------------------------------------
-    def _invalidate_legacy(self) -> None:
-        """Delete pre-store ``.trc`` cache entries (and their sidecars) once."""
-        marker = self.root / ".store-format"
-        if marker.exists():
-            return
-        removed = False
-        for trc in self.root.glob("*.trc"):
-            sidecar = trc.with_suffix(".json")
-            for stale in (trc, sidecar):
-                try:
-                    stale.unlink()
-                    removed = True
-                except OSError:
-                    pass
-        try:
-            marker.write_text(f"{FORMAT_VERSION}\n")
-        except OSError:
-            pass  # read-only roots simply re-scan (and find nothing) next time
-        if removed:
-            self._write_index({})
 
     # -- index (best-effort access stats) ------------------------------
     def _read_index(self) -> Dict[str, Dict[str, Any]]:

@@ -360,15 +360,14 @@ class TraceCache:
 def default_cache_dir() -> Optional[Path]:
     """The disk directory the default cache uses.
 
-    Resolution order: ``REPRO_CACHE_DIR`` (or the legacy
-    ``REPRO_TRACE_CACHE``) when set — an *empty* value disables the disk
-    layer entirely — otherwise ``$XDG_CACHE_HOME/repro-traces``, defaulting
-    to ``~/.cache/repro-traces``.
+    Resolution order: ``REPRO_CACHE_DIR`` when set — an *empty* value
+    disables the disk layer entirely — otherwise
+    ``$XDG_CACHE_HOME/repro-traces``, defaulting to
+    ``~/.cache/repro-traces``.
     """
-    for var in ("REPRO_CACHE_DIR", "REPRO_TRACE_CACHE"):
-        if var in os.environ:
-            value = os.environ[var]
-            return Path(value).expanduser() if value else None
+    if "REPRO_CACHE_DIR" in os.environ:
+        value = os.environ["REPRO_CACHE_DIR"]
+        return Path(value).expanduser() if value else None
     xdg = os.environ.get("XDG_CACHE_HOME")
     root = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
     return root / "repro-traces"

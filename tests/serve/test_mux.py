@@ -1,11 +1,11 @@
-"""Protocol v2 session multiplexing end-to-end tests.
+"""Session multiplexing end-to-end tests.
 
 The acceptance property: any interleaving of logical sessions over shared
 connections — mixed specs, mixed chunk sizes, sessions closing mid-stream
 — produces per-session predictions and final statistics bit-exact with the
-offline engine, on both backends.  Plus the v2 state machine itself:
-HELLO negotiation, session-id reuse, per-session stats, cross-session
-fusion counters, and v1 clients coexisting on the same server.
+offline engine, on both backends.  Plus the protocol state machine itself:
+HELLO negotiation (and the refusal of anything but version 2), session-id
+reuse, per-session stats and cross-session fusion counters.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ProtocolError
 from repro.predictors.spec import parse_spec
 from repro.serve import protocol
-from repro.serve.client import AsyncPredictionClient, MuxPredictionClient
+from repro.serve.client import MuxPredictionClient
 from repro.serve.server import PredictionServer, ServerConfig
 from repro.sim.backend import has_numpy
 from repro.sim.streaming import ScalarStreamingScorer, needs_training
@@ -334,30 +334,68 @@ class TestV2Protocol:
 
         asyncio.run(_run())
 
-    def test_v1_and_v2_share_a_server(self, program_trace):
-        records = program_trace[:200]
+    @staticmethod
+    def _refused_then_served(frames, code, records):
+        """``frames`` on a fresh connection earn a ``code`` ERROR and a
+        close; a second connection on the same server is still served."""
 
         async def _run():
             server = await _serve()
             try:
-                v1 = await AsyncPredictionClient.connect(
-                    server.host, server.port, "GAg(6,A2)"
-                )
-                mux = await MuxPredictionClient.connect(
+                reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )
-                await mux.open(0, "GAg(6,A2)")
-                v1_results = await v1.predict(records)
-                v2_results = await mux.predict(0, records)
-                assert [r.predicted if r else None for r in v1_results] == [
-                    r.predicted if r else None for r in v2_results
-                ]
-                await v1.finish()
-                await mux.finish()
+                writer.write(b"".join(frames))
+                await writer.drain()
+                frame = await asyncio.wait_for(protocol.read_frame(reader), 5)
+                while frame is not None and frame[0] == protocol.FRAME_OK:
+                    frame = await asyncio.wait_for(protocol.read_frame(reader), 5)
+                assert frame is not None and frame[0] == protocol.FRAME_ERROR
+                assert protocol.unpack_json(frame[1], frame[0])["code"] == code
+                assert await protocol.read_frame(reader) is None  # closed
+                writer.close()
+
+                client = await MuxPredictionClient.connect(server.host, server.port)
+                await client.open(0, "GAg(6,A2)")
+                served = await client.predict(0, records)
+                expected, _stats = _reference("GAg(6,A2)", records, "scalar")
+                assert [None if r is None else r.predicted for r in served] == expected
+                await client.finish()
             finally:
                 await server.stop(drain=False)
 
         asyncio.run(_run())
+
+    @pytest.mark.parametrize(
+        "hello",
+        [
+            {"spec": "GAg(6,A2)"},
+            {"version": 1, "spec": "GAg(6,A2)"},
+            {"version": 1},
+            {"version": 3},
+            {},
+            {"version": 2, "spec": "GAg(6,A2)"},
+        ],
+        ids=["v1-spec", "v1", "v1-no-spec", "v3", "no-version", "v2-spec"],
+    )
+    def test_non_v2_hello_refused(self, program_trace, hello):
+        self._refused_then_served(
+            [protocol.pack_json(protocol.FRAME_HELLO, hello)],
+            "bad-hello",
+            program_trace[:200],
+        )
+
+    @pytest.mark.parametrize("frame_type", [3, 4, 5])
+    def test_retired_frame_types_refused(self, program_trace, frame_type):
+        """The single-session TRAIN/RECORDS/PREDICTIONS types are unknown."""
+        self._refused_then_served(
+            [
+                protocol.pack_json(protocol.FRAME_HELLO, {"version": 2}),
+                protocol.pack_frame(frame_type, b"\x00" * 9),
+            ],
+            "bad-frame",
+            program_trace[:200],
+        )
 
 
 @pytest.mark.skipif(not has_numpy(), reason="NumPy not installed")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,11 +25,7 @@ _RECORDS = st.lists(
 )
 
 
-def _read_sync(data: bytes):
-    return protocol.read_frame_sync(io.BytesIO(data).read)
-
-
-def _read_async(data: bytes, max_frame: int = protocol.MAX_FRAME_BYTES):
+def _read(data: bytes, max_frame: int = protocol.MAX_FRAME_BYTES):
     async def _go():
         reader = asyncio.StreamReader()
         reader.feed_data(data)
@@ -47,48 +42,40 @@ class TestFraming:
         assert frame[4] == protocol.FRAME_BYE
         assert frame[5:] == b"xyz"
 
-    @given(payload=st.binary(max_size=200), frame_type=st.integers(1, 9))
+    @given(payload=st.binary(max_size=200), frame_type=st.integers(1, 14))
     @settings(deadline=None, max_examples=50)
-    def test_roundtrip_both_readers(self, payload, frame_type):
+    def test_roundtrip(self, payload, frame_type):
         data = protocol.pack_frame(frame_type, payload)
-        assert _read_sync(data) == (frame_type, payload)
-        assert _read_async(data) == (frame_type, payload)
+        assert _read(data) == (frame_type, payload)
 
     def test_clean_eof_is_none(self):
-        assert _read_sync(b"") is None
-        assert _read_async(b"") is None
+        assert _read(b"") is None
 
     def test_truncated_header(self):
         data = protocol.pack_frame(protocol.FRAME_OK, b"abc")[:3]
         with pytest.raises(ProtocolError, match="mid frame header"):
-            _read_sync(data)
-        with pytest.raises(ProtocolError, match="mid frame header"):
-            _read_async(data)
+            _read(data)
 
     def test_truncated_payload(self):
         data = protocol.pack_frame(protocol.FRAME_OK, b"abcdef")[:-2]
         with pytest.raises(ProtocolError, match="mid frame"):
-            _read_sync(data)
-        with pytest.raises(ProtocolError, match="mid frame"):
-            _read_async(data)
+            _read(data)
 
     def test_oversized_frame_rejected_before_payload_read(self):
-        data = protocol.pack_frame(protocol.FRAME_RECORDS, b"x" * 64)
+        data = protocol.pack_frame(protocol.FRAME_RECORDS2, b"x" * 64)
         with pytest.raises(ProtocolError) as excinfo:
-            _read_async(data, max_frame=16)
+            _read(data, max_frame=16)
         assert excinfo.value.code == "frame-too-large"
-        with pytest.raises(ProtocolError):
-            protocol.read_frame_sync(io.BytesIO(data).read, max_frame=16)
 
 
 class TestJsonFrames:
     def test_roundtrip(self):
         frame = protocol.pack_json(protocol.FRAME_OK, {"b": 1, "a": [2, 3]})
-        frame_type, payload = _read_sync(frame)
+        frame_type, payload = _read(frame)
         assert protocol.unpack_json(payload, frame_type) == {"a": [2, 3], "b": 1}
 
     def test_error_frame(self):
-        frame_type, payload = _read_sync(protocol.pack_error("bad-spec", "no such"))
+        frame_type, payload = _read(protocol.pack_error("bad-spec", "no such"))
         assert frame_type == protocol.FRAME_ERROR
         body = protocol.unpack_json(payload, frame_type)
         assert body == {"code": "bad-spec", "error": "no such"}
@@ -105,14 +92,16 @@ class TestRecordFrames:
     @given(records=_RECORDS)
     @settings(deadline=None, max_examples=50)
     def test_roundtrip(self, records):
-        frame_type, payload = _read_sync(protocol.pack_records(records))
-        assert frame_type == protocol.FRAME_RECORDS
-        assert len(payload) == len(records) * RECORD_SIZE
-        assert protocol.unpack_records(payload) == records
+        frame_type, payload = _read(protocol.pack_records2(7, records))
+        assert frame_type == protocol.FRAME_RECORDS2
+        sid, body = protocol.split_session_payload(payload, frame_type)
+        assert sid == 7
+        assert len(body) == len(records) * RECORD_SIZE
+        assert protocol.unpack_records(body) == records
 
     def test_train_frame_type(self):
-        frame = protocol.pack_records([], protocol.FRAME_TRAIN)
-        assert _read_sync(frame) == (protocol.FRAME_TRAIN, b"")
+        frame = protocol.pack_records2(3, [], protocol.FRAME_TRAIN2)
+        assert _read(frame) == (protocol.FRAME_TRAIN2, protocol.SESSION_ID.pack(3))
 
     def test_ragged_payload_rejected(self):
         with pytest.raises(ProtocolError) as excinfo:

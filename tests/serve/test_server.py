@@ -4,8 +4,9 @@ Covers the ISSUE acceptance criteria: served per-branch predictions are
 bit-exact with the offline engine for every scheme family on all fourteen
 workload variants (scalar and vector sessions); every fault — malformed
 frame, oversized frame, mid-stream disconnect, read timeout — closes only
-the offending session; the stats frame reports live counters; the
-connection limit and graceful shutdown behave.
+the offending connection; the stats frame reports live counters; the
+connection limit and graceful shutdown behave.  Sessions ride
+:class:`MuxPredictionClient` or raw protocol frames.
 
 No pytest-asyncio: each test drives its own event loop with ``asyncio.run``.
 """
@@ -13,6 +14,7 @@ No pytest-asyncio: each test drives its own event loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import struct
 import threading
 
 import pytest
@@ -20,7 +22,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.predictors.spec import parse_spec
 from repro.serve import protocol
-from repro.serve.client import AsyncPredictionClient, PredictionClient
+from repro.serve.client import MuxPredictionClient, PredictionClient
 from repro.serve.server import PredictionServer, ServerConfig
 from repro.sim.backend import has_numpy
 from repro.sim.engine import simulate
@@ -54,23 +56,60 @@ async def _started_server(config=None):
     return server
 
 
+HELLO = protocol.pack_json(protocol.FRAME_HELLO, {"version": 2})
+
+
+def _open(spec, backend=None, sid=0):
+    request = {"session": sid, "spec": spec}
+    if backend is not None:
+        request["backend"] = backend
+    return protocol.pack_json(protocol.FRAME_OPEN, request)
+
+
 async def _expect_error(reader, code):
-    """The next frame must be an ERROR frame carrying ``code``."""
-    frame = await asyncio.wait_for(protocol.read_frame(reader), timeout=5)
-    assert frame is not None, f"connection closed before the {code} ERROR frame"
-    frame_type, payload = frame
+    """Skipping OK replies, the next frame must be an ERROR carrying ``code``."""
+    while True:
+        frame = await asyncio.wait_for(protocol.read_frame(reader), timeout=5)
+        assert frame is not None, f"connection closed before the {code} ERROR frame"
+        frame_type, payload = frame
+        if frame_type != protocol.FRAME_OK:
+            break
     assert frame_type == protocol.FRAME_ERROR
     body = protocol.unpack_json(payload, frame_type)
     assert body["code"] == code, body
     return body
 
 
+async def _raw_session(server, spec="BTFN"):
+    """A raw connection past HELLO and the OPEN of session 0."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(HELLO + _open(spec))
+    for _ in range(2):  # the HELLO's and the OPEN's OK
+        frame = await protocol.read_frame(reader)
+        assert frame is not None and frame[0] == protocol.FRAME_OK
+    return reader, writer
+
+
+async def _one_session(server, spec="BTFN", backend=None):
+    """A client with ``spec`` open as session 0."""
+    client = await MuxPredictionClient.connect(server.host, server.port)
+    await client.open(0, spec, backend)
+    return client
+
+
+async def _finish(client):
+    """Close session 0, then the connection; return the session's final
+    stats frame."""
+    final = await client.close_session(0)
+    await client.finish()
+    return final
+
+
 async def _session_roundtrip(server, records, spec="BTFN"):
     """One healthy session: predict ``records``, return (results, final)."""
-    client = await AsyncPredictionClient.connect(server.host, server.port, spec)
-    results = await client.predict(records)
-    final = await client.finish()
-    return results, final
+    client = await _one_session(server, spec)
+    results = await client.predict(0, records)
+    return results, await _finish(client)
 
 
 class TestParity:
@@ -109,15 +148,13 @@ class TestParity:
         reference = ScalarStreamingScorer(spec, training_records=training)
         expected = reference.feed(records)
 
-        client = await AsyncPredictionClient.connect(
-            server.host, server.port, spec_text, backend=backend
-        )
+        client = await _one_session(server, spec_text, backend)
         if training is not None:
-            await client.train(training)
+            await client.train(0, training)
         served = []
         for start in range(0, len(records), 256):
-            served.extend(await client.predict(records[start:start + 256]))
-        final = await client.finish()
+            served.extend(await client.predict(0, records[start:start + 256]))
+        final = await _finish(client)
 
         context = f"{spec_text} [{backend}] on {label}"
         got = [None if r is None else r.predicted for r in served]
@@ -129,7 +166,7 @@ class TestParity:
         ), context
 
     def test_training_session_matches_offline(self, program_trace):
-        """ST/Profile sessions: TRAIN frames reproduce the offline build."""
+        """ST/Profile sessions: TRAIN2 frames reproduce the offline build."""
         records = program_trace[:1500]
 
         async def _run():
@@ -140,14 +177,12 @@ class TestParity:
                     expected = simulate(
                         spec.build(training_records=records), pack_records(records)
                     )
-                    client = await AsyncPredictionClient.connect(
-                        server.host, server.port, spec_text
-                    )
-                    assert client.session_info["needs_training"] is True
-                    await client.train(records[:800])
-                    await client.train(records[800:])
-                    await client.predict(records)
-                    final = await client.finish()
+                    client = await _one_session(server, spec_text)
+                    assert client.session_info[0]["needs_training"] is True
+                    await client.train(0, records[:800])
+                    await client.train(0, records[800:])
+                    await client.predict(0, records)
+                    final = await _finish(client)
                     session = final["session"]
                     assert session["conditional"] == expected.conditional_total
                     assert session["correct"] == expected.conditional_correct
@@ -158,7 +193,7 @@ class TestParity:
 
 
 class TestFaultIsolation:
-    """Each fault closes only the offending session."""
+    """Each fault closes only the offending connection."""
 
     def test_malformed_frame(self, program_trace):
         records = program_trace[:200]
@@ -166,21 +201,13 @@ class TestFaultIsolation:
         async def _run():
             server = await _started_server()
             try:
-                survivor = await AsyncPredictionClient.connect(
-                    server.host, server.port, "BTFN"
-                )
-                await survivor.predict(records)
+                survivor = await _one_session(server)
+                await survivor.predict(0, records)
 
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(protocol.pack_json(
-                    protocol.FRAME_HELLO, {"spec": "BTFN"}
-                ))
-                await protocol.read_frame(reader)  # OK
-                # a RECORDS payload that is not whole 9-byte records
+                reader, writer = await _raw_session(server)
+                # a RECORDS2 payload that is not whole 9-byte records
                 writer.write(protocol.pack_frame(
-                    protocol.FRAME_RECORDS, b"\x00" * 10
+                    protocol.FRAME_RECORDS2, protocol.SESSION_ID.pack(0) + b"\x00" * 10
                 ))
                 await writer.drain()
                 await _expect_error(reader, "bad-frame")
@@ -188,7 +215,7 @@ class TestFaultIsolation:
                 writer.close()
 
                 # the surviving session and the server are unaffected
-                await survivor.predict(records)
+                await survivor.predict(0, records)
                 await survivor.finish()
                 await _session_roundtrip(server, records)
             finally:
@@ -202,15 +229,9 @@ class TestFaultIsolation:
         async def _run():
             server = await _started_server(ServerConfig(max_frame_bytes=128))
             try:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(protocol.pack_json(
-                    protocol.FRAME_HELLO, {"spec": "BTFN"}
-                ))
-                await protocol.read_frame(reader)  # OK
+                reader, writer = await _raw_session(server)
                 writer.write(protocol.pack_frame(
-                    protocol.FRAME_RECORDS, b"\x00" * 900
+                    protocol.FRAME_RECORDS2, b"\x00" * 900
                 ))
                 await writer.drain()
                 await _expect_error(reader, "frame-too-large")
@@ -228,35 +249,21 @@ class TestFaultIsolation:
         async def _run():
             server = await _started_server()
             try:
-                survivor = await AsyncPredictionClient.connect(
-                    server.host, server.port, "BTFN"
-                )
-                await survivor.predict(records)
+                survivor = await _one_session(server)
+                await survivor.predict(0, records)
 
                 # vanish cleanly after OK (no BYE)
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(protocol.pack_json(
-                    protocol.FRAME_HELLO, {"spec": "BTFN"}
-                ))
-                await protocol.read_frame(reader)
+                _reader, writer = await _raw_session(server)
                 writer.close()
 
                 # vanish mid frame header
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(protocol.pack_json(
-                    protocol.FRAME_HELLO, {"spec": "BTFN"}
-                ))
-                await protocol.read_frame(reader)
+                _reader, writer = await _raw_session(server)
                 writer.write(b"\x07\x00")  # 2 of the 5 header bytes
                 await writer.drain()
                 writer.close()
 
                 await asyncio.sleep(0.05)
-                await survivor.predict(records)
+                await survivor.predict(0, records)
                 await survivor.finish()
                 for _ in range(100):  # session reaping is asynchronous
                     if server.active_sessions == 0:
@@ -274,13 +281,7 @@ class TestFaultIsolation:
         async def _run():
             server = await _started_server(ServerConfig(read_timeout=0.15))
             try:
-                reader, writer = await asyncio.open_connection(
-                    server.host, server.port
-                )
-                writer.write(protocol.pack_json(
-                    protocol.FRAME_HELLO, {"spec": "BTFN"}
-                ))
-                await protocol.read_frame(reader)  # OK
+                reader, writer = await _raw_session(server)
                 # ... then go silent past the read timeout
                 await _expect_error(reader, "timeout")
                 assert await protocol.read_frame(reader) is None
@@ -294,24 +295,16 @@ class TestFaultIsolation:
 
 
 class TestProtocolEnforcement:
-    def _expect_session_error(self, hello, code, then=None):
+    def _expect_session_error(self, code, *frames):
+        """Send ``frames`` on a fresh connection; expect a ``code`` ERROR."""
         async def _run():
             server = await _started_server()
             try:
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )
-                if hello is not None:
-                    writer.write(protocol.pack_json(protocol.FRAME_HELLO, hello))
-                    if then is not None:
-                        frame = await protocol.read_frame(reader)
-                        assert frame is not None and frame[0] == protocol.FRAME_OK
-                        writer.write(then)
-                        await writer.drain()
-                else:
-                    assert then is not None
-                    writer.write(then)
-                    await writer.drain()
+                writer.write(b"".join(frames))
+                await writer.drain()
                 body = await _expect_error(reader, code)
                 writer.close()
                 return body
@@ -321,45 +314,61 @@ class TestProtocolEnforcement:
         return asyncio.run(_run())
 
     def test_bad_spec(self):
-        self._expect_session_error({"spec": "Bogus("}, "bad-spec")
+        self._expect_session_error("bad-spec", HELLO, _open("Bogus("))
 
     def test_bad_hello(self):
-        self._expect_session_error({"no_spec": 1}, "bad-hello")
+        self._expect_session_error(
+            "bad-hello", protocol.pack_json(protocol.FRAME_HELLO, {"no_spec": 1})
+        )
 
     def test_bad_backend(self):
-        self._expect_session_error({"spec": "BTFN", "backend": "simd"}, "bad-backend")
+        self._expect_session_error("bad-backend", HELLO, _open("BTFN", "simd"))
+        # a non-string backend is a backend fault, not a HELLO one
+        self._expect_session_error("bad-backend", HELLO, _open("BTFN", 7))
 
     def test_records_before_hello(self):
-        self._expect_session_error(
-            None, "protocol", then=protocol.pack_records([])
-        )
+        self._expect_session_error("protocol", protocol.pack_records2(0, []))
 
     def test_duplicate_hello(self):
-        self._expect_session_error(
-            {"spec": "BTFN"}, "protocol",
-            then=protocol.pack_json(protocol.FRAME_HELLO, {"spec": "BTFN"}),
-        )
+        self._expect_session_error("protocol", HELLO, HELLO)
 
     def test_unknown_frame_type(self):
-        self._expect_session_error(
-            {"spec": "BTFN"}, "bad-frame", then=protocol.pack_frame(42)
-        )
+        self._expect_session_error("bad-frame", HELLO, protocol.pack_frame(42))
 
     def test_training_scheme_requires_train_frames(self):
         body = self._expect_session_error(
-            {"spec": "Profile"}, "protocol", then=protocol.pack_records([])
+            "protocol", HELLO, _open("Profile"), protocol.pack_records2(0, [])
         )
         assert "TRAIN" in body["error"]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "frame_type",
+        [protocol.FRAME_TRAIN2, protocol.FRAME_RECORDS2],
+        ids=["TRAIN2", "RECORDS2"],
+    )
+    def test_reserved_flag_bits_refused(self, frame_type, backend, monkeypatch):
+        """A flag byte with a reserved bit set is a bad record on every
+        ingest path; the scalar leg also decodes RECORDS2 without NumPy."""
+        if backend == "scalar":
+            monkeypatch.setattr(protocol, "numpy_or_none", lambda: None)
+        record = struct.pack("<IBI", 0x100, 0x21, 0x80)  # taken conditional + bit 5
+        self._expect_session_error(
+            "bad-frame",
+            HELLO,
+            _open("BTFN", backend),
+            protocol.pack_frame(frame_type, protocol.SESSION_ID.pack(0) + record),
+        )
 
     def test_client_raises_typed_error(self):
         async def _run():
             server = await _started_server()
             try:
+                client = await MuxPredictionClient.connect(server.host, server.port)
                 with pytest.raises(ProtocolError) as excinfo:
-                    await AsyncPredictionClient.connect(
-                        server.host, server.port, "NotAScheme(("
-                    )
+                    await client.open(0, "NotAScheme((")
                 assert excinfo.value.code == "bad-spec"
+                await client.close()
             finally:
                 await server.stop(drain=False)
 
@@ -374,12 +383,10 @@ class TestOperations:
             server = await _started_server()
             try:
                 spec_text = "AT(IHRT(,6SR),PT(2^6,A2),)"
-                client = await AsyncPredictionClient.connect(
-                    server.host, server.port, spec_text
-                )
-                await client.predict(records[:300])
-                await client.predict(records[300:])
-                stats = await client.stats()
+                client = await _one_session(server, spec_text)
+                await client.predict(0, records[:300])
+                await client.predict(0, records[300:])
+                stats = await client.stats(0)
                 live = stats["server"]
                 assert live["active_sessions"] == 1
                 assert live["records_served"] == 600
@@ -401,9 +408,7 @@ class TestOperations:
         async def _run():
             server = await _started_server(ServerConfig(max_connections=1))
             try:
-                first = await AsyncPredictionClient.connect(
-                    server.host, server.port, "BTFN"
-                )
+                first = await _one_session(server)
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )

@@ -73,7 +73,7 @@ class TestWorkerPool:
             not worker.process.is_alive() for worker in supervisor._workers
         )
 
-    def test_v1_clients_work_through_the_pool(self, program_trace):
+    def test_one_connection_per_session_through_the_pool(self, program_trace):
         records = program_trace[:200]
         supervisor = Supervisor(ServerConfig(), workers=2, control=False)
         supervisor.start()
@@ -84,7 +84,7 @@ class TestWorkerPool:
                 _plans(records, count=3),
                 chunk=100,
                 window=2,
-                connections=None,  # one v1 connection per session
+                connections=None,  # one connection per session
             )
             _check_parity(outcomes)
         finally:
@@ -180,9 +180,13 @@ class TestControlEndpoint:
                 (supervisor.host, supervisor.control_port), timeout=10
             ) as sock:
                 sock.sendall(protocol.pack_frame(protocol.FRAME_STATS_REQUEST))
-                frame = protocol.read_frame_sync(sock.recv)
-            assert frame is not None and frame[0] == protocol.FRAME_STATS
-            payload = protocol.unpack_json(frame[1], protocol.FRAME_STATS)
+                stream = sock.makefile("rb")
+                length, frame_type = protocol.HEADER.unpack(
+                    stream.read(protocol.HEADER.size)
+                )
+                body = stream.read(length)
+            assert frame_type == protocol.FRAME_STATS
+            payload = protocol.unpack_json(body, frame_type)
             assert payload["worker_count"] == 2
             assert payload["aggregate"]["records_served"] == 2 * len(records)
             assert len(payload["workers"]) == 2

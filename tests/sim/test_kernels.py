@@ -1,7 +1,7 @@
 """Vectorized kernels: bit-exactness vs the scalar engine, backend dispatch.
 
 The property tests replay randomly generated conditional traces through both
-backends for every vectorizable spec family; the integration tests cover all
+backends for every spec family; the integration tests cover all
 fourteen workload variants (nine testing + five training data sets).  When
 NumPy is absent the vector-side tests skip and the resolution tests assert
 the documented degradation instead.
@@ -22,13 +22,7 @@ from repro.sim.backend import (
     resolve_backend,
 )
 from repro.sim.engine import simulate
-from repro.sim.kernels import (
-    choose_backend,
-    per_site_accuracy,
-    score_spec,
-    simulate_spec,
-    vectorizable,
-)
+from repro.sim.kernels import per_site_accuracy, score_spec, simulate_spec
 from repro.sim.runner import SweepRunner
 from repro.sim.streaming import make_multi_scorer
 from repro.trace.columnar import pack_records
@@ -37,7 +31,7 @@ from repro.workloads.base import get_workload, workload_names
 
 needs_numpy = pytest.mark.skipif(not has_numpy(), reason="NumPy not installed")
 
-#: every vectorizable spec family (stateless, per-address FSM, two-level AT,
+#: every spec family (stateless, per-address FSM, two-level AT,
 #: profiled ST, global-history extensions), plus assorted automata/lengths.
 VECTOR_SPECS = [
     "AlwaysTaken",
@@ -190,26 +184,38 @@ class TestKernelWorkloads:
 
 
 class TestBackendDispatch:
-    """Every registry family is vectorizable; the scalar fallback only
-    fires for schemes the kernels have never heard of."""
+    """Every registry family has a vector kernel; a scheme without one is
+    an error on the vector backend, never a silent scalar fallback."""
 
+    @needs_numpy
     @pytest.mark.parametrize("spec_text", ALL_SPECS)
     def test_vectorizable(self, spec_text):
-        assert vectorizable(parse_spec(spec_text))
+        """The fused kernel compiles the spec and scores a fixed trace
+        exactly as the scalar engine does."""
+        spec = parse_spec(spec_text)
+        pcs = [0x1000, 0x1004, 0x1008, 0x100C, 0x2000, 0x2004]
+        records = [
+            BranchRecord(
+                pc=pcs[i % len(pcs)],
+                cls=BranchClass.CONDITIONAL,
+                taken=bool((i * 7) % 3),
+                target=0x800 if i % 2 else 0x3000,
+            )
+            for i in range(60)
+        ]
+        packed = pack_records(records)
+        assert score_spec(
+            spec, packed, "vector", training=packed
+        ) == _scalar_stats(spec, packed, training_records=records)
 
     @needs_numpy
-    def test_choose_backend_keeps_vector_for_finite_hrt(self):
-        assert choose_backend(parse_spec(FINITE_HRT_SPECS[0]), "vector") == "vector"
-        assert choose_backend(parse_spec(VECTOR_SPECS[0]), "vector") == "vector"
-
-    @needs_numpy
-    def test_unknown_scheme_falls_back(self, eqntott_trace):
+    def test_unknown_scheme_raises(self, eqntott_trace):
         fake = parse_spec("BTFN")
         object.__setattr__(fake, "scheme", "FutureScheme")
-        assert not vectorizable(fake)
-        assert choose_backend(fake, "vector") == "scalar"
         with pytest.raises(KernelError):
             simulate_spec(fake, eqntott_trace.packed())
+        with pytest.raises(KernelError):
+            score_spec(fake, eqntott_trace.packed(), backend="vector")
 
     @needs_numpy
     def test_finite_hrt_runner_backends_agree(self, trace_cache, small_scale):

@@ -1,11 +1,16 @@
-"""BENCH_kernels.json trend format: dated entries, legacy auto-convert."""
+"""BENCH trend files: dated entries only."""
 
 from __future__ import annotations
 
+import datetime
 import json
 from pathlib import Path
 
+import pytest
+
 from benchmarks.bench_kernels import load_trend_entries
+
+ROOT = Path(__file__).resolve().parent.parent
 
 LEGACY = {
     "kernels": {"benchmark": "eqntott", "families": []},
@@ -22,14 +27,11 @@ def test_trend_file_parses(tmp_path):
     assert entries == [{"date": "2026-08-07", "kernels": {}}]
 
 
-def test_legacy_payload_becomes_first_entry(tmp_path):
+def test_legacy_payload_is_not_converted(tmp_path):
+    """A pre-trend payload (sections at top level) has no trend entries."""
     path = tmp_path / "BENCH_kernels.json"
     path.write_text(json.dumps(LEGACY))
-    entries = load_trend_entries(path)
-    assert len(entries) == 1
-    assert entries[0]["date"] is None
-    assert entries[0]["kernels"] == LEGACY["kernels"]
-    assert entries[0]["end_to_end"] == LEGACY["end_to_end"]
+    assert load_trend_entries(path) == []
 
 
 def test_missing_or_corrupt_file_is_empty(tmp_path):
@@ -39,12 +41,18 @@ def test_missing_or_corrupt_file_is_empty(tmp_path):
     assert load_trend_entries(bad) == []
 
 
-def test_checked_in_file_is_trend_format():
-    path = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-    payload = json.loads(path.read_text())
+@pytest.mark.parametrize("name", ["BENCH_kernels.json", "BENCH_serve.json"])
+def test_checked_in_entries_are_dated(name):
+    payload = json.loads((ROOT / name).read_text())
     assert isinstance(payload.get("entries"), list) and payload["entries"]
     for entry in payload["entries"]:
-        assert "date" in entry
+        assert isinstance(entry["date"], str)
+        datetime.date.fromisoformat(entry["date"])
+
+
+def test_checked_in_file_is_trend_format():
+    payload = json.loads((ROOT / "BENCH_kernels.json").read_text())
+    assert isinstance(payload.get("entries"), list) and payload["entries"]
     # the modern families are part of the recorded kernel bench
     latest = payload["entries"][-1]["kernels"]["families"]
     recorded = {row["family"] for row in latest}

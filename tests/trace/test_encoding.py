@@ -1,12 +1,14 @@
 """Binary trace format: round-trip, streaming, corruption handling."""
 
 import io
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TraceFormatError
-from repro.trace.encoding import MAGIC, iter_trace, read_trace, write_trace
+from repro.trace.columnar import read_packed_trace
+from repro.trace.encoding import MAGIC, decode_record, iter_trace, read_trace, write_trace
 from repro.trace.record import BranchClass, BranchRecord
 
 _RECORDS = st.lists(
@@ -88,3 +90,15 @@ class TestCorruption:
         data[16 + 4] = (BranchClass.NON_BRANCH << 1)  # flags byte of record 0
         with pytest.raises(TraceFormatError, match="NON_BRANCH"):
             read_trace(io.BytesIO(bytes(data)))
+
+    def test_reserved_flag_bits_rejected(self):
+        """Bits 5..7 of the flag byte are reserved: a taken conditional with
+        bit 5 set is refused by every decoder, not silently accepted."""
+        record = struct.pack("<IBI", 0x100, 0x21, 0x80)
+        with pytest.raises(TraceFormatError, match="flags"):
+            decode_record(record)
+        data = MAGIC + (1).to_bytes(4, "little") + bytes(4) + record
+        with pytest.raises(TraceFormatError, match="flags"):
+            read_trace(io.BytesIO(data))
+        with pytest.raises(TraceFormatError, match="flags"):
+            read_packed_trace(io.BytesIO(data))

@@ -3,13 +3,17 @@
 The on-disk layout is a compatibility contract (cached traces outlive
 library versions).  These tests pin the exact bytes of the current v2
 format so an accidental layout change fails loudly instead of silently
-corrupting caches, and pin the reader's acceptance of legacy v1 files
-(13-byte records with a trailing reserved word).
+corrupting caches, and pin that retired v1 files (13-byte records with a
+trailing reserved word) are refused rather than misread.
 """
 
 import io
 
-from repro.trace.encoding import MAGIC, MAGIC_V1, read_trace, write_trace
+import pytest
+
+from repro.errors import TraceFormatError
+from repro.trace.columnar import read_packed_trace
+from repro.trace.encoding import MAGIC, read_trace, write_trace
 from repro.trace.record import BranchClass, BranchRecord
 
 #: byte-for-byte golden encoding of two known records
@@ -31,7 +35,7 @@ GOLDEN_BYTES = (
     + (0x2000).to_bytes(4, "little")
 )
 
-#: the same two records in the legacy v1 layout (reserved uint32 per record)
+#: the same two records in the retired v1 layout (reserved uint32 per record)
 GOLDEN_BYTES_V1 = (
     b"YPTRACE1"
     + (2).to_bytes(4, "little")
@@ -66,17 +70,13 @@ class TestGoldenLayout:
 
 
 class TestLegacyV1:
-    def test_magic_is_stable(self):
-        assert MAGIC_V1 == b"YPTRACE1"
+    def test_reader_rejects_v1_bytes(self):
+        with pytest.raises(TraceFormatError, match="bad magic"):
+            read_trace(io.BytesIO(GOLDEN_BYTES_V1))
 
-    def test_reader_accepts_v1_bytes(self):
-        assert read_trace(io.BytesIO(GOLDEN_BYTES_V1)) == GOLDEN_RECORDS
-
-    def test_packed_reader_accepts_v1_bytes(self):
-        from repro.trace.columnar import read_packed_trace
-
-        packed = read_packed_trace(io.BytesIO(GOLDEN_BYTES_V1))
-        assert packed.to_records() == GOLDEN_RECORDS
+    def test_packed_reader_rejects_v1_bytes(self):
+        with pytest.raises(TraceFormatError, match="bad magic"):
+            read_packed_trace(io.BytesIO(GOLDEN_BYTES_V1))
 
     def test_writer_no_longer_emits_v1(self):
         buffer = io.BytesIO()

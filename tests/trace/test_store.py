@@ -7,8 +7,6 @@ module when installed, and the documented degradation when not).
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ConfigError, ReproError, StoreError
@@ -224,27 +222,3 @@ class TestStoreLifecycle:
             default_max_bytes()
         monkeypatch.delenv("REPRO_STORE_MAX_BYTES")
         assert default_max_bytes() == DEFAULT_MAX_BYTES
-
-
-class TestLegacyMigration:
-    def test_legacy_trc_files_invalidated_once(self, tmp_path):
-        (tmp_path / "eqntott-test-5000-v1.trc").write_bytes(b"old")
-        (tmp_path / "eqntott-test-5000-v1.json").write_text("{}")
-        TraceStore(tmp_path)
-        assert not list(tmp_path.glob("*.trc"))
-        assert not list(tmp_path.glob("eqntott*.json"))
-        assert (tmp_path / ".store-format").read_text().strip() == str(FORMAT_VERSION)
-
-    def test_marker_prevents_rescan(self, tmp_path, packed, meta):
-        TraceStore(tmp_path)
-        # a later .trc (however unlikely) is ignored once the marker exists
-        legacy = tmp_path / "late.trc"
-        legacy.write_bytes(b"old")
-        TraceStore(tmp_path)
-        assert legacy.exists()
-
-    def test_index_json_survives_migration(self, tmp_path):
-        (tmp_path / "old.trc").write_bytes(b"x")
-        store = TraceStore(tmp_path)
-        assert json.loads((tmp_path / "index.json").read_text()) == {"entries": {}}
-        assert store.entries() == []
