@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError
 from repro.predictors.spec import PredictorSpec, parse_spec
 
 #: storage bits per pattern-table entry, by content
@@ -57,73 +56,10 @@ def storage_cost(spec: "PredictorSpec | str") -> StorageCost:
 
     Idealised structures (IHRT) and profile-time-only structures are
     costed at zero: they are analytical devices, not hardware.  The static
-    schemes (Always Taken, BTFN, Profile) cost nothing at run time.
+    schemes (Always Taken, BTFN, Profile) cost nothing at run time.  Each
+    scheme's figure is its family's :meth:`~repro.predictors.families.Family.cost`.
     """
+    from repro.predictors.families import family_of
+
     parsed = parse_spec(spec) if isinstance(spec, str) else spec
-
-    if parsed.scheme in ("AlwaysTaken", "AlwaysNotTaken", "BTFN", "Profile"):
-        return StorageCost(0, 0, 0)
-    if parsed.scheme in ("GAg",):
-        assert parsed.history_length is not None
-        k = parsed.history_length
-        return StorageCost(hrt_bits=k, tag_bits=0, pattern_bits=2 * (1 << k))
-    if parsed.scheme in ("gshare",):
-        assert parsed.history_length is not None
-        k = parsed.history_length
-        return StorageCost(hrt_bits=k, tag_bits=0, pattern_bits=2 * (1 << k))
-    if parsed.scheme == "Perceptron":
-        # rows x (h+1) 8-bit weights; the history register is the only
-        # other state (the "pattern" store is the weight memory)
-        assert parsed.history_length is not None and parsed.rows is not None
-        h = parsed.history_length
-        return StorageCost(
-            hrt_bits=h,
-            tag_bits=0,
-            pattern_bits=parsed.rows * (h + 1) * 8,
-        )
-    if parsed.scheme == "TAGE":
-        # base bimodal (2-bit counters) plus t tagged tables of
-        # (3-bit ctr + 2-bit u + valid) entries with TAG_BITS-wide tags
-        from repro.predictors.modern import (
-            BASE_EXTRA_BITS,
-            DEFAULT_ENTRY_BITS,
-            TAG_BITS,
-        )
-
-        assert parsed.tage_tables is not None and parsed.history_length is not None
-        bits = parsed.tage_entry_bits or DEFAULT_ENTRY_BITS
-        entries = parsed.tage_tables * (1 << bits)
-        return StorageCost(
-            hrt_bits=parsed.history_length,
-            tag_bits=entries * TAG_BITS,
-            pattern_bits=2 * (1 << (bits + BASE_EXTRA_BITS)) + entries * (3 + 2 + 1),
-        )
-
-    if parsed.hrt_kind is None:
-        raise ConfigError(f"cannot cost scheme {parsed.scheme!r}")
-
-    entries = parsed.hrt_entries or 0  # IHRT -> 0 (idealisation)
-    if parsed.scheme == "LS":
-        assert parsed.hrt_automaton is not None
-        per_entry = _STATE_BITS[parsed.hrt_automaton.name]
-        tag = _tag_width(entries, parsed.hrt_associativity) if parsed.hrt_kind == "AHRT" else 0
-        return StorageCost(
-            hrt_bits=entries * per_entry,
-            tag_bits=entries * tag,
-            pattern_bits=0,
-        )
-
-    # AT / ST: k-bit registers plus a 2^k pattern table
-    assert parsed.history_length is not None
-    k = parsed.history_length
-    tag = _tag_width(entries, parsed.hrt_associativity) if parsed.hrt_kind == "AHRT" else 0
-    if parsed.scheme == "ST":
-        per_pattern = 1  # preset prediction bit
-    else:
-        assert parsed.pt_automaton is not None
-        per_pattern = _STATE_BITS[parsed.pt_automaton.name]
-    return StorageCost(
-        hrt_bits=entries * k,
-        tag_bits=entries * tag,
-        pattern_bits=per_pattern * (1 << k),
-    )
+    return family_of(parsed).cost(parsed)

@@ -4,9 +4,10 @@ The scalar engine dispatches one Python ``observe()`` call per conditional
 record — the wall-clock floor of every full-figure sweep.  The vector
 backend scores whole predictor families with columnar batch operations
 instead.  This module holds the per-family primitives and the one-spec
-entry points; the recipes that combine the primitives per scheme, the
-history windows and the automaton scan live in :mod:`repro.sim.sweep`,
-and every one-spec call here is a one-spec fused sweep.
+entry points; the recipe that combines the primitives for a scheme lives
+in its family (:mod:`repro.predictors.families`), the history windows and
+the automaton scan in :mod:`repro.sim.sweep`, and every one-spec call
+here is a one-spec fused sweep.
 
 * **Stateless schemes** (Always Taken / Not Taken, BTFN, per-branch
   profiling) reduce to pure column comparisons.

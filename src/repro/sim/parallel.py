@@ -43,7 +43,7 @@ from repro.errors import WorkloadError
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
 from repro.sim.results import PredictionStats, SweepResult
-from repro.sim.sweep import SweepPlan
+from repro.sim.sweep import SweepPlan, training_role
 from repro.workloads.base import TraceCache, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -118,7 +118,7 @@ def _check_available(
     if skip_unavailable:
         return
     for spec in specs:
-        if spec.scheme != "ST" or spec.data_mode != "Diff":
+        if training_role(spec) != "train":
             continue
         for benchmark in benchmarks:
             if not get_workload(benchmark).has_training_set:
@@ -148,9 +148,7 @@ def _warm_disk_cache(
     cap: int,
 ) -> None:
     """Generate every trace the sweep needs, once, into the disk layer."""
-    needs_training = any(
-        spec.scheme == "ST" and spec.data_mode == "Diff" for spec in specs
-    )
+    needs_training = any(training_role(spec) == "train" for spec in specs)
     for benchmark in benchmarks:
         workload = get_workload(benchmark)
         cache.ensure_on_disk(workload, "test", cap)

@@ -6,7 +6,9 @@ already names every trace by a content digest
 (:func:`repro.trace.store.content_key`).  That makes finished stats rows
 cacheable by construction: the key digests
 
-* the spec's canonical string,
+* the spec's canonical string and its family's ``semantics`` version
+  (:class:`~repro.predictors.families.Family`), so a change to a family's
+  predictions never returns a row computed under the old rule,
 * the testing trace's store stem (which itself digests workload name,
   role, cap, generator version and dataset parameters),
 * the training trace's stem for profiled schemes (empty otherwise), and
@@ -25,30 +27,41 @@ generators, datasets, caps or specs changes the key and misses cleanly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
+from repro.predictors.families import Family, family_of
+from repro.predictors.spec import parse_spec
 from repro.sim.results import PredictionStats
 
 __all__ = ["ResultCache", "ResultEntry", "result_key"]
 
-#: bump to invalidate every persisted row (schema or semantics change)
+#: bump to invalidate every persisted row (file schema change); a change
+#: to one family's predictions bumps that family's ``semantics`` instead
 FORMAT_VERSION = 1
 
 _SUFFIX = ".json"
 
 
+@functools.lru_cache(maxsize=1024)
+def _family(spec_text: str) -> Family:
+    """The family behind a spec string; its ``semantics`` is read live."""
+    return family_of(parse_spec(spec_text))
+
+
 def result_key(
     spec_text: str, test_stem: str, train_stem: Optional[str], backend: str
 ) -> str:
-    """Digest naming one (spec, trace, options) stats row."""
+    """Digest naming one (spec, semantics, trace, options) stats row."""
     payload = json.dumps(
         {
             "format": FORMAT_VERSION,
             "spec": spec_text,
+            "semantics": _family(spec_text).semantics,
             "test": test_stem,
             "train": train_stem or "",
             "backend": backend,

@@ -98,35 +98,28 @@ class SweepRunner:
         and raises :class:`~repro.errors.WorkloadError` for the four
         benchmarks that have none.
         """
-        return self._training_workload_trace(benchmark, data_mode).records
+        return self._role_trace(benchmark, "train" if data_mode == "Diff" else "test").records
 
-    def _training_workload_trace(self, benchmark: str, data_mode: str) -> WorkloadTrace:
-        """:meth:`training_trace`'s cached :class:`WorkloadTrace` form, so
-        both backends (records for scalar, columns for vector) share one
-        cache entry."""
-        if data_mode == "Same":
-            workload = self._workload(benchmark)
-            return self.cache.get(workload, "test", self.max_conditional)
+    def _role_trace(self, benchmark: str, role: str) -> WorkloadTrace:
+        """The benchmark's cached ``"test"`` or ``"train"`` trace — the
+        roles :func:`~repro.sim.sweep.training_role` reports — in its
+        :class:`WorkloadTrace` form, so both backends (records for scalar,
+        columns for vector) share one cache entry."""
         workload = self._workload(benchmark)
-        if not workload.has_training_set:
+        if role == "train" and not workload.has_training_set:
             raise WorkloadError(
                 f"benchmark {benchmark!r} has no alternative training data set"
                 " (Table 3 marks it NA)"
             )
-        return self.cache.get(workload, "train", self.max_conditional)
+        return self.cache.get(workload, role, self.max_conditional)
 
     # ------------------------------------------------------------------
     def run_one(self, spec: SpecLike, benchmark: str) -> BenchmarkResult:
         """Simulate one configuration on one benchmark."""
         parsed = _as_spec(spec)
-        workload = self._workload(benchmark)
-        trace = self.cache.get(workload, "test", self.max_conditional)
-        training: Optional[WorkloadTrace] = None
-        if parsed.scheme == "ST":
-            training = self._training_workload_trace(benchmark, parsed.data_mode or "Same")
-        elif parsed.scheme == "Profile":
-            # the paper's profiling scheme profiles the execution data set
-            training = trace
+        trace = self._role_trace(benchmark, "test")
+        role = training_role(parsed)
+        training = None if role is None else self._role_trace(benchmark, role)
         # the vector kernels when NumPy is there, else the scalar engine
         # over the packed columnar form (which replays measurably faster and
         # scores identically — see repro.sim.engine.simulate_packed and
@@ -160,9 +153,7 @@ class SweepRunner:
         role = training_role(spec)
         if role is None:
             return test_stem, None
-        if role == "test":
-            return test_stem, test_stem
-        return test_stem, self.cache.stem_for(workload, "train", self.max_conditional)
+        return test_stem, self.cache.stem_for(workload, role, self.max_conditional)
 
     def score_benchmark(
         self,
@@ -187,11 +178,7 @@ class SweepRunner:
 
         available: List[int] = []
         for index, spec in enumerate(parsed):
-            if (
-                spec.scheme == "ST"
-                and spec.data_mode == "Diff"
-                and not workload.has_training_set
-            ):
+            if training_role(spec) == "train" and not workload.has_training_set:
                 if skip_unavailable:
                     continue
                 raise WorkloadError(
@@ -228,7 +215,7 @@ class SweepRunner:
             if "test" in roles:
                 trainings["test"] = context
             if "train" in roles:
-                training = self._training_workload_trace(benchmark, "Diff")
+                training = self._role_trace(benchmark, "train")
                 trainings["train"] = TraceContext(training.packed())
             fused_rows = fused_stats(
                 pending, trace.packed(), context=context,

@@ -397,9 +397,7 @@ class VectorMultiSessionScorer(MultiSessionScorer):
 
     def __init__(self, spec: SpecLike):
         super().__init__(spec)
-        np = _np()
-        # reject an impossible HRT geometry now, not at the first feed
-        _hrt_keys(np, self.spec, np.zeros(0, dtype=np.int64))
+        _np()  # a vector session needs NumPy; fail the open, not the first feed
         self._slots: Dict[int, int] = {}
         self._free: List[int] = []
         self._stats: Dict[int, PredictionStats] = {}

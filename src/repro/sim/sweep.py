@@ -14,9 +14,10 @@ segment sorts.  The fused scorer pays for each of them exactly once:
   any ``k <= K`` — so the context keeps only the *widest* window per key
   space and serves shorter ones as a mask (``fig7``'s whole ladder runs on
   one window).
-* Each scheme's semantics is one *recipe* written against a context:
-  :func:`_direct_mask` for the scan-free families, :func:`_scan_request`
-  for the automaton families.  The multi-session streaming scorer
+* Each scheme's semantics is one *recipe* written against a context and
+  owned by its :class:`~repro.predictors.families.Family`: a
+  ``direct_mask`` for the scan-free families, a ``scan_request`` for the
+  automaton families.  The multi-session streaming scorer
   (:mod:`repro.sim.streaming`) runs the same recipes against a context
   whose keys are namespaced by session slot and whose registers and
   automaton states carry across feeds; the primitives below take that
@@ -47,18 +48,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import KernelError
-from repro.predictors.automata import A2, Automaton
+from repro.predictors.automata import Automaton
+from repro.predictors.families import FAMILIES, Family
 from repro.predictors.spec import PredictorSpec
-from repro.predictors.modern import DEFAULT_ENTRY_BITS, TageState
-from repro.sim.kernels import (
-    _conditional_columns,
-    _history_global,
-    _hrt_keys,
-    _np,
-    _perceptron_predictions,
-    _perceptron_table,
-    _tage_predictions,
-)
+from repro.sim.kernels import _conditional_columns, _history_global, _hrt_keys, _np
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 
@@ -83,15 +76,19 @@ _IDENTITY_CODE = 0b11100100
 _NS_SHIFT = 32
 
 
+def _family(spec: PredictorSpec) -> Family:
+    """The spec's family; a scheme no family registers has no kernel."""
+    family = FAMILIES.get(spec.scheme)
+    if family is None:
+        raise KernelError(f"no fused kernel for scheme {spec.scheme!r}")
+    return family
+
+
 def training_role(spec: PredictorSpec) -> Optional[str]:
     """Which trace a spec profiles: ``None`` (adaptive — no profiling pass),
     ``"test"`` (Profile and ST-Same profile the execution data set) or
     ``"train"`` (ST-Diff profiles the Table 3 training data set)."""
-    if spec.scheme == "Profile":
-        return "test"
-    if spec.scheme == "ST":
-        return "train" if (spec.data_mode or "Same") == "Diff" else "test"
-    return None
+    return _family(spec).training_role(spec)
 
 
 # ----------------------------------------------------------------------
@@ -243,22 +240,19 @@ class TraceContext:
         key space computes its window once at the widest length instead of
         growing through re-computation."""
         for spec in specs:
-            k = spec.history_length
-            if k is None:
-                continue
-            if spec.scheme in ("AT", "ST"):
-                # the profiling pass is always IHRT-keyed, whatever the test
-                # HRT — reserve that window on the training side too
-                tokens = [_hrt_token(spec)]
-                if spec.scheme == "ST":
-                    tokens.append(("IHRT",))
-            else:
-                # GAg's window starts all-ones; gshare, perceptron and TAGE
-                # share the init-0 one (TAGE's history_length is its
-                # longest geometric table)
-                tokens = [("global", 1 if spec.scheme == "GAg" else 0)]
-            for token in tokens:
-                self._reserve[token] = max(self._reserve.get(token, 0), k)
+            _family(spec).reserve(spec, self)
+
+    def _reserve_window(self, token: Tuple[Any, ...], k: int) -> None:
+        self._reserve[token] = max(self._reserve.get(token, 0), k)
+
+    def reserve_history(self, spec: PredictorSpec) -> None:
+        """Reserve the spec's per-HRT-key history window (see :meth:`history`)."""
+        assert spec.history_length is not None
+        self._reserve_window(_hrt_token(spec), spec.history_length)
+
+    def reserve_global(self, k: int, init_bit: int) -> None:
+        """Reserve a k-bit global history window (see :meth:`global_history`)."""
+        self._reserve_window(("global", init_bit), k)
 
     # -- fresh-state hooks ---------------------------------------------
     def namespace(self, column: Any, shift: int = _NS_SHIFT) -> Any:
@@ -587,98 +581,11 @@ class _ScanBatch:
         return self.results[handle], self.group(self.requests[handle][0])
 
 
-# ----------------------------------------------------------------------
-# spec recipes
-# ----------------------------------------------------------------------
-def _require_training(spec: PredictorSpec, trainings: Mapping[str, Any]) -> Any:
-    role = training_role(spec)
-    assert role is not None
-    ctx = trainings.get(role)
-    if ctx is None:
-        raise KernelError(f"{spec.canonical()}: scoring needs a {role!r} training trace")
-    return ctx
-
-
-def _direct_mask(
-    spec: PredictorSpec, ctx: TraceContext, trainings: Mapping[str, Any]
-) -> Optional[Any]:
-    """Trace-order correctness for the scan-free schemes (None otherwise)."""
-    np = ctx.np
-    if spec.scheme == "AlwaysTaken":
-        return ctx.taken_bool.copy()
-    if spec.scheme == "AlwaysNotTaken":
-        return ~ctx.taken_bool
-    if spec.scheme == "BTFN":
-        return (ctx.target < ctx.pc) == ctx.taken_bool
-    if spec.scheme == "Profile":
-        unique_pc, bias = _require_training(spec, trainings).profile_bias()
-        prediction = _lookup(np, unique_pc, bias, ctx.namespace(ctx.pc), True)
-        return prediction == ctx.taken_bool
-    if spec.scheme == "ST":
-        k = spec.history_length
-        assert k is not None
-        preset = _require_training(spec, trainings).preset_bits(k)
-        return preset[ctx.namespace(ctx.history(spec), k)] == ctx.taken_bool
-    if spec.scheme == "Perceptron":
-        assert spec.history_length is not None and spec.rows is not None
-        histories = ctx.global_history(spec.history_length, 0)
-        rows_index = (ctx.pc >> 2) % spec.rows
-        prediction = np.empty(len(ctx), dtype=bool)
-        for rows, weights in ctx.sessions(("weights",), lambda: _perceptron_table(np, spec)):
-            prediction[rows] = _perceptron_predictions(
-                np, rows_index[rows], histories[rows], ctx.taken[rows],
-                spec.history_length, weights,
-            )
-        return prediction == ctx.taken_bool
-    if spec.scheme == "TAGE":
-        assert spec.tage_tables is not None and spec.history_length is not None
-        histories = ctx.global_history(spec.history_length, 0)
-        prediction = np.empty(len(ctx), dtype=bool)
-        for rows, state in ctx.sessions(
-            ("tage",),
-            lambda: TageState(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS),
-        ):
-            prediction[rows] = _tage_predictions(
-                np, ctx.pc[rows], histories[rows], ctx.taken[rows], state
-            )
-        return prediction == ctx.taken_bool
-    return None
-
-
-def _scan_request(
-    spec: PredictorSpec, ctx: TraceContext
-) -> Tuple[Tuple[Any, ...], Any, Automaton]:
-    """The (token, bucket column, automaton) replay behind an FSM scheme.
-
-    Tokens name bucket columns: requests sharing a token share the
-    column's segment sort, and requests differing only in automaton share
-    everything but the window-LUT gather.  Distinct history lengths are
-    distinct columns — replay depends on within-bucket trace order, so
-    orderings cannot be shared across lengths even though buckets nest
-    (the *windows* behind the columns still come from one shared
-    :meth:`TraceContext.history` computation).
-    """
-    if spec.scheme == "LS":
-        assert spec.hrt_automaton is not None
-        return ("keys",) + _hrt_token(spec), ctx.hrt_keys(spec), spec.hrt_automaton
-    k = spec.history_length
-    if k is None or spec.scheme not in ("AT", "GAg", "gshare"):
-        raise KernelError(f"no fused kernel for spec {spec.canonical()!r}")
-    if spec.scheme == "AT":
-        assert spec.pt_automaton is not None
-        token = ("pattern",) + _hrt_token(spec) + (k,)
-        return token, ctx.namespace(ctx.history(spec)), spec.pt_automaton
-    if spec.scheme == "GAg":
-        return ("ghist", k), ctx.namespace(ctx.global_history(k, 1)), spec.pt_automaton or A2
-    index = ((ctx.pc >> 2) ^ ctx.global_history(k, 0)) & ((1 << k) - 1)
-    return ("gidx", k), ctx.namespace(index), spec.pt_automaton or A2
-
-
 class _FusedScores:
     """The fused scoring pipeline over one test context.
 
-    Phase one compiles each spec to either a direct trace-order mask or a
-    deferred scan request; phase two runs the whole scan batch; phase
+    Phase one compiles each spec through its family's recipe to either a
+    direct trace-order mask or a deferred scan request; phase two runs the whole scan batch; phase
     three reads stats, per-site tallies or trace-order correctness per
     spec.
     """
@@ -697,11 +604,12 @@ class _FusedScores:
         self._masks: Dict[int, Any] = {}
         self._handles: Dict[int, Tuple[Any, ...]] = {}
         for index, spec in enumerate(specs):
-            mask = _direct_mask(spec, ctx, trainings)
-            if mask is not None:
-                self._masks[index] = mask
+            family = _family(spec)
+            if family.direct_mask is not None:
+                self._masks[index] = family.direct_mask(spec, ctx, trainings)
                 continue
-            token, column, automaton = _scan_request(spec, ctx)
+            assert family.scan_request is not None
+            token, column, automaton = family.scan_request(spec, ctx)
             state = ctx.scan_state(_ScanBatch.handle(token, automaton))
             self._handles[index] = self.batch.add(token, column, automaton, state)
         self.batch.run()
@@ -801,10 +709,7 @@ class SweepPlan:
     """How a spec list splits into the fused group and per-spec scoring.
 
     On the vector backend the fused kernel handles every spec; on the
-    scalar backend each spec takes the per-spec scalar path.  Specs are
-    additionally partitioned by :func:`training_role`, which is what the
-    parallel layer needs to know per benchmark: ``"train"``-role cells
-    (ST-Diff) do not exist on benchmarks without a Table 3 training set.
+    scalar backend each spec takes the per-spec scalar path.
     """
 
     def __init__(self, specs: Sequence[PredictorSpec], backend: str):
@@ -813,11 +718,3 @@ class SweepPlan:
         everything = list(range(len(self.specs)))
         self.fused: List[int] = everything if backend == "vector" else []
         self.scalar: List[int] = [] if backend == "vector" else everything
-
-    @property
-    def roles(self) -> List[Optional[str]]:
-        """Per-spec training role (aligned with ``specs``)."""
-        return [training_role(spec) for spec in self.specs]
-
-    def needs_training(self, role: str) -> bool:
-        return any(r == role for r in self.roles)

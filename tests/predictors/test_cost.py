@@ -48,6 +48,10 @@ class TestStorageCost:
         assert gag.hrt_bits == 12
         assert gag.pattern_bits == 2 * 4096
         assert storage_cost("gshare(12)").total_bits == gag.total_bits
+        # Last-Time is one bit per pattern entry, as in AT's pattern table
+        for spec in ("GAg(8,LT)", "gshare(8,LT)"):
+            assert storage_cost(spec).pattern_bits == 256
+        assert storage_cost("AT(IHRT(,8SR),PT(2^8,LT),)").pattern_bits == 256
 
     def test_perceptron(self):
         cost = storage_cost("perceptron(12,512)")

@@ -184,6 +184,15 @@ class TestErrors:
             "AT(IHRT(,0SR),PT(2^0,A2),)",
             "AT(IHRT(,40SR),PT(2^40,A2),)",
             "ST(AHRT(512,25SR),PT(2^25,PB),Same)",
+            # HRT geometries no engine can build
+            "AT(AHRT(3,6SR),PT(2^6,A2),)",  # not a multiple of the 4 ways
+            "AT(AHRT(0,6SR),PT(2^6,A2),)",
+            "AT(HHRT(0,6SR),PT(2^6,A2),)",
+            "LS(AHRT(6,A2),,)",
+            # only ST trains, so only ST takes a Data field
+            "AT(IHRT(,6SR),PT(2^6,A2),Diff)",
+            "AT(IHRT(,6SR),PT(2^6,A2),Same)",
+            "gshare(8,A9)",  # unknown automaton
         ],
     )
     def test_rejected(self, bad):

@@ -195,6 +195,42 @@ class TestParity:
 class TestFaultIsolation:
     """Each fault closes only the offending connection."""
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "AT(AHRT(3,6SR),PT(2^6,A2),)",
+            "AT(AHRT(0,6SR),PT(2^6,A2),)",
+            "AT(HHRT(0,6SR),PT(2^6,A2),)",
+            "LS(AHRT(6,A2),,)",
+        ],
+    )
+    def test_bad_geometry_refused_at_open(self, bad, backend, program_trace):
+        """An HRT geometry no engine can build is a ``bad-spec`` at OPEN,
+        before any record is sent; the next session is served bit-exactly."""
+        records = program_trace[:400]
+        good = "AT(AHRT(4,6SR),PT(2^6,A2),)"
+        expected = ScalarStreamingScorer(parse_spec(good)).feed(records)
+
+        async def _run():
+            server = await _started_server()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                writer.write(HELLO + _open(bad, backend))
+                await writer.drain()
+                await _expect_error(reader, "bad-spec")
+                writer.close()
+                client = await _one_session(server, good, backend)
+                served = await client.predict(0, records)
+                await _finish(client)
+                assert [None if r is None else r.predicted for r in served] == expected
+            finally:
+                await server.stop(drain=False)
+
+        asyncio.run(_run())
+
     def test_malformed_frame(self, program_trace):
         records = program_trace[:200]
 

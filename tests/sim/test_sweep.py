@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.predictors.automata import automaton_by_name
+from repro.predictors.families import family_of
 from repro.predictors.spec import parse_spec
 from repro.sim.backend import has_numpy
 from repro.sim.kernels import score_spec
@@ -244,6 +245,15 @@ class TestResultCache:
         assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
         entry.write_text("not json at all")
         assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
+
+    def test_family_semantics_is_part_of_the_key(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "results")
+        cache.put("BTFN", "li-test-300-x", None, "vector", self.STATS)
+        cache.put("GAg(6,A2)", "li-test-300-x", None, "vector", self.STATS)
+        family = family_of(parse_spec("BTFN"))
+        monkeypatch.setattr(family, "semantics", family.semantics + 1)
+        assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
+        assert cache.get("GAg(6,A2)", "li-test-300-x", None, "vector") == self.STATS
 
     def test_entries_evict_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "results")
