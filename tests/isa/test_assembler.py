@@ -281,3 +281,79 @@ class TestEquAndAlign:
             assemble(".align 2")
         with pytest.raises(AssemblyError, match="bad .align"):
             assemble(".data\n.align zero")
+
+
+class TestErrorParity:
+    """One malformed source per ``AssemblyError`` raise site.
+
+    Each case pins the line number and the message (the message must start
+    the error text), so a faster assembler cannot change what a user sees.
+    """
+
+    @pytest.mark.parametrize(
+        "source,line,message",
+        [
+            ("nop\nadd r1, , r2", 2, "empty operand"),
+            ("x: nop\naddi r1, r1, x+y", 2, "bad offset in expression 'x+y'"),
+            ("nop\naddi r1, r2, 010", 2, "cannot evaluate expression '010'"),
+            ("nop\naddi r1, r2, 1+2", 2, "cannot evaluate expression '1+2'"),
+            ("nop\nbeq r1, r2, nowhere", 2, "undefined symbol 'nowhere'"),
+            ("nop\nli r1, table+4", 2, "undefined symbol 'table'"),
+            (".data\n.word missing", 2, "undefined symbol 'missing'"),
+            ("x: nop\nx: nop", 2, "duplicate label 'x'"),
+            ("nop\n.equ ONLYNAME", 2, ".equ takes NAME, expression"),
+            (".equ 9x, 1", 1, "bad .equ name '9x'"),
+            ("x: nop\n.equ x, 1", 2, "duplicate label 'x'"),
+            (".equ Y, later\nlater: nop", 1, "undefined symbol 'later'"),
+            ("nop\n.align 2", 2, ".align outside .data section"),
+            (".data\n.align 0", 2, "bad .align count '0'"),
+            (".data\n.align zero", 2, "bad .align count 'zero'"),
+            ("nop\n.word 5", 2, ".word outside .data section"),
+            ("nop\n.space 4", 2, ".space outside .data section"),
+            (".data\n.space -1", 2, "bad .space count '-1'"),
+            (".data\n.space", 2, "bad .space count ''"),
+            ("nop\n.frobnicate", 2, "unknown directive '.frobnicate'"),
+            (".data\n.ascii \"hi\"", 2, "unknown directive '.ascii'"),
+            ("nop\n.data\nnop", 3, "instruction outside .text section"),
+            ("nop\nli r1", 2, "li takes 2 operand"),
+            ("nop\nbogus r1, r2", 2, "unknown mnemonic 'bogus'"),
+            ("nop\nlui r1, 0x10000", 2, "lui immediate out of range: 65536"),
+            ("lui r1, -1", 1, "lui immediate out of range: -1"),
+            ("nop\nandi r1, r1, 0x10000", 2, "imm16 out of range: 65536"),
+            ("ori r1, r1, -32769", 1, "imm16 out of range: -32769"),
+            ("nop\nadd r1, r2", 2, "add takes 3 operand(s), got 2"),
+            ("mov r1", 1, "mov takes 2 operand(s), got 1"),
+            ("nop\nhalt r1", 2, "halt takes 0 operand(s), got 1"),
+            ("br", 1, "br takes 1 operand(s), got 0"),
+            ("x: beqz r1, r2, x", 1, "beqz takes 2 operand(s), got 3"),
+            ("nop\nadd r1, r2, r99", 2, "invalid register 'r99'"),
+            ("ld r1, 4(r99)", 1, "invalid register 'r99'"),
+            ("jmp 4", 1, "invalid register '4'"),
+            ("nop\nld r1, r2", 2, "bad memory operand 'r2'"),
+            ("nop\nbeq r1, r2, 0x1002", 2, "branch target 0x1002 not word-aligned"),
+            ("beq r1, r2, 0x100000", 1, "branch offset out of range: 261119"),
+            ("br 0x10000000", 1, "branch offset out of range: 67107839"),
+            ("nop\naddi r1, r2, 40000", 2, "imm16 out of range: 40000"),
+            ("ld r1, 99999(r2)", 1, "imm16 out of range: 99999"),
+            ("subi r1, r1, -32768", 1, "imm16 out of range: 32768"),
+        ],
+    )
+    def test_error_message_and_line(self, source, line, message):
+        with pytest.raises(AssemblyError) as excinfo:
+            assemble(source)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"line {line}: {message}")
+
+    def test_upper_case_mnemonics_and_registers(self):
+        program = assemble("ADD R3, R4, R5\nst r1, 4(R2)")
+        assert program.instructions == [
+            Instruction(Opcode.ADD, rd=3, rs1=4, rs2=5),
+            Instruction(Opcode.ST, rd=1, rs1=2, imm=4),
+        ]
+
+    @pytest.mark.parametrize(
+        "literal,imm", [("1_000", 1000), ("-0x10", -16), ("0xFFFF", -1)]
+    )
+    def test_andi_numeric_literals(self, literal, imm):
+        program = assemble(f"andi r1, r2, {literal}")
+        assert program.instructions == [Instruction(Opcode.ANDI, rd=1, rs1=2, imm=imm)]
