@@ -21,16 +21,30 @@ _ALIASES = {
     "sp": SP_REGISTER,
 }
 
+#: canonical lower-case spellings -> number: one lookup for almost every operand
+_NUMBERS = {f"r{number}": number for number in range(NUM_REGISTERS)}
+_NUMBERS.update(_ALIASES)
+
 
 def register_number(name: str) -> int:
     """Parse a register operand (``r7``, ``sp``, ``lr``, ``zero``) to its
-    number, raising :class:`~repro.errors.AssemblyError` on anything else."""
+    number, raising :class:`~repro.errors.AssemblyError` on anything else.
+
+    Case and surrounding whitespace are ignored and leading zeros are
+    allowed (``r07``), but the digits must be ASCII: fullwidth or
+    Arabic-Indic digits are refused.
+    """
+    number = _NUMBERS.get(name)
+    if number is not None:
+        return number
     token = name.strip().lower()
-    if token in _ALIASES:
-        return _ALIASES[token]
-    if token.startswith("r") and token[1:].isdigit():
-        number = int(token[1:])
-        if 0 <= number < NUM_REGISTERS:
+    number = _NUMBERS.get(token)
+    if number is not None:
+        return number
+    digits = token[1:]
+    if token.startswith("r") and digits.isascii() and digits.isdigit():
+        number = int(digits)
+        if number < NUM_REGISTERS:
             return number
     raise AssemblyError(f"invalid register {name!r}")
 

@@ -336,6 +336,14 @@ class TestErrorParity:
             ("nop\naddi r1, r2, 40000", 2, "imm16 out of range: 40000"),
             ("ld r1, 99999(r2)", 1, "imm16 out of range: 99999"),
             ("subi r1, r1, -32768", 1, "imm16 out of range: 32768"),
+            # only ASCII digits are numbers: int() alone takes any Unicode digit
+            ("addi r1, r0, \uff13", 1, "cannot evaluate expression '\uff13'"),
+            ("ld r1, \uff14(r2)", 1, "cannot evaluate expression '\uff14'"),
+            (".data\n.word \u0663", 2, "cannot evaluate expression '\u0663'"),
+            (".data\n.space \uff15", 2, "bad .space count '\uff15'"),
+            (".data\n.align \uff12", 2, "bad .align count '\uff12'"),
+            ("add r1, r2, r\uff13", 1, "invalid register 'r\uff13'"),
+            ("add r1, r2, r\u0663", 1, "invalid register 'r\u0663'"),
         ],
     )
     def test_error_message_and_line(self, source, line, message):

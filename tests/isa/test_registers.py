@@ -33,6 +33,14 @@ class TestRegisterNumber:
         with pytest.raises(AssemblyError):
             register_number(bad)
 
+    def test_leading_zeros_accepted(self):
+        assert register_number("r07") == 7
+
+    @pytest.mark.parametrize("bad", ["r\uff13", "r\u0663", "R\uff11\uff12"])
+    def test_non_ascii_digits_raise(self, bad):
+        with pytest.raises(AssemblyError, match="invalid register"):
+            register_number(bad)
+
 
 class TestRegisterName:
     def test_round_trip(self):
