@@ -62,10 +62,6 @@ _OFFSET_EXPR_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*([+-])\s*(\w+)$")
 _NUMBER_START = frozenset("0123456789+-")
 
 
-def _strip_comment(line: str) -> str:
-    return line.split(";", 1)[0].split("#", 1)[0].strip()
-
-
 def _split_operands(rest: str, line_no: int) -> List[str]:
     if not rest:
         return []
@@ -301,7 +297,7 @@ class _Assembler:
         tokenized: Dict[str, Tuple[Opcode, Emitter, list, bool]] = {}
 
         for line_no, raw in enumerate(self.source.splitlines(), start=1):
-            line = _strip_comment(raw)
+            line = raw.split(";", 1)[0].split("#", 1)[0].strip()  # drop the comment
             while ":" in line:
                 match = _LABEL_RE.match(line)
                 if not match:

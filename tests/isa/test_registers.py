@@ -18,6 +18,7 @@ class TestRegisterNumber:
         assert register_number("r0") == 0
         assert register_number("r31") == 31
         assert register_number("r17") == 17
+        assert register_number("r07") == 7
 
     def test_aliases(self):
         assert register_number("zero") == ZERO_REGISTER == 0
@@ -28,17 +29,12 @@ class TestRegisterNumber:
         assert register_number(" R7 ") == 7
         assert register_number("SP") == SP_REGISTER
 
-    @pytest.mark.parametrize("bad", ["r32", "r-1", "x5", "", "r", "r3a", "32"])
+    @pytest.mark.parametrize(
+        # fullwidth and Arabic-Indic digits pass str.isdigit() and int()
+        "bad", ["r32", "r-1", "x5", "", "r", "r3a", "32", "r\uff13", "r\u0663", "R\uff11\uff12"]
+    )
     def test_invalid_names_raise(self, bad):
         with pytest.raises(AssemblyError):
-            register_number(bad)
-
-    def test_leading_zeros_accepted(self):
-        assert register_number("r07") == 7
-
-    @pytest.mark.parametrize("bad", ["r\uff13", "r\u0663", "R\uff11\uff12"])
-    def test_non_ascii_digits_raise(self, bad):
-        with pytest.raises(AssemblyError, match="invalid register"):
             register_number(bad)
 
 
