@@ -21,7 +21,7 @@ _ALIASES = {
     "sp": SP_REGISTER,
 }
 
-#: canonical lower-case spellings -> number: one lookup for almost every operand
+#: canonical lower-case spellings -> number
 _NUMBERS = {f"r{number}": number for number in range(NUM_REGISTERS)}
 _NUMBERS.update(_ALIASES)
 
@@ -34,9 +34,6 @@ def register_number(name: str) -> int:
     allowed (``r07``), but the digits must be ASCII: fullwidth or
     Arabic-Indic digits are refused.
     """
-    number = _NUMBERS.get(name)
-    if number is not None:
-        return number
     token = name.strip().lower()
     number = _NUMBERS.get(token)
     if number is not None:
