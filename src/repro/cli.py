@@ -36,7 +36,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ReproError
 from repro.experiments import experiment_ids, get_experiment
@@ -71,6 +71,21 @@ def _scale_arg(text: str) -> int:
         return parse_scale(text)
     except ReproError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _count_arg(minimum: int) -> Callable[[str], int]:
+    """argparse type for a count option: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _human_bytes(count: float) -> str:
@@ -772,7 +787,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _add_perf_options(parser: argparse.ArgumentParser) -> None:
     """Options shared by the sweep-running subcommands (run, sweep)."""
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_count_arg(0), default=1, metavar="N",
         help="worker processes for the sweep grid (1 = serial, 0 = one per CPU)",
     )
     parser.add_argument(
@@ -833,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument("--dataset", default="test", choices=("test", "train"))
     trace_parser.add_argument("--scale", type=_scale_arg, default=DEFAULT_CONDITIONAL_BRANCHES)
     trace_parser.add_argument(
-        "--hot", type=int, default=0, metavar="N",
+        "--hot", type=_count_arg(0), default=0, metavar="N",
         help="also print the N hottest conditional branch sites",
     )
     trace_parser.add_argument(
@@ -925,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="conditional branches per benchmark, or 'paper' (20,000,000)",
     )
     h2p_parser.add_argument(
-        "--top", type=int, default=5,
+        "--top", type=_count_arg(1), default=5,
         help="number of top static H2P sites to score per benchmark",
     )
     h2p_parser.add_argument(
@@ -973,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="load-test an in-process prediction server, write BENCH_serve.json",
     )
     bench_serve_parser.add_argument(
-        "--sessions", type=int, default=4, metavar="N",
+        "--sessions", type=_count_arg(1), default=4, metavar="N",
         help="concurrent predictor sessions",
     )
     bench_serve_parser.add_argument(
@@ -988,11 +1003,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="conditional branches per workload trace (or 'paper')",
     )
     bench_serve_parser.add_argument(
-        "--chunk", type=int, default=512, metavar="RECORDS",
+        "--chunk", type=_count_arg(1), default=512, metavar="RECORDS",
         help="records per RECORDS frame",
     )
     bench_serve_parser.add_argument(
-        "--window", type=int, default=4, metavar="FRAMES",
+        "--window", type=_count_arg(1), default=4, metavar="FRAMES",
         help="frames each session keeps in flight (pipelining)",
     )
     bench_serve_parser.add_argument(

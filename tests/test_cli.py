@@ -1,6 +1,8 @@
 """Command-line interface."""
 
-from repro.cli import main
+import pytest
+
+from repro.cli import build_parser, main
 
 
 class TestList:
@@ -304,3 +306,29 @@ class TestScaleParsing:
             main(["trace", "li", "--scale", "nonsense"])
         assert excinfo.value.code == 2
         assert "invalid scale" in capsys.readouterr().err
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "BTFN", "--jobs", "-4"],
+            ["trace", "eqntott", "--hot", "-2"],
+            ["h2p", "--top", "-1"],
+            ["bench-serve", "--sessions", "0"],
+            ["bench-serve", "--chunk", "0"],
+            ["bench-serve", "--window", "0"],
+        ],
+        ids=["jobs", "hot", "top", "sessions", "chunk", "window"],
+    )
+    def test_out_of_range_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "must be >=" in capsys.readouterr().err
+
+    def test_boundary_counts_accepted(self):
+        args = build_parser().parse_args(["sweep", "BTFN", "--jobs", "0"])
+        assert args.jobs == 0
+        assert build_parser().parse_args(["trace", "li", "--hot", "0"]).hot == 0
+        assert build_parser().parse_args(["h2p", "--top", "1"]).top == 1
