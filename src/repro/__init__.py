@@ -5,14 +5,14 @@ The package provides, from the bottom up:
 
 * :mod:`repro.isa` — an M88100-flavoured RISC (assembler + instruction-level
   simulator), standing in for the paper's Motorola 88100 ISIM trace source.
-* :mod:`repro.trace` — branch-trace records, a binary trace format, stream
-  helpers, statistics, and synthetic trace generators.
+* :mod:`repro.trace` — branch-trace records, binary and text trace
+  formats, the trace store, statistics, and synthetic trace generators.
 * :mod:`repro.workloads` — nine SPEC89-analog benchmark programs with the
   Table 3 training/testing data-set structure.
 * :mod:`repro.predictors` — the Two-Level Adaptive Training predictor (the
   paper's contribution) plus every comparator: Static Training, Lee & Smith
-  BTB designs, Always Taken, BTFN, profiling, a return address stack, and
-  the Table 2 configuration-string parser.
+  BTB designs, Always Taken, BTFN, profiling, and the Table 2
+  configuration-string parser.
 * :mod:`repro.sim` — the trace-driven branch-prediction simulator and sweep
   runner with geometric-mean reporting.
 * :mod:`repro.experiments` — one runnable experiment per table/figure of the

@@ -13,7 +13,6 @@ Public surface:
 * :mod:`repro.predictors.btb` — Lee & Smith Branch Target Buffer designs (LS).
 * :mod:`repro.predictors.static_schemes` — Always Taken / Not Taken, BTFN,
   per-branch profiling.
-* :mod:`repro.predictors.ras` — return address stack (section 4 methodology).
 * :mod:`repro.predictors.spec` — the Table 2 naming-convention parser, which
   turns strings like ``"AT(AHRT(512,12SR),PT(2^12,A2))"`` into predictors.
 * :mod:`repro.predictors.extensions` — post-paper global-history variants
@@ -36,17 +35,10 @@ from repro.predictors.base import ConditionalBranchPredictor, measure_accuracy
 from repro.predictors.btb import LeeSmithPredictor
 from repro.predictors.cost import StorageCost, storage_cost
 from repro.predictors.extensions import GAgPredictor, GSharePredictor
-from repro.predictors.history import ShiftRegister
 from repro.predictors.hrt import AHRT, HHRT, IHRT, HistoryRegisterTable
 from repro.predictors.modern import PerceptronPredictor, TagePredictor, TageState
 from repro.predictors.pattern_table import PatternTable
-from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.spec import PredictorSpec, parse_spec
-from repro.predictors.target import (
-    BranchTargetBuffer,
-    TargetPredictionStats,
-    measure_target_prediction,
-)
 from repro.predictors.static_schemes import (
     AlwaysNotTaken,
     AlwaysTaken,
@@ -72,7 +64,6 @@ __all__ = [
     "AUTOMATA",
     "AlwaysNotTaken",
     "AlwaysTaken",
-    "BranchTargetBuffer",
     "Automaton",
     "BTFNPredictor",
     "CachedPredictionTwoLevel",
@@ -91,15 +82,11 @@ __all__ = [
     "ProfilePredictor",
     "TagePredictor",
     "TageState",
-    "ReturnAddressStack",
-    "ShiftRegister",
     "StorageCost",
     "StaticTrainingPredictor",
-    "TargetPredictionStats",
     "TwoLevelAdaptivePredictor",
     "automaton_by_name",
     "measure_accuracy",
-    "measure_target_prediction",
     "parse_spec",
     "profile_pattern_table",
     "storage_cost",

@@ -58,8 +58,9 @@ def measure_accuracy(
     ``records`` and return the prediction accuracy in [0, 1].
 
     This is the small-scale sibling of the full engine in
-    :mod:`repro.sim.engine` (which also tracks per-class statistics and
-    return-address-stack behaviour); examples and tests use this one.
+    :mod:`repro.sim.engine` (which returns the full
+    :class:`~repro.sim.results.PredictionStats`); examples and tests use
+    this one.
     """
     correct = 0
     total = 0

@@ -21,7 +21,6 @@ from repro.sim.backend import (
 from repro.sim.engine import simulate, simulate_packed
 from repro.sim.export import rows_to_markdown, sweep_to_csv, sweep_to_markdown
 from repro.sim.kernels import score_spec, simulate_spec
-from repro.sim.pipeline import PipelineConfig, PipelineResult, simulate_pipeline
 from repro.sim.results import (
     BenchmarkResult,
     PredictionStats,
@@ -40,8 +39,6 @@ __all__ = [
     "score_spec",
     "simulate_spec",
     "PatternConflictStats",
-    "PipelineConfig",
-    "PipelineResult",
     "PredictionStats",
     "SweepResult",
     "SweepRunner",
@@ -53,7 +50,6 @@ __all__ = [
     "simulate_packed",
     "sweep_to_csv",
     "sweep_to_markdown",
-    "simulate_pipeline",
     "convergence_point",
     "pattern_conflicts",
     "windowed_accuracy",

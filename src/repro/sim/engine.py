@@ -1,9 +1,8 @@
 """The branch-prediction simulator core.
 
-Mirrors the paper's methodology: the trace is decoded into branch classes;
-conditional branches go through the direction predictor under test
-(predict, verify, update); subroutine calls and returns exercise a return
-address stack; unconditional branches need no direction prediction.
+Mirrors the paper's methodology: conditional branches go through the
+direction predictor under test (predict, verify, update) and are scored;
+every other branch class needs no direction prediction and is skipped.
 
 The loop is kept minimal because a full sweep pushes tens of millions of
 records through it.
@@ -11,23 +10,17 @@ records through it.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.ras import ReturnAddressStack
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 from repro.trace.record import BranchClass, BranchRecord
-
-_CLS_MASK = 0x0E
-_RETURN_BITS = int(BranchClass.RETURN) << 1
-_CALL_BIT = 0x10
 
 
 def simulate(
     predictor: ConditionalBranchPredictor,
     records: Union[Iterable[BranchRecord], PackedTrace],
-    ras: Optional[ReturnAddressStack] = None,
 ) -> PredictionStats:
     """Run ``predictor`` over ``records`` and score it.
 
@@ -37,61 +30,32 @@ def simulate(
             :class:`~repro.trace.record.BranchRecord`, or a
             :class:`~repro.trace.columnar.PackedTrace`, which is dispatched
             to the columnar fast path :func:`simulate_packed` automatically.
-        ras: optional return address stack; when provided, call records push
-            return addresses and RETURN-class records are scored against the
-            popped prediction.
 
     Returns the accumulated :class:`~repro.sim.results.PredictionStats`.
     """
     if isinstance(records, PackedTrace):
-        return simulate_packed(predictor, records, ras)
-    stats = PredictionStats()
+        return simulate_packed(predictor, records)
     conditional_total = 0
     conditional_correct = 0
     predict = predictor.predict
     update = predictor.update
     CONDITIONAL = BranchClass.CONDITIONAL
-    RETURN = BranchClass.RETURN
 
-    if ras is None:
-        for record in records:
-            if record.cls is CONDITIONAL:
-                pc = record.pc
-                target = record.target
-                taken = record.taken
-                conditional_total += 1
-                if predict(pc, target) == taken:
-                    conditional_correct += 1
-                update(pc, target, taken)
-    else:
-        push = ras.push
-        pop = ras.pop
-        for record in records:
-            cls = record.cls
-            if cls is CONDITIONAL:
-                pc = record.pc
-                target = record.target
-                taken = record.taken
-                conditional_total += 1
-                if predict(pc, target) == taken:
-                    conditional_correct += 1
-                update(pc, target, taken)
-            elif cls is RETURN:
-                stats.returns_total += 1
-                if pop() == record.target:
-                    stats.returns_correct += 1
-            elif record.is_call:
-                push(record.pc + 4)
+    for record in records:
+        if record.cls is CONDITIONAL:
+            pc = record.pc
+            target = record.target
+            taken = record.taken
+            conditional_total += 1
+            if predict(pc, target) == taken:
+                conditional_correct += 1
+            update(pc, target, taken)
 
-    stats.conditional_total = conditional_total
-    stats.conditional_correct = conditional_correct
-    return stats
+    return PredictionStats(conditional_total, conditional_correct)
 
 
 def simulate_packed(
-    predictor: ConditionalBranchPredictor,
-    packed: PackedTrace,
-    ras: Optional[ReturnAddressStack] = None,
+    predictor: ConditionalBranchPredictor, packed: PackedTrace
 ) -> PredictionStats:
     """Columnar twin of :func:`simulate` over a :class:`PackedTrace`.
 
@@ -99,41 +63,16 @@ def simulate_packed(
     through :func:`simulate`: predictors see the same ``(pc, target, taken)``
     sequence with the same types, delivered through the fused
     :meth:`~repro.predictors.base.ConditionalBranchPredictor.observe` hook.
-    Without a RAS the loop touches only the precomputed conditional-branch
-    columns (non-conditional records cannot influence a direction
-    predictor).  Skipping the non-conditional records and the fused
-    single-lookup observe are where the speedup over the record-list loop
-    comes from.
+    The loop touches only the precomputed conditional-branch columns
+    (non-conditional records cannot influence a direction predictor).
+    Skipping the non-conditional records and the fused single-lookup
+    observe are where the speedup over the record-list loop comes from.
     """
-    stats = PredictionStats()
-    conditional_total = 0
     conditional_correct = 0
     observe = predictor.observe
-
-    if ras is None:
-        conditional_total = packed.num_conditional
-        for pc, target, taken in zip(
-            packed.cond_pc, packed.cond_target, packed.cond_taken
-        ):
-            if observe(pc, target, taken) == taken:
-                conditional_correct += 1
-    else:
-        push = ras.push
-        pop = ras.pop
-        for pc, target, flags in zip(packed.pc, packed.target, packed.flags):
-            cls_bits = flags & _CLS_MASK
-            if cls_bits == 0:  # conditional
-                taken = bool(flags & 1)
-                conditional_total += 1
-                if observe(pc, target, taken) == taken:
-                    conditional_correct += 1
-            elif cls_bits == _RETURN_BITS:
-                stats.returns_total += 1
-                if pop() == target:
-                    stats.returns_correct += 1
-            elif flags & _CALL_BIT:
-                push(pc + 4)
-
-    stats.conditional_total = conditional_total
-    stats.conditional_correct = conditional_correct
-    return stats
+    for pc, target, taken in zip(
+        packed.cond_pc, packed.cond_target, packed.cond_taken
+    ):
+        if observe(pc, target, taken) == taken:
+            conditional_correct += 1
+    return PredictionStats(packed.num_conditional, conditional_correct)

@@ -427,7 +427,7 @@ def simulate_spec(
     :func:`repro.sim.sweep.fused_stats` call.
 
     Returns exactly the :class:`PredictionStats` that
-    ``simulate(spec.build(...), packed)`` (no RAS) produces.  Raises
+    ``simulate(spec.build(...), packed)`` produces.  Raises
     :class:`~repro.errors.KernelError` for a scheme without a kernel or a
     missing training trace; use :func:`score_spec` for the backend-choosing
     entry point.

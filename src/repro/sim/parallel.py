@@ -15,10 +15,11 @@ the grid as (benchmark -> spec-group):
   cache is transparently given a temporary disk directory for the duration
   of the sweep.
 * Each task is a picklable ``(benchmark, spec strings, cap, backend,
-  cache results?)`` tuple: one task carries a benchmark's entire fused
-  group (scored by :meth:`~repro.sim.runner.SweepRunner.score_benchmark`
-  in a single trace pass), plus one task per scalar-fallback spec so the
-  slow scalar cells still spread across workers.  The backend is resolved
+  cache results?)`` tuple.  On the vector backend one task carries a
+  benchmark's whole spec list (scored by
+  :meth:`~repro.sim.runner.SweepRunner.score_benchmark` in a single fused
+  trace pass); on the scalar backend each spec is its own task, so the
+  slow scalar cells spread across workers.  The backend is resolved
   (``auto`` -> ``scalar`` or ``vector``) once in the coordinating process
   so every worker scores with the same engine, and the coordinator's
   result-cache choice rides along so workers share the persisted rows.
@@ -43,7 +44,7 @@ from repro.errors import WorkloadError
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
 from repro.sim.results import PredictionStats, SweepResult
-from repro.sim.sweep import SweepPlan, training_role
+from repro.sim.sweep import training_role
 from repro.workloads.base import TraceCache, get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -52,9 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: (benchmark, spec strings scored together, conditional-branch cap,
 #:  resolved backend, consult/fill the shared result cache?)
 Task = Tuple[str, Tuple[str, ...], int, str, bool]
-#: picklable flat result per spec: the four PredictionStats counters, or
+#: picklable flat result per spec: the two PredictionStats counters, or
 #: ``None`` for a cell skipped as unavailable (ST-Diff without training data)
-StatsTuple = Tuple[int, int, int, int]
+StatsTuple = Tuple[int, int]
 GroupResult = Tuple[Optional[StatsTuple], ...]
 
 _WORKER_CACHE: Optional[TraceCache] = None
@@ -91,14 +92,7 @@ def _run_task(task: Task) -> GroupResult:
     )
     rows = runner.score_benchmark(list(spec_texts), benchmark, skip_unavailable=True)
     return tuple(
-        None
-        if stats is None
-        else (
-            stats.conditional_total,
-            stats.conditional_correct,
-            stats.returns_total,
-            stats.returns_correct,
-        )
+        None if stats is None else (stats.conditional_total, stats.conditional_correct)
         for stats in rows
     )
 
@@ -131,14 +125,12 @@ def _check_available(
 def _plan_groups(
     specs: Sequence[PredictorSpec], backend: str
 ) -> List[Tuple[int, ...]]:
-    """Spec-index groups in deterministic order: the fused group first
-    (one trace pass per benchmark), then each scalar-fallback spec alone."""
-    plan = SweepPlan(specs, backend)
-    groups: List[Tuple[int, ...]] = []
-    if plan.fused:
-        groups.append(tuple(plan.fused))
-    groups.extend((index,) for index in plan.scalar)
-    return groups
+    """Spec-index groups in deterministic order: on the vector backend the
+    whole list (one fused trace pass per benchmark), on the scalar backend
+    each spec alone."""
+    if backend == "vector":
+        return [tuple(range(len(specs)))] if specs else []
+    return [(index,) for index in range(len(specs))]
 
 
 def _warm_disk_cache(
@@ -241,10 +233,5 @@ def _merge(
         for index, flat in zip(group, rows):
             if flat is None:
                 continue
-            scored[(index, benchmark)] = PredictionStats(
-                conditional_total=flat[0],
-                conditional_correct=flat[1],
-                returns_total=flat[2],
-                returns_correct=flat[3],
-            )
+            scored[(index, benchmark)] = PredictionStats(*flat)
     return runner.assemble(specs, scored)

@@ -42,7 +42,7 @@ __all__ = ["ResultCache", "ResultEntry", "result_key"]
 
 #: bump to invalidate every persisted row (file schema change); a change
 #: to one family's predictions bumps that family's ``semantics`` instead
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SUFFIX = ".json"
 
@@ -119,7 +119,7 @@ class ResultCache:
         ):
             return None
         stats = payload.get("stats")
-        if not isinstance(stats, list) or len(stats) != 4:
+        if not isinstance(stats, list) or len(stats) != 2:
             return None
         try:
             counters = [int(value) for value in stats]
@@ -146,8 +146,6 @@ class ResultCache:
             "stats": [
                 stats.conditional_total,
                 stats.conditional_correct,
-                stats.returns_total,
-                stats.returns_correct,
             ],
         }
         path = self._path(digest)

@@ -30,8 +30,6 @@ class PredictionStats:
 
     conditional_total: int = 0
     conditional_correct: int = 0
-    returns_total: int = 0
-    returns_correct: int = 0
 
     @property
     def accuracy(self) -> float:
@@ -44,13 +42,6 @@ class PredictionStats:
     def miss_rate(self) -> float:
         """1 - accuracy: the pipeline-flush rate the paper emphasises."""
         return 1.0 - self.accuracy if self.conditional_total else 0.0
-
-    @property
-    def return_accuracy(self) -> float:
-        """Return-address-stack target prediction accuracy."""
-        if not self.returns_total:
-            return 0.0
-        return self.returns_correct / self.returns_total
 
 
 @dataclass

@@ -17,7 +17,7 @@ from repro.sim.backend import resolve_backend
 from repro.sim.kernels import score_spec
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import BenchmarkResult, PredictionStats, SweepResult
-from repro.sim.sweep import SweepPlan, TraceContext, fused_stats, training_role
+from repro.sim.sweep import TraceContext, fused_stats, training_role
 from repro.trace.record import BranchRecord
 from repro.workloads.base import (
     DEFAULT_CONDITIONAL_BRANCHES,
@@ -188,10 +188,8 @@ class SweepRunner:
             available.append(index)
 
         backend = resolve_backend(self.backend)
-        plan = SweepPlan([parsed[index] for index in available], backend)
-        fused_pending: List[int] = []
-        scalar_pending: List[int] = []
-        for position, index in enumerate(available):
+        pending: List[int] = []
+        for index in available:
             spec = parsed[index]
             if self.result_cache is not None:
                 test_stem, train_stem = self._cell_stems(spec, workload)
@@ -201,32 +199,30 @@ class SweepRunner:
                 if hit is not None:
                     results[index] = hit
                     continue
-            if position in plan.fused:
-                fused_pending.append(index)
-            else:
-                scalar_pending.append(index)
+            pending.append(index)
 
-        if fused_pending:
-            pending = [parsed[index] for index in fused_pending]
+        if backend != "vector":
+            for index in pending:
+                results[index] = self.run_one(parsed[index], benchmark).stats
+        elif pending:
+            pending_specs = [parsed[index] for index in pending]
             trace = self.cache.get(workload, "test", self.max_conditional)
             trainings: Dict[str, TraceContext] = {}
             context = TraceContext(trace.packed())
-            roles = {training_role(spec) for spec in pending}
+            roles = {training_role(spec) for spec in pending_specs}
             if "test" in roles:
                 trainings["test"] = context
             if "train" in roles:
                 training = self._role_trace(benchmark, "train")
                 trainings["train"] = TraceContext(training.packed())
             fused_rows = fused_stats(
-                pending, trace.packed(), context=context,
+                pending_specs, trace.packed(), context=context,
                 training_contexts=trainings,
             )
-            for index, stats in zip(fused_pending, fused_rows):
+            for index, stats in zip(pending, fused_rows):
                 results[index] = stats
-        for index in scalar_pending:
-            results[index] = self.run_one(parsed[index], benchmark).stats
         if self.result_cache is not None:
-            for index in fused_pending + scalar_pending:
+            for index in pending:
                 stats = results[index]
                 if stats is None:
                     continue

@@ -57,7 +57,6 @@ from repro.trace.columnar import PackedTrace
 
 __all__ = [
     "TraceContext",
-    "SweepPlan",
     "training_role",
     "fused_stats",
     "fused_per_site",
@@ -700,21 +699,3 @@ def _contexts(
     for role, trace in (trainings or {}).items():
         built[role] = ctx if trace is packed else TraceContext(trace)
     return ctx, built
-
-
-# ----------------------------------------------------------------------
-# sweep planning
-# ----------------------------------------------------------------------
-class SweepPlan:
-    """How a spec list splits into the fused group and per-spec scoring.
-
-    On the vector backend the fused kernel handles every spec; on the
-    scalar backend each spec takes the per-spec scalar path.
-    """
-
-    def __init__(self, specs: Sequence[PredictorSpec], backend: str):
-        self.specs = list(specs)
-        self.backend = backend
-        everything = list(range(len(self.specs)))
-        self.fused: List[int] = everything if backend == "vector" else []
-        self.scalar: List[int] = [] if backend == "vector" else everything

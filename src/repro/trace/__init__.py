@@ -1,4 +1,5 @@
-"""Trace plumbing: record model, binary format, streams, statistics.
+"""Trace plumbing: record model, columnar packing, binary and text
+formats, the content-addressed trace store, statistics.
 
 This subpackage is the contract between the trace *producers* (the ISA
 simulator in :mod:`repro.isa`, the synthetic generators in
@@ -16,7 +17,6 @@ from repro.trace.stats import (
     static_branch_census,
     taken_rate,
 )
-from repro.trace.stream import limit_conditional, only_conditional, tee_records
 from repro.trace.text_format import read_text_trace, write_text_trace
 
 __all__ = [
@@ -26,15 +26,12 @@ __all__ = [
     "PackedTrace",
     "StaticBranchCensus",
     "collect_mix",
-    "limit_conditional",
-    "only_conditional",
     "pack_records",
     "read_packed_trace",
     "read_text_trace",
     "read_trace",
     "static_branch_census",
     "taken_rate",
-    "tee_records",
     "write_text_trace",
     "write_trace",
 ]

@@ -14,10 +14,9 @@ plus three *derived* conditional-only columns (``cond_pc``, ``cond_target``,
 ``cond_taken``) so the direction-predictor hot loop in
 :func:`repro.sim.engine.simulate_packed` touches nothing but the records it
 scores.  The derived columns are computed lazily on first access (flag
-validation still happens eagerly in ``__init__``): warm cache loads,
-RAS-path simulations and the vectorized kernel backend never pay for boxed
-tuples they do not read.  The round-trip
-``records -> pack_records -> to_records`` is
+validation still happens eagerly in ``__init__``): warm cache loads and
+the vectorized kernel backend never pay for boxed tuples they do not
+read.  The round-trip ``records -> pack_records -> to_records`` is
 lossless for every valid branch record (32-bit addresses, all four branch
 classes, both flag bits).
 
@@ -100,9 +99,8 @@ class PackedTrace:
         # the stats plumbing and is cheap, unlike the boxed columns below.
         self._num_conditional = sum(flags.translate(_CONDITIONAL_TABLE))
         # The derived conditional-only columns are computed lazily (cached
-        # on first access): warm cache loads and RAS-path simulations never
-        # touch them, and the vector backend reads the raw byte columns
-        # directly.
+        # on first access): warm cache loads never touch them, and the
+        # vector backend reads the raw byte columns directly.
         self._cond_columns: Optional[
             Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[bool, ...]]
         ] = None

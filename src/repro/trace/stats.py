@@ -69,44 +69,6 @@ def static_branch_census(records: Iterable[BranchRecord]) -> StaticBranchCensus:
     return census
 
 
-class SiteProfile:
-    """Dynamic behaviour of one static branch site."""
-
-    __slots__ = ("pc", "cls", "executions", "taken", "targets")
-
-    def __init__(self, pc: int, cls: BranchClass):
-        self.pc = pc
-        self.cls = cls
-        self.executions = 0
-        self.taken = 0
-        self.targets: Set[int] = set()
-
-    @property
-    def taken_rate(self) -> float:
-        return self.taken / self.executions if self.executions else 0.0
-
-
-def branch_site_profile(records: Iterable[BranchRecord]) -> Dict[int, SiteProfile]:
-    """Per-site dynamic profile: executions, taken count, observed targets.
-
-    The dynamic counterpart of the static analyzer's
-    :func:`repro.analysis.branches.static_branch_table` — the two views are
-    compared site by site in :mod:`repro.analysis.crossval`.  Sites with a
-    single observed target have a statically-encoded destination; returns
-    and register-indirect jumps typically accumulate several.
-    """
-    profiles: Dict[int, SiteProfile] = {}
-    for record in records:
-        profile = profiles.get(record.pc)
-        if profile is None:
-            profile = profiles[record.pc] = SiteProfile(record.pc, record.cls)
-        profile.executions += 1
-        if record.taken:
-            profile.taken += 1
-        profile.targets.add(record.target)
-    return profiles
-
-
 def conditional_pc_histogram(records: Iterable[BranchRecord]) -> Dict[int, int]:
     """Dynamic execution count per static conditional branch.
 

@@ -69,32 +69,6 @@ def loop_branch(
     return periodic_branch(pattern, iterations, pc=pc)
 
 
-def markov_branch(
-    p_stay_taken: float,
-    p_stay_not_taken: float,
-    count: int,
-    pc: int = _TEXT_BASE,
-    seed: int = 0,
-) -> Iterator[BranchRecord]:
-    """A two-state Markov branch (outcome correlates with previous outcome).
-
-    ``p_stay_taken`` is P(taken | previous taken); ``p_stay_not_taken`` is
-    P(not taken | previous not taken).  High self-transition probabilities
-    produce runs, which last-time predictors handle well; low ones produce
-    alternation, which they handle catastrophically.
-    """
-    for name, p in (("p_stay_taken", p_stay_taken), ("p_stay_not_taken", p_stay_not_taken)):
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"{name} must be within [0, 1]")
-    rng = random.Random(seed)
-    taken = True
-    for _ in range(count):
-        yield _record(pc, taken)
-        stay = p_stay_taken if taken else p_stay_not_taken
-        if rng.random() >= stay:
-            taken = not taken
-
-
 def interleaved(
     branch_specs: Sequence[Tuple[int, Sequence[bool]]], repetitions: int
 ) -> Iterator[BranchRecord]:

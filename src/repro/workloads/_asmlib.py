@@ -2,10 +2,8 @@
 
 Workload generators build programs from Python, so repeated idioms live here:
 deterministic data tables, the linear-congruential random step, and the
-"pattern scanner" kernel that gives a branch site an exact periodic outcome
-sequence (the behaviour class where two-level prediction decisively beats
-per-branch counters, and the reason the analogs reproduce the paper's
-orderings).
+cold-branch auxiliary phase that gives every analog a realistic long tail
+of rarely executed static branches.
 """
 
 from __future__ import annotations
@@ -32,12 +30,6 @@ def random_words(seed: int, count: int, lo: int = 0, hi: int = 0x7FFFFFFF) -> Li
     return [rng.randint(lo, hi) for _ in range(count)]
 
 
-def random_bits(seed: int, count: int, taken_probability: float = 0.5) -> List[int]:
-    """Deterministic table of 0/1 words with the given bias."""
-    rng = random.Random(seed)
-    return [1 if rng.random() < taken_probability else 0 for _ in range(count)]
-
-
 def lcg_step(state_reg: str, tmp_reg: str) -> str:
     """Assembly for one step of a 31-bit linear congruential generator:
     ``state = (state * 1103515245 + 12345) & 0x7FFFFFFF``.
@@ -53,52 +45,6 @@ def lcg_step(state_reg: str, tmp_reg: str) -> str:
             f"    shri {state_reg}, {state_reg}, 1",
         ]
     )
-
-
-def scanner_kernel(
-    label_prefix: str,
-    table_label: str,
-    table_length: int,
-    index_reg: str = "r24",
-    base_reg: str = "r25",
-    value_reg: str = "r26",
-    work_reg: str = "r27",
-) -> str:
-    """A loop body fragment that reads the next word of a cyclic table.
-
-    Emits code that loads ``table[index]`` into ``value_reg`` and advances
-    ``index`` modulo ``table_length``.  Callers branch on bits/values of
-    ``value_reg``; since the table is fixed and rescanned cyclically, each
-    such branch site sees an exactly periodic outcome pattern of period
-    ``table_length``.
-
-    The caller must have loaded ``base_reg`` with the table address and
-    zeroed ``index_reg`` beforehand.
-    """
-    return "\n".join(
-        [
-            f"{label_prefix}_fetch:",
-            f"    shli {work_reg}, {index_reg}, 2",
-            f"    add  {work_reg}, {work_reg}, {base_reg}",
-            f"    ld   {value_reg}, 0({work_reg})",
-            f"    addi {index_reg}, {index_reg}, 1",
-            f"    li   {work_reg}, {table_length}",
-            f"    blt  {index_reg}, {work_reg}, {label_prefix}_nowrap",
-            f"    li   {index_reg}, 0",
-            f"{label_prefix}_nowrap:",
-        ]
-    )
-
-
-def periodic_pattern_words(seed: int, period: int, taken_probability: float = 0.6) -> List[int]:
-    """A short 0/1 pattern for one scanner table (one word per position)."""
-    rng = random.Random(seed)
-    pattern = [1 if rng.random() < taken_probability else 0 for _ in range(period)]
-    # Guarantee the pattern is mixed (monotone patterns are trivially
-    # predictable by every scheme, which would not exercise anything).
-    if all(pattern) or not any(pattern):
-        pattern[rng.randrange(period)] ^= 1
-    return pattern
 
 
 def aux_phase(

@@ -1,7 +1,6 @@
-"""Simulation engine: scoring, RAS wiring."""
+"""Simulation engine: scoring."""
 
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.ras import ReturnAddressStack
 from repro.sim.engine import simulate
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -45,39 +44,3 @@ class TestScoring:
         stats = simulate(_Oracle([]), [])
         assert stats.accuracy == 0.0
         assert stats.miss_rate == 0.0
-
-
-class TestReturnAddressStack:
-    def test_returns_scored_against_stack(self):
-        trace = [
-            BranchRecord(0x100, BranchClass.IMM_UNCONDITIONAL, True, 0x500, True),
-            BranchRecord(0x510, BranchClass.RETURN, True, 0x104),
-        ]
-        stats = simulate(_Oracle([]), trace, ras=ReturnAddressStack(8))
-        assert stats.returns_total == 1
-        assert stats.returns_correct == 1
-        assert stats.return_accuracy == 1.0
-
-    def test_overflow_causes_return_misses(self):
-        trace = []
-        for depth in range(6):  # six nested calls into a 4-deep stack
-            trace.append(
-                BranchRecord(
-                    0x100 + 16 * depth, BranchClass.REG_UNCONDITIONAL, True, 0x1000, True
-                )
-            )
-        for depth in reversed(range(6)):
-            trace.append(
-                BranchRecord(0x2000, BranchClass.RETURN, True, 0x104 + 16 * depth)
-            )
-        stats = simulate(_Oracle([]), trace, ras=ReturnAddressStack(4))
-        assert stats.returns_total == 6
-        assert stats.returns_correct == 4  # the two oldest were overwritten
-
-    def test_plain_jump_does_not_push(self):
-        trace = [
-            BranchRecord(0x100, BranchClass.IMM_UNCONDITIONAL, True, 0x500, False),
-            BranchRecord(0x510, BranchClass.RETURN, True, 0x104),
-        ]
-        stats = simulate(_Oracle([]), trace, ras=ReturnAddressStack(8))
-        assert stats.returns_correct == 0

@@ -40,7 +40,6 @@ class TestPredictionStats:
         stats = PredictionStats()
         assert stats.accuracy == 0.0
         assert stats.miss_rate == 0.0
-        assert stats.return_accuracy == 0.0
 
 
 def _result(scheme, benchmark, correct, total=100):

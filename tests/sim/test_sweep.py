@@ -16,6 +16,8 @@ entries degrading to misses.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,7 +32,6 @@ from repro.sim.results import PredictionStats
 from repro.sim.runner import SweepRunner
 from repro.sim.streaming import KeyedState
 from repro.sim.sweep import (
-    SweepPlan,
     _branch_history,
     _ScanBatch,
     fused_stats,
@@ -116,14 +117,6 @@ class TestFusedProperty:
             fused = fused_stats(specs, packed, trainings={"test": packed})
             assert fused == _per_spec_stats(specs, packed), f"{name}/{role}"
 
-    def test_plan_groups_cover_every_spec(self):
-        specs = [parse_spec(text) for text in FUSABLE_SPECS]
-        plan = SweepPlan(specs, "vector")
-        assert sorted(list(plan.fused) + list(plan.scalar)) == list(
-            range(len(specs))
-        )
-        assert SweepPlan(specs, "scalar").fused == []
-
     def test_training_roles(self):
         assert training_role(parse_spec("Profile")) == "test"
         assert training_role(parse_spec("ST(IHRT(,4SR),PT(2^4,PB),Same)")) == "test"
@@ -207,12 +200,7 @@ class TestParallelFusedGroups:
 
 
 class TestResultCache:
-    STATS = PredictionStats(
-        conditional_total=100,
-        conditional_correct=88,
-        returns_total=7,
-        returns_correct=7,
-    )
+    STATS = PredictionStats(conditional_total=100, conditional_correct=88)
 
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path / "results")
@@ -241,6 +229,11 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "results")
         cache.put("BTFN", "li-test-300-x", None, "vector", self.STATS)
         (entry,) = cache.root.glob("*.json")
+        # a row with the four counters of the format-1 layout
+        payload = json.loads(entry.read_text())
+        payload["stats"] = [100, 88, 7, 7]
+        entry.write_text(json.dumps(payload))
+        assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
         entry.write_text('{"format": 1, "spec": "Profile"}')
         assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
         entry.write_text("not json at all")

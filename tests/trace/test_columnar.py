@@ -9,7 +9,6 @@ from repro.errors import TraceFormatError
 from repro.predictors.automata import A2
 from repro.predictors.hrt import AHRT
 from repro.predictors.pattern_table import PatternTable
-from repro.predictors.ras import ReturnAddressStack
 from repro.predictors.two_level import TwoLevelAdaptivePredictor
 from repro.sim.engine import simulate, simulate_packed
 from repro.trace.columnar import (
@@ -108,20 +107,6 @@ class TestSimulatePacked:
         packed = simulate_packed(
             TwoLevelAdaptivePredictor(AHRT(128), PatternTable(8, A2)),
             pack_records(records),
-        )
-        assert packed == baseline
-
-    def test_matches_record_loop_with_ras(self):
-        records = self._trace()
-        baseline = simulate(
-            TwoLevelAdaptivePredictor(AHRT(128), PatternTable(8, A2)),
-            records,
-            ras=ReturnAddressStack(8),
-        )
-        packed = simulate_packed(
-            TwoLevelAdaptivePredictor(AHRT(128), PatternTable(8, A2)),
-            pack_records(records),
-            ras=ReturnAddressStack(8),
         )
         assert packed == baseline
 

@@ -10,7 +10,6 @@ from repro.trace.synthetic import (
     biased_branch,
     interleaved,
     loop_branch,
-    markov_branch,
     periodic_branch,
     random_program,
 )
@@ -59,30 +58,6 @@ class TestBiasedBranch:
     def test_invalid_probability(self):
         with pytest.raises(ConfigError):
             list(biased_branch(1.5, 10))
-
-
-class TestMarkovBranch:
-    def test_sticky_chain_produces_runs(self):
-        records = list(markov_branch(0.95, 0.95, 2000, seed=1))
-        flips = sum(
-            1
-            for previous, current in zip(records, records[1:])
-            if previous.taken != current.taken
-        )
-        assert flips < 400  # far fewer than the ~1000 of a fair coin
-
-    def test_anti_sticky_chain_alternates(self):
-        records = list(markov_branch(0.02, 0.02, 1000, seed=1))
-        flips = sum(
-            1
-            for previous, current in zip(records, records[1:])
-            if previous.taken != current.taken
-        )
-        assert flips > 900
-
-    def test_invalid_probability(self):
-        with pytest.raises(ConfigError):
-            list(markov_branch(-0.1, 0.5, 10))
 
 
 class TestInterleaved:

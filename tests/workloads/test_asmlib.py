@@ -6,8 +6,6 @@ from repro.workloads._asmlib import (
     aux_phase,
     join_sections,
     lcg_step,
-    periodic_pattern_words,
-    random_bits,
     random_words,
     words_directive,
 )
@@ -37,15 +35,6 @@ class TestWordsDirective:
 class TestGenerators:
     def test_random_words_deterministic(self):
         assert random_words(5, 10) == random_words(5, 10)
-
-    def test_random_bits_bias(self):
-        bits = random_bits(1, 5000, taken_probability=0.8)
-        assert 0.75 < sum(bits) / len(bits) < 0.85
-
-    def test_periodic_pattern_always_mixed(self):
-        for seed in range(40):
-            pattern = periodic_pattern_words(seed, 5, taken_probability=0.95)
-            assert 0 < sum(pattern) < 5
 
 
 class TestLcgStep:

@@ -10,6 +10,7 @@ import pytest
 from repro.isa.assembler import assemble
 from repro.predictors.base import measure_accuracy
 from repro.predictors.spec import parse_spec
+from repro.trace.record import BranchClass
 from repro.trace.stats import conditional_pc_histogram, taken_rate
 from repro.workloads.base import get_workload
 
@@ -106,13 +107,15 @@ class TestLi:
         assert mix.returns > 0.005 * mix.total_branches
 
     def test_deep_recursion_exercises_ras(self, traces):
-        from repro.predictors.ras import ReturnAddressStack
-        from repro.sim.engine import simulate
-        from repro.predictors.static_schemes import AlwaysTaken
-
-        shallow = ReturnAddressStack(2)
-        simulate(AlwaysTaken(), traces("li").records, ras=shallow)
-        assert shallow.overflows > 0  # hanoi/queens recursion exceeds depth 2
+        """Calls nest deep enough to overflow a two-entry return stack."""
+        depth = deepest = 0
+        for record in traces("li").records:
+            if record.is_call:
+                depth += 1
+                deepest = max(deepest, depth)
+            elif record.cls is BranchClass.RETURN:
+                depth = max(depth - 1, 0)
+        assert deepest > 2  # hanoi/queens recursion exceeds depth 2
 
     def test_train_is_hanoi_dominant(self, trace_cache):
         """The training input must look different: hanoi's regular recursion
