@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, List, Optional
@@ -86,6 +87,14 @@ def _count_arg(minimum: int) -> Callable[[str], int]:
         return value
 
     return parse
+
+
+def _finite_or_null(row: dict) -> dict:
+    """``row`` with its non-finite floats as ``None``, which JSON writes as null."""
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in row.items()
+    }
 
 
 def _human_bytes(count: float) -> str:
@@ -458,7 +467,7 @@ def _cmd_h2p(args: argparse.Namespace) -> int:
                     "exp_id": report.exp_id,
                     "title": report.title,
                     "schemes": list(SPECS),
-                    "rows": report.rows,
+                    "rows": [_finite_or_null(row) for row in report.rows],
                     "sites": sites,
                     "shape_checks": [
                         {
@@ -471,6 +480,7 @@ def _cmd_h2p(args: argparse.Namespace) -> int:
                     "notes": report.notes,
                 },
                 indent=2,
+                allow_nan=False,
             )
         )
     else:

@@ -16,11 +16,16 @@ vector backend is available and through the scalar replay loop otherwise;
 a parity shape-check additionally scores the modern schemes on the scalar
 engine and asserts the totals agree, so `repro h2p` doubles as an
 end-to-end vector/scalar parity gate in CI.
+
+The report (:func:`run`) and the site table (:func:`site_table`) share one
+pass per benchmark per :class:`TraceCache`: the static analysis and the
+per-site maps are computed once and kept only as long as that cache lives.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+import weakref
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.reporting import ExperimentReport, ShapeCheck
 from repro.isa.assembler import assemble
@@ -45,19 +50,32 @@ MODERN_SPECS = (PERCEPTRON_SPEC, TAGE_SPEC)
 DEFAULT_TOP = 5
 
 
-def _per_site_maps(
-    spec_texts: Sequence[str], records, backend: str
-) -> Dict[str, Dict[int, Tuple[int, int]]]:
-    """Per-site (correct, total) per scheme — fused when possible."""
-    from repro.sim.analysis import per_site_accuracy_many, per_site_accuracy_specs
+#: per-cache memo of :func:`_benchmark_pass`; an entry dies with its cache
+_PASSES: "weakref.WeakKeyDictionary[TraceCache, dict]" = weakref.WeakKeyDictionary()
 
-    named = {text: text for text in spec_texts}
-    if backend != "scalar":
-        fused = per_site_accuracy_specs(named, records)
-        if fused is not None:
-            return fused
-    predictors = {text: parse_spec(text).build() for text in spec_texts}
-    return per_site_accuracy_many(predictors, records)
+
+def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend: str):
+    """(static report, test trace, per-site (correct, total) maps of SPECS)
+    for one benchmark, computed once per cache — fused when possible."""
+    memo = _PASSES.setdefault(cache, {})
+    key = (name, max_conditional, backend)
+    if key not in memo:
+        import repro.sim.analysis as sim_analysis
+        from repro.analysis import analyze_program
+
+        workload = get_workload(name)
+        program = assemble(workload.build_source(workload.dataset("test")))
+        static = analyze_program(program, max_conditional, name=name)
+        trace = cache.get(workload, "test", max_conditional)
+        maps = None
+        if backend != "scalar":
+            named = {text: text for text in SPECS}
+            maps = sim_analysis.per_site_accuracy_specs(named, trace.records)
+        if maps is None:
+            predictors = {text: parse_spec(text).build() for text in SPECS}
+            maps = sim_analysis.per_site_accuracy_many(predictors, trace.records)
+        memo[key] = (static, trace, maps)
+    return memo[key]
 
 
 def run(
@@ -68,7 +86,6 @@ def run(
     backend: str = "auto",
     top: int = DEFAULT_TOP,
 ) -> ExperimentReport:
-    from repro.analysis import analyze_program
     from repro.sim.kernels import score_spec
 
     del jobs  # one fused pass per benchmark; nothing to farm out
@@ -83,15 +100,10 @@ def run(
     overall: Dict[str, list] = {text: [] for text in SPECS}
 
     for name in names:
-        workload = get_workload(name)
-        dataset = workload.dataset("test")
-        program = assemble(workload.build_source(dataset))
-        static = analyze_program(program, max_conditional, name=name)
+        static, trace, maps = _benchmark_pass(name, max_conditional, cache, backend)
         h2p_sites = static.h2p_top(top)
         if not h2p_sites:
             missing_h2p.append(name)
-        trace = cache.get(workload, "test", max_conditional)
-        maps = _per_site_maps(SPECS, trace.records, backend)
 
         # vector/scalar parity on the modern schemes: the per-site pipeline
         # must reproduce the scalar engine's totals exactly
@@ -181,19 +193,12 @@ def site_table(
     top: int = DEFAULT_TOP,
 ) -> list:
     """Per-H2P-site misprediction counts (the `repro h2p` detail table)."""
-    from repro.analysis import analyze_program
-
     names = list(benchmarks) if benchmarks else workload_names()
     cache = cache or TraceCache()
     rows = []
     for name in names:
-        workload = get_workload(name)
-        dataset = workload.dataset("test")
-        program = assemble(workload.build_source(dataset))
-        static = analyze_program(program, max_conditional, name=name)
+        static, _trace, maps = _benchmark_pass(name, max_conditional, cache, backend)
         h2p_sites = static.h2p_top(top)
-        trace = cache.get(workload, "test", max_conditional)
-        maps = _per_site_maps(SPECS, trace.records, backend)
         for rank, pc in enumerate(h2p_sites, start=1):
             row = {"benchmark": name, "rank": rank, "pc": f"{pc:#x}"}
             for text in SPECS:

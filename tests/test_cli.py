@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -332,3 +334,34 @@ class TestCountValidation:
         assert args.jobs == 0
         assert build_parser().parse_args(["trace", "li", "--hot", "0"]).hot == 0
         assert build_parser().parse_args(["h2p", "--top", "1"]).top == 1
+
+
+class TestH2p:
+    @staticmethod
+    def _strict_json(text):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    def test_json_report(self, capsys):
+        from repro.experiments.fig11_h2p import SPECS
+
+        main(["h2p", "--benchmarks", "eqntott", "--scale", "4000", "--json", "--no-cache"])
+        report = self._strict_json(capsys.readouterr().out)
+        assert set(report) == {
+            "version", "exp_id", "title", "schemes", "rows", "sites",
+            "shape_checks", "notes",
+        }
+        assert report["exp_id"] == "fig11"
+        assert report["schemes"] == list(SPECS)
+        assert len(report["rows"]) == len(SPECS)
+        assert len(report["sites"]) == 5  # the default --top
+
+    def test_zero_mass_recovery_is_null(self, capsys):
+        # matrix300 at this scale has no static H2P site, so AT carries no
+        # misprediction mass on them and recovery is undefined
+        main(["h2p", "--benchmarks", "matrix300", "--scale", "2000", "--json", "--no-cache"])
+        report = self._strict_json(capsys.readouterr().out)
+        assert report["rows"]
+        assert all(row["recovered vs AT"] is None for row in report["rows"])
