@@ -574,8 +574,7 @@ def _replay_per_site(
     correct: Dict[int, int] = {}
     total: Dict[int, int] = {}
     for record in records:
-        prediction = predictor.predict(record.pc, record.target)
-        predictor.update(record.pc, record.target, record.taken)
+        prediction = predictor.observe(record.pc, record.target, record.taken)
         total[record.pc] = total.get(record.pc, 0) + 1
         if prediction == record.taken:
             correct[record.pc] = correct.get(record.pc, 0) + 1

@@ -40,10 +40,6 @@ class _Modern(Family):
     def make(self, first: int, second: Optional[int], text: str) -> PredictorSpec:
         raise NotImplementedError
 
-    def reserve(self, spec: PredictorSpec, ctx: Any) -> None:
-        assert spec.history_length is not None
-        ctx.reserve_global(spec.history_length, 0)
-
 
 class _Perceptron(_Modern):
     scheme = "Perceptron"
@@ -75,23 +71,29 @@ class _Perceptron(_Modern):
         return StorageCost(hrt_bits=h, tag_bits=0, pattern_bits=spec.rows * (h + 1) * 8)
 
     def direct_mask(self, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]) -> Any:
-        from repro.sim.kernels import _perceptron_predictions, _perceptron_table
-
-        np = ctx.np
-        h = spec.history_length
-        assert h is not None and spec.rows is not None
-        histories = ctx.global_history(h, 0)
-        rows_index = (ctx.pc >> 2) % spec.rows
-        prediction = np.empty(len(ctx), dtype=bool)
-        for rows, weights in ctx.sessions(("weights",), lambda: _perceptron_table(np, spec)):
-            prediction[rows] = _perceptron_predictions(
-                np, rows_index[rows], histories[rows], ctx.taken[rows], h, weights
-            )
-        return prediction == ctx.taken_bool
+        """One scalar predictor per session, driven through its fused
+        ``observe``.  Training fires on about a quarter of the records, too
+        often for a columnar scan over the weight rows to beat this loop."""
+        correct = ctx.np.empty(len(ctx), dtype=bool)
+        for rows, predictor in ctx.sessions(("perceptron",), lambda: self.build(spec)):
+            observe = predictor.observe
+            correct[rows] = [
+                observe(pc, target, taken) == taken
+                for pc, target, taken in zip(
+                    ctx.pc[rows].tolist(),
+                    ctx.target[rows].tolist(),
+                    ctx.taken_bool[rows].tolist(),
+                )
+            ]
+        return correct
 
 
 class _Tage(_Modern):
     scheme = "TAGE"
+
+    def reserve(self, spec: PredictorSpec, ctx: Any) -> None:
+        assert spec.history_length is not None
+        ctx.reserve_global(spec.history_length, 0)
 
     def make(self, first: int, second: Optional[int], text: str) -> PredictorSpec:
         if not 1 <= first <= MAX_TABLES:

@@ -22,6 +22,7 @@ class whenever the correlated sources fall inside the history window.
 
 from __future__ import annotations
 
+from operator import add, mul, sub
 from typing import List
 
 from repro.errors import ConfigError
@@ -34,8 +35,9 @@ WEIGHT_MAX = 127
 #: default number of weight-vector rows (4 KB-class table at h=12).
 DEFAULT_ROWS = 512
 
-#: widest supported history: history registers are replayed as int64
-#: columns by the vector kernels, so the window must fit 62 bits.
+#: widest supported history.  The predictor keeps its history as a list,
+#: so no int64 column bounds it; the limit only fixes which specs the
+#: grammar accepts.
 MAX_HISTORY = 62
 
 
@@ -48,9 +50,11 @@ class PerceptronPredictor(ConditionalBranchPredictor):
     """Global-history perceptron predictor (Jiménez & Lin, HPCA 2001).
 
     ``history_length`` is the global-history window ``h``; ``rows`` the
-    number of weight vectors (selected by ``(pc >> 2) % rows``).  Bit
-    ``j-1`` of the history register is the outcome ``j`` branches ago,
-    matching the repo's other global-history predictors (gshare init-0).
+    number of weight vectors (selected by ``(pc >> 2) % rows``).  The
+    history is kept as the bipolar input vector itself: ``x_j`` is the
+    outcome ``j`` branches ago, and every ``x_j`` starts at ``-1``
+    (not taken), matching the repo's other global-history predictors
+    (gshare init-0).
     """
 
     def __init__(self, history_length: int, rows: int = DEFAULT_ROWS):
@@ -64,46 +68,38 @@ class PerceptronPredictor(ConditionalBranchPredictor):
         self.history_length = history_length
         self.rows = rows
         self.theta = perceptron_threshold(history_length)
-        self._mask = (1 << history_length) - 1
-        self._weights: List[List[int]] = [
-            [0] * (history_length + 1) for _ in range(rows)
-        ]
-        self._history = 0
+        self.reset()
 
     # ------------------------------------------------------------------
-    def _output(self, pc: int) -> int:
-        weights = self._weights[(pc >> 2) % self.rows]
-        y = weights[0]
-        history = self._history
-        for i in range(self.history_length):
-            if (history >> i) & 1:
-                y += weights[i + 1]
-            else:
-                y -= weights[i + 1]
-        return y
-
     def predict(self, pc: int, target: int) -> bool:
-        return self._output(pc) >= 0
+        row = self._weights[(pc >> 2) % self.rows]
+        return sum(map(mul, row, self._inputs)) >= 0
 
     def update(self, pc: int, target: int, taken: bool) -> None:
-        y = self._output(pc)
+        self.observe(pc, target, taken)
+
+    def observe(self, pc: int, target: int, taken: bool) -> bool:
+        index = (pc >> 2) % self.rows
+        row = self._weights[index]
+        inputs = self._inputs
+        y = sum(map(mul, row, inputs))
         if (y >= 0) != taken or abs(y) <= self.theta:
-            weights = self._weights[(pc >> 2) % self.rows]
-            step = 1 if taken else -1
-            weights[0] = min(WEIGHT_MAX, max(WEIGHT_MIN, weights[0] + step))
-            history = self._history
-            for i in range(self.history_length):
-                delta = step if (history >> i) & 1 else -step
-                weights[i + 1] = min(
-                    WEIGHT_MAX, max(WEIGHT_MIN, weights[i + 1] + delta)
-                )
-        self._history = ((self._history << 1) | (1 if taken else 0)) & self._mask
+            row = list(map(add if taken else sub, row, inputs))
+            # one step moves a weight by one, so only these two can overflow
+            if WEIGHT_MAX + 1 in row or WEIGHT_MIN - 1 in row:
+                row = [min(WEIGHT_MAX, max(WEIGHT_MIN, w)) for w in row]
+            self._weights[index] = row
+        inputs.insert(1, 1 if taken else -1)
+        inputs.pop()
+        return y >= 0
 
     def reset(self) -> None:
-        for row in self._weights:
-            for i in range(len(row)):
-                row[i] = 0
-        self._history = 0
+        self._weights: List[List[int]] = [
+            [0] * (self.history_length + 1) for _ in range(self.rows)
+        ]
+        #: the bipolar input vector ``[1, x_1..x_h]``: the bias input, then
+        #: ``+1``/``-1`` for each of the last ``h`` outcomes (init-0: all -1)
+        self._inputs = [1] + [-1] * self.history_length
 
     @property
     def name(self) -> str:

@@ -12,8 +12,11 @@ vector kernel and streaming scorer can be proved bit-exact against each
 other: no ``USE_ALT_ON_NA`` heuristic, no randomised allocation (the first
 ``u == 0`` table above the provider wins; if none, every candidate's ``u``
 is decremented), no periodic ``u`` reset.  The hash functions are plain
-XOR folds — :func:`fold_history` — shared verbatim between the per-record
-scalar path and the columnar kernels.
+XOR folds defined by :func:`fold_history`, :func:`tage_index` and
+:func:`tage_tag`.  The columnar kernel runs the same fixed-chunk fold over
+whole history columns; the scalar predictor instead advances one folded
+register per (table, width) by one bit per outcome, which equals the
+definition after every outcome (the property tests check both).
 """
 
 from __future__ import annotations
@@ -100,8 +103,8 @@ class TageState:
         self.lengths = tage_geometries(tables)
         size = 1 << entry_bits
         self.base = [2] * (1 << (entry_bits + BASE_EXTRA_BITS))
-        self.valid = [[False] * size for _ in range(tables)]
-        self.tag = [[0] * size for _ in range(tables)]
+        #: an entry never allocated holds tag -1, which no hashed tag equals
+        self.tag = [[-1] * size for _ in range(tables)]
         self.ctr = [[0] * size for _ in range(tables)]
         self.useful = [[0] * size for _ in range(tables)]
 
@@ -112,8 +115,9 @@ class TageState:
         """(provider table or -1, prediction, altpred)."""
         provider = -1
         alternate = -1
+        tag = self.tag
         for i in range(self.tables - 1, -1, -1):
-            if self.valid[i][indices[i]] and self.tag[i][indices[i]] == tags[i]:
+            if tag[i][indices[i]] == tags[i]:
                 if provider < 0:
                     provider = i
                 else:
@@ -122,9 +126,10 @@ class TageState:
         base_prediction = self.base[base_index] >= 2
         if provider < 0:
             return provider, base_prediction, base_prediction
-        prediction = self.ctr[provider][indices[provider]] >= 0
+        ctr = self.ctr
+        prediction = ctr[provider][indices[provider]] >= 0
         if alternate >= 0:
-            alt_prediction = self.ctr[alternate][indices[alternate]] >= 0
+            alt_prediction = ctr[alternate][indices[alternate]] >= 0
         else:
             alt_prediction = base_prediction
         return provider, prediction, alt_prediction
@@ -146,15 +151,17 @@ class TageState:
         provider, prediction, alt_prediction = self._select(
             base_index, indices, tags
         )
+        useful = self.useful
         if provider >= 0:
             index = indices[provider]
             if prediction != alt_prediction:
-                u = self.useful[provider][index]
-                self.useful[provider][index] = (
+                u = useful[provider][index]
+                useful[provider][index] = (
                     min(U_MAX, u + 1) if prediction == taken else max(0, u - 1)
                 )
-            counter = self.ctr[provider][index]
-            self.ctr[provider][index] = (
+            ctr = self.ctr[provider]
+            counter = ctr[index]
+            ctr[index] = (
                 min(CTR_MAX, counter + 1) if taken else max(CTR_MIN, counter - 1)
             )
         else:
@@ -163,23 +170,29 @@ class TageState:
                 min(3, counter + 1) if taken else max(0, counter - 1)
             )
         if prediction != taken and provider < self.tables - 1:
-            allocated = False
-            for j in range(provider + 1, self.tables):
-                if self.useful[j][indices[j]] == 0:
-                    self.valid[j][indices[j]] = True
+            candidates = range(provider + 1, self.tables)
+            for j in candidates:
+                if useful[j][indices[j]] == 0:
                     self.tag[j][indices[j]] = tags[j]
                     self.ctr[j][indices[j]] = 0 if taken else -1
-                    allocated = True
                     break
-            if not allocated:
-                for j in range(provider + 1, self.tables):
-                    if self.useful[j][indices[j]] > 0:
-                        self.useful[j][indices[j]] -= 1
+            else:
+                for j in candidates:
+                    if useful[j][indices[j]] > 0:
+                        useful[j][indices[j]] -= 1
         return prediction
 
 
 class TagePredictor(ConditionalBranchPredictor):
-    """TAGE over a single global history register (init all-zeros)."""
+    """TAGE over a single global history register (init all-zeros).
+
+    Instead of re-folding the whole history for every lookup, the
+    predictor carries one folded register per (table, width) — the index
+    fold and the two tag folds — and advances each by one bit per outcome
+    with the standard circular-fold update.  After every outcome each
+    register equals :func:`fold_history` of the current history, so the
+    indices and tags are exactly :func:`tage_index` and :func:`tage_tag`.
+    """
 
     def __init__(self, tables: int, entry_bits: int = DEFAULT_ENTRY_BITS):
         self.state = TageState(tables, entry_bits)
@@ -187,32 +200,62 @@ class TagePredictor(ConditionalBranchPredictor):
         self.entry_bits = entry_bits
         self.max_history = self.state.lengths[-1]
         self._mask = (1 << self.max_history) - 1
-        self._history = 0
-
-    def _hashes(self, pc: int) -> Tuple[int, List[int], List[int]]:
-        base_index = (pc >> 2) & (
-            (1 << (self.entry_bits + BASE_EXTRA_BITS)) - 1
-        )
-        history = self._history
-        indices = [
-            tage_index(pc, history, length, self.entry_bits)
+        self._index_mask = (1 << entry_bits) - 1
+        self._tag_mask = (1 << TAG_BITS) - 1
+        self._base_mask = (1 << (entry_bits + BASE_EXTRA_BITS)) - 1
+        #: per folded register, index folds first, then tag, then tag-1:
+        #: (history bit leaving the window, its fold position, top bit, mask)
+        self._geometry = [
+            (length - 1, length % bits, bits - 1, (1 << bits) - 1)
+            for bits in (entry_bits, TAG_BITS, TAG_BITS - 1)
             for length in self.state.lengths
         ]
-        tags = [tage_tag(pc, history, length) for length in self.state.lengths]
-        return base_index, indices, tags
+        self._history = 0
+        self._folds = [0] * len(self._geometry)
+
+    def _hashes(self, pc: int) -> Tuple[int, List[int], List[int]]:
+        word = pc >> 2
+        folds = self._folds
+        tables = self.tables
+        index_mask, tag_mask = self._index_mask, self._tag_mask
+        indices = [(word ^ fold) & index_mask for fold in folds[:tables]]
+        tags = [
+            (word ^ tag ^ (tag1 << 1)) & tag_mask
+            for tag, tag1 in zip(folds[tables : 2 * tables], folds[2 * tables :])
+        ]
+        return word & self._base_mask, indices, tags
+
+    def _push(self, taken: bool) -> None:
+        """Shift one outcome into the history and every folded register.
+
+        This is the standard TAGE circular-fold update ``f = (f << 1) |
+        bit; f ^= h[L-1] << (L % b); f ^= f >> b; f &= mask`` written as
+        one expression: rotate ``f`` left within its ``b`` bits, XOR the
+        entering bit in at 0 and the leaving bit ``h[L-1]`` at ``L % b``.
+        """
+        bit = 1 if taken else 0
+        history = self._history
+        self._folds = [
+            (((fold << 1) & mask) | (fold >> top)) ^ bit ^ (((history >> leaving) & 1) << drop)
+            for fold, (leaving, drop, top, mask) in zip(self._folds, self._geometry)
+        ]
+        self._history = ((history << 1) | bit) & self._mask
 
     def predict(self, pc: int, target: int) -> bool:
-        base_index, indices, tags = self._hashes(pc)
-        return self.state.peek(base_index, indices, tags)
+        return self.state.peek(*self._hashes(pc))
 
     def update(self, pc: int, target: int, taken: bool) -> None:
-        base_index, indices, tags = self._hashes(pc)
-        self.state.step(base_index, indices, tags, taken)
-        self._history = ((self._history << 1) | (1 if taken else 0)) & self._mask
+        self.observe(pc, target, taken)
+
+    def observe(self, pc: int, target: int, taken: bool) -> bool:
+        prediction = self.state.step(*self._hashes(pc), taken)
+        self._push(taken)
+        return prediction
 
     def reset(self) -> None:
         self.state = TageState(self.tables, self.entry_bits)
         self._history = 0
+        self._folds = [0] * len(self._geometry)
 
     @property
     def name(self) -> str:

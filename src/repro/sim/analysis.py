@@ -138,8 +138,7 @@ def per_site_accuracy(
     for record in records:
         if record.cls is not BranchClass.CONDITIONAL:
             continue
-        prediction = predictor.predict(record.pc, record.target)
-        predictor.update(record.pc, record.target, record.taken)
+        prediction = predictor.observe(record.pc, record.target, record.taken)
         total[record.pc] = total.get(record.pc, 0) + 1
         if prediction == record.taken:
             correct[record.pc] = correct.get(record.pc, 0) + 1
@@ -166,8 +165,7 @@ def per_site_accuracy_many(
         total[record.pc] = total.get(record.pc, 0) + 1
         for name in names:
             predictor = predictors[name]
-            prediction = predictor.predict(record.pc, record.target)
-            predictor.update(record.pc, record.target, record.taken)
+            prediction = predictor.observe(record.pc, record.target, record.taken)
             if prediction == record.taken:
                 scheme_correct = correct[name]
                 scheme_correct[record.pc] = scheme_correct.get(record.pc, 0) + 1

@@ -18,26 +18,16 @@ here is a one-spec fused sweep.
   pattern derived by a per-branch sliding window), Static Training
   (profiled preset bits, so the test pass is a table lookup), and the
   global-history extensions GAg and gshare (single global window).
-* **Modern schemes** (:mod:`repro.predictors.modern`) use two further
-  decompositions:
-
-  - the perceptron's global histories are precomputed from the outcome
-    column, which makes its per-row weight vectors independent streams:
-    the trace is bucketed by weight row, and each row runs an *adaptive
-    speculative block scan* — a block is scored against the row snapshot
-    with one dot product, the first *training event* (mispredict or
-    ``|y| <= theta``) is located, its update applied, and the scan
-    resumes after it.  Predictions up to and including the first event
-    are exact because perceptron state only changes on training events;
-    block sizes adapt per row, so one densely-training hot branch cannot
-    cap every other row's stride.
-  - TAGE's tables couple through provider selection and allocation, so
-    its per-record state walk is inherently sequential; the kernel
-    instead lifts all the *hash* work — per-table folded indices and
-    tags over the global-history column — into whole-column NumPy
-    passes, then drives the same :class:`~repro.predictors.modern.TageState`
-    update rule the scalar predictor uses, guaranteeing bit-exactness.
-
+* **TAGE** (:mod:`repro.predictors.modern`) couples its tables through
+  provider selection and allocation, so its per-record state walk is
+  inherently sequential; the kernel instead lifts all the *hash* work —
+  per-table folded indices and tags over the global-history column —
+  into whole-column NumPy passes, then drives the same
+  :class:`~repro.predictors.modern.TageState` update rule the scalar
+  predictor uses, guaranteeing bit-exactness.
+* **The perceptron** trains on about a quarter of its records, too often
+  for a speculative block scan to win, so its recipe drives the scalar
+  predictor itself, one per session.
 * **Finite HRT front-ends** (AHRT / HHRT) reduce to the same bucket
   machinery through a *key remap*:
 
@@ -55,7 +45,7 @@ here is a one-spec fused sweep.
 Every kernel is **bit-exact** against the scalar engine, which remains the
 reference: the per-record predictions are identical, so
 :class:`~repro.sim.results.PredictionStats` and per-site accuracies match
-exactly.  Every spec family the registry can parse has a kernel.
+exactly.  Every spec family the registry can parse has a vector recipe.
 
 NumPy is an optional dependency (see :mod:`repro.sim.backend`); everything
 here raises :class:`~repro.errors.KernelError` when it is missing.
@@ -70,10 +60,7 @@ from repro.predictors.hrt import _HASH_MULTIPLIER
 from repro.predictors.modern import (
     BASE_EXTRA_BITS,
     TAG_BITS,
-    WEIGHT_MAX,
-    WEIGHT_MIN,
     TageState,
-    perceptron_threshold,
 )
 from repro.predictors.spec import PredictorSpec
 from repro.sim.backend import numpy_or_none, resolve_backend
@@ -262,90 +249,8 @@ def _hrt_keys(np: Any, spec: PredictorSpec, pc: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# modern-subsystem kernels (perceptron / TAGE)
+# TAGE kernel
 # ----------------------------------------------------------------------
-#: speculative block-scan geometry: start small (training-dense warmup),
-#: double on event-free blocks up to the cap (saturated steady state).
-_PERCEPTRON_BLOCK_MIN = 8
-_PERCEPTRON_BLOCK_MAX = 4096
-
-
-def _perceptron_predictions(
-    np: Any,
-    rows_index: Any,
-    histories: Any,
-    taken: Any,
-    history_length: int,
-    weights: Any,
-) -> Any:
-    """Row-bucketed speculative block scan over the perceptron table.
-
-    ``weights`` is the live ``(rows, h+1)`` int array — it is **mutated**
-    (this is what lets the streaming scorers carry it across batches).
-    The global histories are precomputed from the known outcomes, so the
-    per-row weight vectors are fully independent streams: the trace is
-    bucketed by row (the same segmented-sort machinery as the AHRT/HHRT
-    replays) and each row runs its own adaptive speculative scan.  Within
-    a row a block scored against the weight snapshot is exact up to and
-    including the first *training event* (mispredict or ``|y| <= theta``),
-    because perceptron state only changes on training events; the event's
-    update is applied and the scan resumes after it.  Bucketing matters
-    because hot rows train densely — scanning them separately keeps one
-    busy branch from capping every other row's block size.
-    """
-    n = len(taken)
-    out = np.empty(n, dtype=bool)
-    if n == 0:
-        return out
-    theta = perceptron_threshold(history_length)
-    shifts = np.arange(history_length, dtype=np.int64)
-    taken_b = taken.astype(bool)
-    order = np.argsort(rows_index, kind="stable")
-    sorted_rows = rows_index[order]
-    boundaries = np.flatnonzero(np.diff(sorted_rows)) + 1
-    for segment in np.split(order, boundaries):
-        row = weights[int(rows_index[segment[0]])]  # (h+1,) view
-        bipolar = (
-            ((histories[segment, None] >> shifts) & 1) * 2 - 1
-        )  # (m, h) in {-1, +1}
-        outcome = taken_b[segment]
-        outcome_list = outcome.tolist()
-        # the event condition folds to one comparison: for a taken outcome
-        # it is (y < 0) or (|y| <= theta) == (y <= theta); for not-taken,
-        # (y >= 0) or (|y| <= theta) == (y >= -theta) == (-y <= theta)
-        sign = np.where(outcome, 1, -1)
-        m = len(segment)
-        predictions = np.empty(m, dtype=bool)
-        start = 0
-        block = _PERCEPTRON_BLOCK_MIN
-        while start < m:
-            stop = min(m, start + block)
-            y = row[0] + bipolar[start:stop] @ row[1:]
-            event = y * sign[start:stop] <= theta
-            first = int(np.argmax(event))
-            if not event[first]:
-                predictions[start:stop] = y >= 0
-                start = stop
-                block = min(block * 2, _PERCEPTRON_BLOCK_MAX)
-                continue
-            predictions[start : start + first + 1] = y[: first + 1] >= 0
-            step = 1 if outcome_list[start + first] else -1
-            row[0] += step
-            row[1:] += step * bipolar[start + first]
-            np.clip(row, WEIGHT_MIN, WEIGHT_MAX, out=row)
-            start += first + 1
-            block = max(_PERCEPTRON_BLOCK_MIN, min((first + 1) * 2, block))
-        out[segment] = predictions
-    return out
-
-
-def _perceptron_table(np: Any, spec: PredictorSpec) -> Any:
-    """A fresh zeroed weight table for ``spec`` (int64: the dot products
-    and the clip run in one dtype, no overflow at any h <= 62)."""
-    assert spec.history_length is not None and spec.rows is not None
-    return np.zeros((spec.rows, spec.history_length + 1), dtype=np.int64)
-
-
 def _tage_fold_columns(np: Any, histories: Any, length: int, bits: int) -> Any:
     """Columnar twin of :func:`repro.predictors.modern.fold_history`."""
     folded = np.zeros(len(histories), dtype=np.int64)

@@ -9,6 +9,8 @@ TAGE — against hand-walked micro-traces.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ConfigError
@@ -17,6 +19,7 @@ from repro.predictors.modern import (
     CTR_MIN,
     MAX_HISTORY,
     MAX_TABLES,
+    TAG_BITS,
     U_MAX,
     WEIGHT_MAX,
     WEIGHT_MIN,
@@ -134,6 +137,40 @@ class TestTageHashing:
             for length in tage_geometries(4)
         }
         assert len(indices) > 1
+
+
+class TestTageFoldedRegisters:
+    """The scalar predictor advances its folded registers one outcome at a
+    time; after every outcome they must equal the re-folded definition."""
+
+    @pytest.mark.parametrize("entry_bits", [1, 3, 9, 16])
+    @pytest.mark.parametrize("tables", range(1, MAX_TABLES + 1))
+    def test_incremental_folds_equal_fold_history(self, tables, entry_bits):
+        # widths: the index fold (entry_bits) and both tag folds (8 and 7);
+        # lengths 4..32 give length < bits and length % bits == 0 cases
+        rng = random.Random(tables * 100 + entry_bits)
+        predictor = TagePredictor(tables, entry_bits)
+        lengths = tage_geometries(tables)
+        widths = (entry_bits, TAG_BITS, TAG_BITS - 1)
+        history = 0
+        for step in range(300):
+            if step == 150:
+                predictor.reset()
+                history = 0
+            pc = 0x1000 + 4 * rng.randrange(64)
+            taken = rng.random() < (0.9 if step % 50 < 25 else 0.4)
+            predictor.observe(pc, TARGET, taken)
+            history = ((history << 1) | taken) & ((1 << lengths[-1]) - 1)
+            assert predictor._folds == [
+                fold_history(history, length, bits)
+                for bits in widths
+                for length in lengths
+            ]
+            _base, indices, tags = predictor._hashes(pc)
+            assert indices == [
+                tage_index(pc, history, length, entry_bits) for length in lengths
+            ]
+            assert tags == [tage_tag(pc, history, length) for length in lengths]
 
 
 class TestTagePredictor:

@@ -1,8 +1,9 @@
 """The fused ``observe`` hook must equal predict-then-update exactly.
 
-Every override (two-level, Lee & Smith) and the base-class default are
-driven with the same branch stream as a twin predictor using the two-call
-protocol; predictions and final table state must agree step for step.
+Every override (two-level, Lee & Smith, perceptron, TAGE) and the
+base-class default are driven with the same branch stream as a twin
+predictor using the two-call protocol; predictions and final table state
+must agree step for step.
 """
 
 import random
@@ -13,6 +14,7 @@ from repro.predictors.automata import A2, LAST_TIME
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.btb import LeeSmithPredictor
 from repro.predictors.hrt import AHRT, HHRT, IHRT
+from repro.predictors.modern import PerceptronPredictor, TagePredictor
 from repro.predictors.pattern_table import PatternTable
 from repro.predictors.static_schemes import BTFNPredictor
 from repro.predictors.two_level import TwoLevelAdaptivePredictor
@@ -44,6 +46,10 @@ def _make_pairs():
             LeeSmithPredictor(AHRT(128), A2),
             LeeSmithPredictor(AHRT(128), A2),
         ),
+        (TagePredictor(4, 9), TagePredictor(4, 9)),
+        (TagePredictor(1, 3), TagePredictor(1, 3)),
+        (PerceptronPredictor(12, 512), PerceptronPredictor(12, 512)),
+        (PerceptronPredictor(4, 1), PerceptronPredictor(4, 1)),
         (BTFNPredictor(), BTFNPredictor()),  # exercises the base-class default
     ]
 

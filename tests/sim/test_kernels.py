@@ -49,11 +49,11 @@ VECTOR_SPECS = [
     "gshare(8,A2)",
 ]
 
-#: modern subsystem (repro.predictors.modern): the perceptron's row-bucketed
-#: speculative scan and TAGE's columnar-hash + sequential-state walk.  The
-#: degenerate geometries matter: perceptron(4,1) forces every branch onto
-#: one weight vector (maximal aliasing), tage(1,3) has a single tiny tagged
-#: table so allocation constantly evicts.
+#: modern subsystem (repro.predictors.modern): the perceptron's recipe, which
+#: drives one scalar predictor per session, and TAGE's columnar-hash +
+#: sequential-state walk.  The degenerate geometries matter: perceptron(4,1)
+#: forces every branch onto one weight vector (maximal aliasing), tage(1,3)
+#: has a single tiny tagged table so allocation constantly evicts.
 MODERN_SPECS = [
     "perceptron(12,512)",
     "perceptron(4,1)",

@@ -280,18 +280,21 @@ class TestMultiSessionFusion:
         assert flat_scalar == flat_vector
         assert scalar.close_session(7) == vector.close_session(7)
 
-    def test_slot_recycling_reinitialises_state(self, periodic_trace):
-        records = periodic_trace[:80]
-        fused = make_multi_scorer("AT(IHRT(,6SR),PT(2^6,A2),)", "vector")
-        fused.open_session(1)
-        first = [p for out in fused.feed_many([(1, records)]) for p in out]
-        fused.close_session(1)
-        # the recycled slot must start from pristine predictor state
-        fused.open_session(2)
-        second = [p for out in fused.feed_many([(2, records)]) for p in out]
-        assert first == second
-        fused.close_session(2)
-        assert fused.active == 0
+    def test_slot_recycling_reinitialises_state(self, program_trace):
+        # keyed automaton state (AT) and carried per-slot objects (the
+        # perceptron predictor, the TAGE state) must all start pristine
+        records = program_trace[:400]
+        for spec in ("AT(IHRT(,6SR),PT(2^6,A2),)", "perceptron(4,1)", "tage(2,5)"):
+            fused = make_multi_scorer(spec, "vector")
+            fused.open_session(1)
+            first = [p for out in fused.feed_many([(1, records)]) for p in out]
+            fused.close_session(1)
+            # the recycled slot must start from pristine predictor state
+            fused.open_session(2)
+            second = [p for out in fused.feed_many([(2, records)]) for p in out]
+            assert first == second, spec
+            fused.close_session(2)
+            assert fused.active == 0
 
     def test_mid_stream_close_leaves_others_exact(self, periodic_trace):
         records = periodic_trace[:90]
