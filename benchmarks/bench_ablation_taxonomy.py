@@ -1,19 +1,20 @@
 """Ablation (future work): the two-level predictor taxonomy.
 
 Runs the organisational corners later literature named — PAp (private
-pattern tables), the paper's PAg, gshare, GAg — plus a McFarling tournament
-of the paper's scheme with a counter table, over the full suite.
+pattern tables), PAs (per-set tables), the paper's PAg, gshare, GAg —
+plus a McFarling tournament of the paper's scheme with a counter table,
+over the full suite.
 
 Expected shape: the per-address family beats the global family on this
 suite (PAg > gshare >= GAg); PAp eliminates pattern interference but pays
 per-branch warm-up that shared tables amortise, so at reduced trace scale
-it lands at or slightly below PAg (their order crosses as traces lengthen);
-the tournament must not fall meaningfully below its best component.
+it lands at or slightly below PAg (their order crosses as traces lengthen),
+with PAs's per-set tables in between; the tournament must not fall meaningfully below its best component.
 """
 
 from repro.predictors.automata import A2
 from repro.predictors.btb import LeeSmithPredictor
-from repro.predictors.extensions import PApPredictor, TournamentPredictor
+from repro.predictors.extensions import TournamentPredictor
 from repro.predictors.hrt import AHRT
 from repro.predictors.pattern_table import PatternTable
 from repro.predictors.spec import parse_spec
@@ -34,7 +35,8 @@ def _suite_mean(cache, scale, factory) -> float:
 def test_ablation_taxonomy(benchmark, bench_scale, bench_cache):
     scale = min(bench_scale, 30_000)
     factories = {
-        "PAp(12,A2) [ideal]": lambda: PApPredictor(12),
+        "PAp(12,A2) [ideal]": lambda: parse_spec("PAp(12,A2)").build(),
+        "PAs(12,16,A2)": lambda: parse_spec("PAs(12,16,A2)").build(),
         "PAg = AT(IHRT,12SR,A2)": lambda: parse_spec(
             "AT(IHRT(,12SR),PT(2^12,A2),)"
         ).build(),

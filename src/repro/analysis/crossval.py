@@ -22,13 +22,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.isa.program import Program
-from repro.predictors.static_schemes import BTFNPredictor, ProfilePredictor
-from repro.sim.analysis import (
-    accuracy_within_bounds,
-    per_site_accuracy_many,
-    per_site_accuracy_specs,
-    top_mispredicted,
-)
+from repro.predictors.spec import parse_spec
+from repro.predictors.static_schemes import BTFNPredictor
+from repro.sim.analysis import accuracy_within_bounds, per_site_scores, top_mispredicted
 from repro.sim.engine import simulate
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -234,6 +230,7 @@ def validate_predictability(
     name: str = "<program>",
     report: Optional[PredictabilityReport] = None,
     h2p_n: int = 5,
+    backend: Optional[str] = None,
 ) -> PredictabilityValidation:
     """Cross-validate static predictability bounds against a dynamic trace.
 
@@ -241,35 +238,16 @@ def validate_predictability(
     ``scale`` conditional branches (the same scale the report was — or will
     be — computed at).  ``report`` may be passed in when the caller already
     ran :func:`~repro.analysis.predictability.analyze_program`.
+    ``backend`` picks the per-site scoring engine, as for the analysis.
     """
     trace = [r for r in records if r.cls is BranchClass.CONDITIONAL]
     if report is None:
-        report = analyze_program(program, scale, name=name)
+        report = analyze_program(program, scale, name=name, backend=backend)
 
-    # Registry-spec schemes ride the fused sweep kernel (one pass, shared
-    # intermediates); extension predictors without a spec (PAp) replay.
-    # Profile profiles the execution trace itself, which is exactly the
-    # fused kernel's Profile recipe, so it fuses too.
-    spec_map = {
-        scheme.name: scheme.spec
-        for scheme in ANALYSIS_SCHEMES
-        if scheme.spec is not None
-    }
-    spec_map[PROFILE_SCHEME] = "Profile"
-    fused = per_site_accuracy_specs(spec_map, trace)
-    if fused is None:
-        predictors = {
-            scheme.name: scheme.factory() for scheme in ANALYSIS_SCHEMES
-        }
-        predictors[PROFILE_SCHEME] = ProfilePredictor.from_trace(trace)
-        dynamic = per_site_accuracy_many(predictors, trace)
-    else:
-        replayed = {
-            scheme.name: scheme.factory()
-            for scheme in ANALYSIS_SCHEMES
-            if scheme.spec is None
-        }
-        dynamic = {**fused, **per_site_accuracy_many(replayed, trace)}
+    # Profile profiles the execution trace itself, as the analysis does
+    specs = [scheme.spec for scheme in ANALYSIS_SCHEMES] + [PROFILE_SCHEME]
+    per_spec = per_site_scores(specs, trace, backend)
+    dynamic = {parse_spec(text).canonical(): per_spec[text] for text in specs}
     scheme_count = len(dynamic)
 
     mismatches: List[str] = []

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.absint import (
     INTRAPROCEDURAL_KINDS,
@@ -76,8 +76,6 @@ from repro.analysis.dataflow import UNINITIALIZED
 from repro.isa.instructions import B_FORMAT, Opcode
 from repro.isa.program import Program
 from repro.predictors.automata import Automaton
-from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.extensions import PApPredictor
 from repro.predictors.spec import parse_spec
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -96,64 +94,42 @@ class PredictabilityClass(enum.Enum):
 # ----------------------------------------------------------------------
 
 class AnalysisScheme(NamedTuple):
-    """One prediction scheme the static analysis bounds.
+    """One prediction scheme the static analysis bounds: a registry spec
+    string, scored per site through
+    :func:`repro.sim.analysis.per_site_scores`.
 
     ``self_contained`` marks schemes whose predictions at a site are a
     function of that site's own outcome stream alone, so per-site replay is
     exact even without the global interleaving.  Shared-state schemes (the
     global pattern table, global history registers) need the complete
     global stream for tight bounds.
-
-    ``spec`` is the registry spec string when the scheme has one — those
-    schemes ride the fused sweep kernel
-    (:func:`repro.sim.analysis.per_site_accuracy_specs`) during
-    cross-validation; ``None`` (extension predictors like PAp) stays on the
-    per-record replay loop.
     """
 
-    name: str
-    factory: Callable[[], ConditionalBranchPredictor]
+    spec: str
     self_contained: bool
-    spec: Optional[str] = None
 
-
-def _spec_factory(spec: str) -> Callable[[], ConditionalBranchPredictor]:
-    parsed = parse_spec(spec)
-    return lambda: parsed.build()
+    @property
+    def name(self) -> str:
+        """The scheme's report key: its spec's canonical form."""
+        return parse_spec(self.spec).canonical()
 
 
 ANALYSIS_SCHEMES: Tuple[AnalysisScheme, ...] = (
-    AnalysisScheme("AlwaysTaken", _spec_factory("AlwaysTaken"), True, "AlwaysTaken"),
-    AnalysisScheme(
-        "AlwaysNotTaken", _spec_factory("AlwaysNotTaken"), True, "AlwaysNotTaken"
-    ),
-    AnalysisScheme("BTFN", _spec_factory("BTFN"), True, "BTFN"),
-    AnalysisScheme(
-        "LS(IHRT(,LT),,)", _spec_factory("LS(IHRT(,LT),,)"), True, "LS(IHRT(,LT),,)"
-    ),
-    AnalysisScheme(
-        "LS(IHRT(,A2),,)", _spec_factory("LS(IHRT(,A2),,)"), True, "LS(IHRT(,A2),,)"
-    ),
-    AnalysisScheme("PAp(8,A2)", lambda: PApPredictor(8), True),
-    AnalysisScheme(
-        "AT(IHRT(,12SR),PT(2^12,A2),)",
-        _spec_factory("AT(IHRT(,12SR),PT(2^12,A2),)"),
-        False,
-        "AT(IHRT(,12SR),PT(2^12,A2),)",
-    ),
-    AnalysisScheme("GAg(8,A2)", _spec_factory("GAg(8)"), False, "GAg(8)"),
-    AnalysisScheme("gshare(8,A2)", _spec_factory("gshare(8)"), False, "gshare(8)"),
+    AnalysisScheme("AlwaysTaken", True),
+    AnalysisScheme("AlwaysNotTaken", True),
+    AnalysisScheme("BTFN", True),
+    AnalysisScheme("LS(IHRT(,LT),,)", True),
+    AnalysisScheme("LS(IHRT(,A2),,)", True),
+    AnalysisScheme("PAp(8,A2)", True),
+    AnalysisScheme("AT(IHRT(,12SR),PT(2^12,A2),)", False),
+    AnalysisScheme("GAg(8,A2)", False),
+    AnalysisScheme("gshare(8,A2)", False),
     # the modern subsystem: global-history state shared across sites, so
     # not self-contained; bounds are tight on complete walks (replay) and
     # degrade to [0, n] + estimate otherwise (see module docstring for the
     # correlated(d)-vs-h and longest-table rationale)
-    AnalysisScheme(
-        "perceptron(12,512)",
-        _spec_factory("perceptron(12,512)"),
-        False,
-        "perceptron(12,512)",
-    ),
-    AnalysisScheme("tage(4,9)", _spec_factory("tage(4,9)"), False, "tage(4,9)"),
+    AnalysisScheme("perceptron(12,512)", False),
+    AnalysisScheme("tage(4,9)", False),
 )
 
 #: Scheme whose misprediction mass ranks the static H2P candidates; chosen
@@ -539,46 +515,9 @@ def _records_from_stream(
     ]
 
 
-def _per_site_all_schemes(
-    schemes: Sequence[AnalysisScheme],
-    records: Sequence[BranchRecord],
-) -> Dict[str, Dict[int, Tuple[int, int]]]:
-    """(correct, total) per site for every scheme over the complete stream.
-
-    Registry-spec schemes ride the fused sweep kernel
-    (:func:`repro.sim.analysis.per_site_accuracy_specs` — one pass, shared
-    per-pc grouping and history windows); schemes without a spec, or every
-    scheme when the vector backend is unavailable, fall back to the exact
-    same per-record replay the kernel is verified against.
-    """
-    from repro.sim.analysis import per_site_accuracy_specs
-
-    spec_map = {
-        scheme.name: scheme.spec for scheme in schemes if scheme.spec is not None
-    }
-    fused = per_site_accuracy_specs(spec_map, records) if spec_map else None
-    per_scheme: Dict[str, Dict[int, Tuple[int, int]]] = dict(fused or {})
-    for scheme in schemes:
-        if scheme.name not in per_scheme:
-            per_scheme[scheme.name] = _replay_per_site(scheme.factory(), records)
-    return per_scheme
-
-
-def _replay_per_site(
-    predictor: ConditionalBranchPredictor,
-    records: Sequence[BranchRecord],
-) -> Dict[int, Tuple[int, int]]:
-    """(correct, total) per site from replaying ``records`` — the same loop
-    as :func:`repro.sim.analysis.per_site_accuracy`, kept dependency-free
-    so the analysis package works without the vector simulator."""
-    correct: Dict[int, int] = {}
-    total: Dict[int, int] = {}
-    for record in records:
-        prediction = predictor.observe(record.pc, record.target, record.taken)
-        total[record.pc] = total.get(record.pc, 0) + 1
-        if prediction == record.taken:
-            correct[record.pc] = correct.get(record.pc, 0) + 1
-    return {pc: (correct.get(pc, 0), total[pc]) for pc in total}
+def _exact_bound(scheme: str, occurrences: int, correct: int) -> SchemeBound:
+    """The point interval of an exact replay."""
+    return SchemeBound(scheme, occurrences, correct, correct, True, correct)
 
 
 def _profile_bound(occurrences: int, taken_count: int) -> SchemeBound:
@@ -586,14 +525,7 @@ def _profile_bound(occurrences: int, taken_count: int) -> SchemeBound:
     trained on the same stream it predicts, so correct = majority count."""
     predicts_taken = 2 * taken_count >= occurrences
     correct = taken_count if predicts_taken else occurrences - taken_count
-    return SchemeBound(
-        scheme=PROFILE_SCHEME,
-        occurrences=occurrences,
-        lower=correct,
-        upper=correct,
-        exact=True,
-        expected=correct,
-    )
+    return _exact_bound(PROFILE_SCHEME, occurrences, correct)
 
 
 # ----------------------------------------------------------------------
@@ -606,10 +538,15 @@ def analyze_program(
     name: str = "program",
     cfg: Optional[ControlFlowGraph] = None,
     schemes: Sequence[AnalysisScheme] = ANALYSIS_SCHEMES,
+    backend: Optional[str] = None,
 ) -> PredictabilityReport:
     """Classify every conditional site of ``program`` and bound every
     scheme's per-site accuracy at trace scale ``scale`` (the simulator's
-    ``max_conditional_branches``)."""
+    ``max_conditional_branches``).  ``backend`` picks the per-site scoring
+    engine (:func:`repro.sim.analysis.per_site_scores`); the bounds are
+    identical on both."""
+    from repro.sim.analysis import per_site_scores
+
     if cfg is None:
         cfg = build_cfg(program)
     resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
@@ -688,57 +625,30 @@ def analyze_program(
         )
 
     # -- bounds ---------------------------------------------------------
+    specs = [scheme.spec for scheme in schemes]
     if walk.complete:
+        # one replay of the whole reconstructed stream: every bound is tight
         records = _records_from_stream(walk.global_stream, targets)
-        per_scheme = _per_site_all_schemes(schemes, records)
+        per_spec = per_site_scores(specs, records, backend)
         for scheme in schemes:
-            per_site = per_scheme[scheme.name]
-            for pc, (correct, total) in per_site.items():
+            for pc, (correct, total) in per_spec[scheme.spec].items():
                 report = reports.get(pc)
-                if report is None:
-                    continue
-                report.bounds[scheme.name] = SchemeBound(
-                    scheme=scheme.name,
-                    occurrences=total,
-                    lower=correct,
-                    upper=correct,
-                    exact=True,
-                    expected=correct,
-                )
+                if report is not None:
+                    report.bounds[scheme.name] = _exact_bound(scheme.name, total, correct)
     else:
-        for scheme in schemes:
-            for pc, report in reports.items():
-                stream = walk.streams.get(pc, [])
-                site_records = [
-                    BranchRecord(
-                        pc=pc,
-                        cls=BranchClass.CONDITIONAL,
-                        taken=taken,
-                        target=targets[pc],
-                    )
-                    for taken in stream
-                ]
-                replay = _replay_per_site(scheme.factory(), site_records)
-                correct = replay.get(pc, (0, 0))[0]
-                n = report.occurrences
+        # each site's known stream alone: exact for self-contained schemes
+        # on exact streams, an estimate inside [0, n] otherwise
+        for pc, report in reports.items():
+            stream = walk.streams.get(pc, [])
+            records = _records_from_stream([(pc, taken) for taken in stream], targets)
+            per_spec = per_site_scores(specs, records, backend)
+            n = report.occurrences
+            for scheme in schemes:
+                correct = per_spec[scheme.spec][pc][0]
                 if scheme.self_contained and report.stream_exact:
-                    bound = SchemeBound(
-                        scheme=scheme.name,
-                        occurrences=n,
-                        lower=correct,
-                        upper=correct,
-                        exact=True,
-                        expected=correct,
-                    )
+                    bound = _exact_bound(scheme.name, n, correct)
                 else:
-                    bound = SchemeBound(
-                        scheme=scheme.name,
-                        occurrences=n,
-                        lower=0,
-                        upper=n,
-                        exact=False,
-                        expected=correct,
-                    )
+                    bound = SchemeBound(scheme.name, n, 0, n, False, correct)
                 report.bounds[scheme.name] = bound
 
     for report in reports.values():

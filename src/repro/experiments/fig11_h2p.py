@@ -11,11 +11,11 @@ the top-N H2P sites and overall.  The reported ``recovered`` column is
 per-site *misprediction-mass recovery*: the fraction of AT's mispredictions
 on the H2P sites that a scheme eliminates (negative = it loses mass).
 
-Every per-site map is computed through the fused sweep kernels when the
-vector backend is available and through the scalar replay loop otherwise;
-a parity shape-check additionally scores the modern schemes on the scalar
-engine and asserts the totals agree, so `repro h2p` doubles as an
-end-to-end vector/scalar parity gate in CI.
+Every per-site map, the analysis bounds included, is scored on the
+requested backend (:func:`repro.sim.analysis.per_site_scores`); a parity
+shape-check additionally scores the modern schemes on the scalar engine
+and asserts the totals agree, so `repro h2p` doubles as an end-to-end
+vector/scalar parity gate in CI.
 
 The report (:func:`run`) and the site table (:func:`site_table`) share one
 pass per benchmark per :class:`TraceCache`: the static analysis and the
@@ -56,7 +56,7 @@ _PASSES: "weakref.WeakKeyDictionary[TraceCache, dict]" = weakref.WeakKeyDictiona
 
 def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend: str):
     """(static report, test trace, per-site (correct, total) maps of SPECS)
-    for one benchmark, computed once per cache — fused when possible."""
+    for one benchmark, computed once per cache on ``backend``."""
     memo = _PASSES.setdefault(cache, {})
     key = (name, max_conditional, backend)
     if key not in memo:
@@ -65,15 +65,9 @@ def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend:
 
         workload = get_workload(name)
         program = assemble(workload.build_source(workload.dataset("test")))
-        static = analyze_program(program, max_conditional, name=name)
+        static = analyze_program(program, max_conditional, name=name, backend=backend)
         trace = cache.get(workload, "test", max_conditional)
-        maps = None
-        if backend != "scalar":
-            named = {text: text for text in SPECS}
-            maps = sim_analysis.per_site_accuracy_specs(named, trace.records)
-        if maps is None:
-            predictors = {text: parse_spec(text).build() for text in SPECS}
-            maps = sim_analysis.per_site_accuracy_many(predictors, trace.records)
+        maps = sim_analysis.per_site_scores(SPECS, trace.records, backend)
         memo[key] = (static, trace, maps)
     return memo[key]
 

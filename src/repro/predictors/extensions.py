@@ -6,20 +6,18 @@ follow-ups and McFarling's work explored the other corners:
 
 * :class:`GAgPredictor` — one global history register (GAg);
 * :class:`GSharePredictor` — global history XOR address (gshare);
-* :class:`PApPredictor` — per-address history *and* per-address pattern
-  tables (PAp), eliminating pattern-table interference at enormous cost;
 * :class:`TournamentPredictor` — McFarling's selector combining two
   component predictors per branch.
 
-These are clearly-labelled extensions so the ablation benches can show
-where per-address history wins (independent per-branch periodic patterns)
-and where global correlation helps, without claiming they appear in the
-1991 paper.
+The per-address corners, PAp and PAs, are the family in
+:mod:`repro.predictors.families.per_address`.  All of these are
+clearly-labelled extensions so the ablation benches can show where
+per-address history wins (independent per-branch periodic patterns) and
+where global correlation helps, without claiming they appear in the 1991
+paper.
 """
 
 from __future__ import annotations
-
-from typing import Dict
 
 from repro.errors import ConfigError
 from repro.predictors.automata import A2, Automaton
@@ -88,49 +86,6 @@ class GSharePredictor(ConditionalBranchPredictor):
         return f"gshare({self.history_length},{self.pattern_table.automaton.name})"
 
 
-class PApPredictor(ConditionalBranchPredictor):
-    """PAp: per-address history registers AND per-address pattern tables.
-
-    The paper's scheme (PAg) shares one pattern table among all branches,
-    trading interference for cost.  PAp gives every static branch its own
-    table — the interference-free upper bound of the per-address family.
-    Modelled ideally (unbounded branch population), as the IHRT is.
-    """
-
-    def __init__(self, history_length: int, automaton: Automaton = A2):
-        if history_length < 1:
-            raise ConfigError(f"history length must be >= 1, got {history_length}")
-        self.history_length = history_length
-        self.automaton = automaton
-        self._mask = (1 << history_length) - 1
-        self._histories: Dict[int, int] = {}
-        self._tables: Dict[int, PatternTable] = {}
-
-    def _table_for(self, pc: int) -> PatternTable:
-        table = self._tables.get(pc)
-        if table is None:
-            table = PatternTable(self.history_length, self.automaton)
-            self._tables[pc] = table
-        return table
-
-    def predict(self, pc: int, target: int) -> bool:
-        history = self._histories.get(pc, self._mask)
-        return self._table_for(pc).predict(history)
-
-    def update(self, pc: int, target: int, taken: bool) -> None:
-        history = self._histories.get(pc, self._mask)
-        self._table_for(pc).update(history, taken)
-        self._histories[pc] = ((history << 1) | (1 if taken else 0)) & self._mask
-
-    def reset(self) -> None:
-        self._histories.clear()
-        self._tables.clear()
-
-    @property
-    def name(self) -> str:
-        return f"PAp({self.history_length},{self.automaton.name})"
-
-
 class TournamentPredictor(ConditionalBranchPredictor):
     """McFarling-style tournament: a per-branch chooser between two
     component predictors.
@@ -182,46 +137,3 @@ class TournamentPredictor(ConditionalBranchPredictor):
     @property
     def name(self) -> str:
         return f"Tournament({self.first.name},{self.second.name})"
-
-
-class PAsPredictor(ConditionalBranchPredictor):
-    """PAs: per-address history registers, per-SET pattern tables.
-
-    The middle ground Yeh & Patt's follow-up work recommends: branches are
-    grouped into ``sets`` by address, each set sharing one pattern table —
-    less interference than the paper's single global table (PAg), far less
-    storage than private tables (PAp).
-    """
-
-    def __init__(self, history_length: int, sets: int = 16, automaton: Automaton = A2):
-        if history_length < 1:
-            raise ConfigError(f"history length must be >= 1, got {history_length}")
-        if sets < 1:
-            raise ConfigError(f"sets must be >= 1, got {sets}")
-        self.history_length = history_length
-        self.sets = sets
-        self.automaton = automaton
-        self._mask = (1 << history_length) - 1
-        self._histories: Dict[int, int] = {}
-        self._tables = [PatternTable(history_length, automaton) for _ in range(sets)]
-
-    def _table_for(self, pc: int) -> PatternTable:
-        return self._tables[(pc >> 2) % self.sets]
-
-    def predict(self, pc: int, target: int) -> bool:
-        history = self._histories.get(pc, self._mask)
-        return self._table_for(pc).predict(history)
-
-    def update(self, pc: int, target: int, taken: bool) -> None:
-        history = self._histories.get(pc, self._mask)
-        self._table_for(pc).update(history, taken)
-        self._histories[pc] = ((history << 1) | (1 if taken else 0)) & self._mask
-
-    def reset(self) -> None:
-        self._histories.clear()
-        for table in self._tables:
-            table.reset()
-
-    @property
-    def name(self) -> str:
-        return f"PAs({self.history_length},{self.sets},{self.automaton.name})"

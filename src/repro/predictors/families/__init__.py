@@ -18,6 +18,7 @@ Modules group families by grammar, not by scheme:
 * :mod:`.static` — Always Taken / Not Taken, BTFN and Profile;
 * :mod:`.global_history` — GAg and gshare;
 * :mod:`.modern` — perceptron and TAGE;
+* :mod:`.per_address` — PAp and PAs;
 * :mod:`.table2` — AT, ST and LS, the paper's three-part grammar.
 
 ``semantics`` versions a family's predictions: bump it whenever the
@@ -131,6 +132,26 @@ def history_length(digits: str, full: str) -> int:
     return k
 
 
+def replay_sessions(
+    family: Family, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]
+) -> Any:
+    """The ``direct_mask`` of a family whose state is too sequential to
+    scan: one scalar predictor per session, built from ``spec`` and keyed
+    by its canonical form, driven through its fused ``observe``."""
+    correct = ctx.np.empty(len(ctx), dtype=bool)
+    for rows, predictor in ctx.sessions((spec.canonical(),), lambda: family.build(spec)):
+        observe = predictor.observe
+        correct[rows] = [
+            observe(pc, target, taken) == taken
+            for pc, target, taken in zip(
+                ctx.pc[rows].tolist(),
+                ctx.target[rows].tolist(),
+                ctx.taken_bool[rows].tolist(),
+            )
+        ]
+    return correct
+
+
 def call_grammar(name: str, second: str) -> "Pattern[str]":
     """``name(n[,second])``, case- and whitespace-insensitive."""
     return re.compile(
@@ -139,4 +160,10 @@ def call_grammar(name: str, second: str) -> "Pattern[str]":
 
 
 # registration order is parse order
-from repro.predictors.families import static, global_history, modern, table2  # noqa: E402,F401
+from repro.predictors.families import (  # noqa: E402,F401
+    static,
+    global_history,
+    modern,
+    per_address,
+    table2,
+)

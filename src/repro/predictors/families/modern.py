@@ -10,7 +10,7 @@ from typing import Any, Mapping, Optional
 from repro.errors import SpecParseError
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.cost import StorageCost
-from repro.predictors.families import Family, call_grammar, register
+from repro.predictors.families import Family, call_grammar, register, replay_sessions
 from repro.predictors.modern import (
     BASE_EXTRA_BITS,
     DEFAULT_ENTRY_BITS,
@@ -70,22 +70,9 @@ class _Perceptron(_Modern):
         h = spec.history_length
         return StorageCost(hrt_bits=h, tag_bits=0, pattern_bits=spec.rows * (h + 1) * 8)
 
-    def direct_mask(self, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]) -> Any:
-        """One scalar predictor per session, driven through its fused
-        ``observe``.  Training fires on about a quarter of the records, too
-        often for a columnar scan over the weight rows to beat this loop."""
-        correct = ctx.np.empty(len(ctx), dtype=bool)
-        for rows, predictor in ctx.sessions(("perceptron",), lambda: self.build(spec)):
-            observe = predictor.observe
-            correct[rows] = [
-                observe(pc, target, taken) == taken
-                for pc, target, taken in zip(
-                    ctx.pc[rows].tolist(),
-                    ctx.target[rows].tolist(),
-                    ctx.taken_bool[rows].tolist(),
-                )
-            ]
-        return correct
+    #: training fires on about a quarter of the records, too often for a
+    #: columnar scan over the weight rows to beat the scalar ``observe``
+    direct_mask = replay_sessions
 
 
 class _Tage(_Modern):

@@ -15,8 +15,8 @@ different data set than it was trained on.
 :meth:`PredictorSpec.build` instantiates the predictor (Static Training
 additionally needs the training trace).  The simple schemes are accepted by
 bare name: ``AlwaysTaken``, ``AlwaysNotTaken``, ``BTFN``, ``Profile``,
-``GAg(k)``, ``gshare(k)``.  The modern subsystem
-(:mod:`repro.predictors.modern`) registers as ``perceptron(h[,rows])``
+``GAg(k)``, ``gshare(k)``, ``PAp(k)``, ``PAs(k,sets)``.  The modern
+subsystem (:mod:`repro.predictors.modern`) registers as ``perceptron(h[,rows])``
 and ``tage(tables[,entry_bits])``.  Each scheme's grammar, bounds,
 canonical form and builder live in its family
 (:mod:`repro.predictors.families`); this module only dispatches.
@@ -55,6 +55,7 @@ class PredictorSpec:
     rows: Optional[int] = None  # perceptron weight-vector rows
     tage_tables: Optional[int] = None
     tage_entry_bits: Optional[int] = None
+    sets: Optional[int] = None  # PAs pattern tables
 
     def build(
         self, training_records: Optional[Iterable[BranchRecord]] = None

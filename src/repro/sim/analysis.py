@@ -25,6 +25,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
+from repro.predictors.families import family_of
+from repro.predictors.spec import parse_spec
+from repro.sim.backend import resolve_backend
 from repro.trace.record import BranchClass, BranchRecord
 
 
@@ -126,23 +129,9 @@ def per_site_accuracy(
     predictor: ConditionalBranchPredictor,
     records: Iterable[BranchRecord],
 ) -> Dict[int, "tuple[int, int]"]:
-    """Per-static-site ``(correct, total)`` for a predictor over a trace.
-
-    The static analyzer's cross-validation uses this to compare a scheme's
-    behaviour site by site (e.g. static BTFN predictions against the dynamic
-    :class:`~repro.predictors.static_schemes.BTFNPredictor`); it is also
-    handy for finding which sites a scheme loses accuracy on.
-    """
-    correct: Dict[int, int] = {}
-    total: Dict[int, int] = {}
-    for record in records:
-        if record.cls is not BranchClass.CONDITIONAL:
-            continue
-        prediction = predictor.observe(record.pc, record.target, record.taken)
-        total[record.pc] = total.get(record.pc, 0) + 1
-        if prediction == record.taken:
-            correct[record.pc] = correct.get(record.pc, 0) + 1
-    return {pc: (correct.get(pc, 0), total[pc]) for pc in total}
+    """Per-static-site ``(correct, total)`` for a predictor over a trace,
+    e.g. to find which sites a scheme loses accuracy on."""
+    return per_site_accuracy_many({"": predictor}, records)[""]
 
 
 def per_site_accuracy_many(
@@ -151,10 +140,8 @@ def per_site_accuracy_many(
 ) -> Dict[str, Dict[int, "tuple[int, int]"]]:
     """Per-site ``(correct, total)`` for several predictors in one pass.
 
-    Equivalent to calling :func:`per_site_accuracy` once per predictor but
-    reading the trace a single time — the static analyzer's cross-validation
-    drives the whole scheme registry over each workload trace, and traces
-    dominate the cost.
+    The scalar replay behind :func:`per_site_scores`: the trace is read
+    once and every predictor observes each conditional record in turn.
     """
     names = list(predictors)
     correct: Dict[str, Dict[int, int]] = {name: {} for name in names}
@@ -176,36 +163,53 @@ def per_site_accuracy_many(
 
 
 def per_site_accuracy_specs(
-    spec_texts: "Dict[str, str]",
+    specs: Sequence[str],
     records: Sequence[BranchRecord],
-) -> "Optional[Dict[str, Dict[int, tuple[int, int]]]]":
-    """Fused per-site maps for registry-spec schemes, or ``None``.
+) -> Dict[str, Dict[int, "tuple[int, int]"]]:
+    """Per-site maps for spec strings through the fused sweep kernel.
 
-    The fast twin of :func:`per_site_accuracy_many` for predictors that
-    have a :mod:`repro.predictors.spec` string: the trace packs once and
-    every scheme scores through the fused sweep kernel
-    (:func:`repro.sim.sweep.fused_per_site`) — shared per-pc grouping,
-    shared history windows, one two-level scan per group — with tallies
-    identical to the replay loop.  Returns ``None`` when the vector
-    backend is unavailable or a spec profiles a separate training trace,
-    in which case the caller should replay instead.
+    The vector twin of :func:`per_site_accuracy_many`: the trace packs
+    once and every spec scores through
+    :func:`repro.sim.sweep.fused_per_site` (shared per-pc grouping, shared
+    history windows, one two-level scan per group), with tallies identical
+    to the replay loop.  Maps are keyed by spec string; profiled schemes
+    profile ``records`` themselves.
     """
-    from repro.predictors.spec import parse_spec
-    from repro.sim.backend import resolve_backend
-    from repro.sim.sweep import fused_per_site, training_role
+    from repro.sim.sweep import fused_per_site
     from repro.trace.columnar import pack_records
 
-    if resolve_backend("auto") != "vector":
-        return None
-    names = list(spec_texts)
-    parsed = [parse_spec(spec_texts[name]) for name in names]
-    if any(training_role(spec) == "train" for spec in parsed):
-        return None  # ST-Diff needs a separate training trace; not our job
     packed = pack_records(
         record for record in records if record.cls is BranchClass.CONDITIONAL
     )
-    maps = fused_per_site(parsed, packed, trainings={"test": packed})
-    return dict(zip(names, maps))
+    maps = fused_per_site(
+        [parse_spec(text) for text in specs], packed, trainings={"test": packed}
+    )
+    return dict(zip(specs, maps))
+
+
+def per_site_scores(
+    specs: Sequence[str],
+    records: Sequence[BranchRecord],
+    backend: Optional[str] = None,
+) -> Dict[str, Dict[int, "tuple[int, int]"]]:
+    """Per-site ``(correct, total)`` for every spec string over ``records``.
+
+    The one place per-site scoring picks its backend: the fused kernel
+    (:func:`per_site_accuracy_specs`) on ``vector``, one scalar predictor
+    per spec (:func:`per_site_accuracy_many`) on ``scalar``.  ``backend``
+    is ``auto``, ``scalar`` or ``vector``, or ``None`` for the process
+    default (``REPRO_BACKEND``).  Profile and ST-Same profile ``records``
+    on both backends; a spec that profiles a separate training trace
+    (ST-Diff) cannot be scored here.
+    """
+    if resolve_backend(backend) == "vector":
+        return per_site_accuracy_specs(specs, records)
+    predictors = {}
+    for text in specs:
+        spec = parse_spec(text)
+        profiles_records = family_of(spec).training_role(spec) == "test"
+        predictors[text] = spec.build(training_records=records if profiles_records else None)
+    return per_site_accuracy_many(predictors, records)
 
 
 def misprediction_mass(

@@ -342,19 +342,6 @@ def simulate_spec(
     return sweep.fused_stats([spec], packed, _one_spec_trainings(spec, training))[0]
 
 
-def per_site_accuracy(
-    spec: PredictorSpec,
-    packed: PackedTrace,
-    training: Optional[PackedTrace] = None,
-) -> Dict[int, Tuple[int, int]]:
-    """Per-static-site ``(correct, total)`` — the kernels' twin of
-    :func:`repro.sim.analysis.per_site_accuracy`, bit-exact for every
-    spec (a one-spec :func:`repro.sim.sweep.fused_per_site`)."""
-    from repro.sim import sweep
-
-    return sweep.fused_per_site([spec], packed, _one_spec_trainings(spec, training))[0]
-
-
 # ----------------------------------------------------------------------
 # backend dispatch
 # ----------------------------------------------------------------------

@@ -48,10 +48,10 @@ def test_run_and_site_table_share_one_pass(calls):
     fig11_h2p.run(SCALE, BENCHMARKS, cache)
     fig11_h2p.site_table(SCALE, BENCHMARKS, cache)
     assert calls["analyze_program"] == len(BENCHMARKS)
-    assert calls["per_site_accuracy_specs"] == len(BENCHMARKS)
-    # without NumPy the fused path declines and each benchmark replays once
-    replays = 0 if resolve_backend("auto") == "vector" else len(BENCHMARKS)
-    assert calls["per_site_accuracy_many"] == replays
+    # each benchmark is scored once, fused with NumPy and replayed without
+    fused = resolve_backend("auto") == "vector"
+    assert calls["per_site_accuracy_specs"] == (len(BENCHMARKS) if fused else 0)
+    assert calls["per_site_accuracy_many"] == (0 if fused else len(BENCHMARKS))
 
 
 def test_memo_is_keyed_on_backend_and_scale(calls):
@@ -67,7 +67,8 @@ def test_memo_is_keyed_on_backend_and_scale(calls):
 
     fig11_h2p.site_table(SCALE // 2, BENCHMARKS, cache)
     assert calls["analyze_program"] == 3 * len(BENCHMARKS)
-    assert calls["per_site_accuracy_specs"] == 2 * len(BENCHMARKS)
+    passes = calls["per_site_accuracy_specs"] + calls["per_site_accuracy_many"]
+    assert passes == 3 * len(BENCHMARKS)
 
     assert sites == fig11_h2p.site_table(SCALE, BENCHMARKS, TraceCache(disk_dir=None))
 
@@ -80,3 +81,30 @@ def test_memo_does_not_keep_its_cache_alive():
     del cache
     gc.collect()
     assert alive() is None
+
+
+@pytest.fixture()
+def no_fused_kernel(monkeypatch):
+    """Fails any per-site scoring that reaches the fused kernel."""
+
+    def fused(*args, **kwargs):
+        raise AssertionError("the fused per-site kernel ran on the scalar backend")
+
+    monkeypatch.setattr(sim_analysis, "per_site_accuracy_specs", fused)
+
+
+def test_scalar_backend_scores_the_analysis_on_the_scalar_engine(no_fused_kernel):
+    report = fig11_h2p.run(SCALE, ["eqntott"], TraceCache(disk_dir=None), backend="scalar")
+    assert not report.failures()
+
+
+def test_process_default_backend_reaches_the_analysis(no_fused_kernel, monkeypatch):
+    from repro.isa.assembler import assemble
+    from repro.workloads.base import get_workload
+
+    monkeypatch.setenv("REPRO_BACKEND", "scalar")
+    workload = get_workload("eqntott")
+    program = assemble(workload.build_source(workload.dataset("test")))
+    trace = TraceCache(disk_dir=None).get(workload, "test", SCALE)
+    validation = repro.analysis.validate_predictability(program, trace.records, SCALE)
+    assert validation.ok, validation.mismatches

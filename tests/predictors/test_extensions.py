@@ -1,10 +1,13 @@
-"""Global-history extensions (GAg, gshare) — post-paper variants."""
+"""Post-paper variants: the global-history extensions (GAg, gshare), the
+per-address corners (PAp, PAs) and the tournament chooser."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.predictors.base import measure_accuracy
 from repro.predictors.extensions import GAgPredictor, GSharePredictor
+from repro.predictors.families.per_address import PerAddressPredictor
+from repro.predictors.spec import parse_spec
 from repro.trace.synthetic import interleaved, periodic_branch
 
 
@@ -60,9 +63,7 @@ class TestGShare:
 
 class TestPAp:
     def test_learns_per_branch_patterns_without_interference(self):
-        from repro.predictors.extensions import PApPredictor
-
-        predictor = PApPredictor(8)
+        predictor = parse_spec("PAp(8)").build()
         trace = list(interleaved([(0x10, [True, False]), (0x20, [False, True])], 400))
         measure_accuracy(predictor, trace[:400])
         assert measure_accuracy(predictor, trace[400:]) == 1.0
@@ -71,7 +72,6 @@ class TestPAp:
         """Two branches whose histories collide in one shared PT but whose
         next outcomes differ: PAp separates them, PAg suffers."""
         from repro.predictors.automata import A2
-        from repro.predictors.extensions import PApPredictor
         from repro.predictors.hrt import IHRT
         from repro.predictors.pattern_table import PatternTable
         from repro.predictors.two_level import TwoLevelAdaptivePredictor
@@ -83,7 +83,7 @@ class TestPAp:
             interleaved([(0x10, [True, False]),
                          (0x20, [True, True, False])], 600)
         )
-        pap = PApPredictor(3)
+        pap = parse_spec("PAp(3)").build()
         pag = TwoLevelAdaptivePredictor(IHRT(), PatternTable(3, A2))
         measure_accuracy(pap, trace[:400])
         measure_accuracy(pag, trace[:400])
@@ -92,15 +92,13 @@ class TestPAp:
         assert pap_accuracy > pag_accuracy
 
     def test_invalid_length(self):
-        from repro.predictors.extensions import PApPredictor
-
         with pytest.raises(ConfigError):
-            PApPredictor(0)
+            PerAddressPredictor(0)
+        with pytest.raises(ConfigError):
+            parse_spec("PAp(0)")
 
     def test_reset_and_name(self):
-        from repro.predictors.extensions import PApPredictor
-
-        predictor = PApPredictor(6)
+        predictor = parse_spec("PAp(6)").build()
         predictor.update(0x10, 0x20, False)
         predictor.reset()
         assert predictor.predict(0x10, 0x20) is True
@@ -152,15 +150,16 @@ class TestTournament:
 
 class TestPAs:
     def test_sits_between_pag_and_pap_structurally(self):
-        from repro.predictors.extensions import PApPredictor, PAsPredictor
-
-        pas = PAsPredictor(6, sets=4)
-        assert len(pas._tables) == 4
+        """PAp gives every branch its own table; PAs folds branches into
+        ``sets`` tables by word address."""
+        pcs = range(0x10, 0x50, 4)
+        pas = parse_spec("PAs(6,4)").build()
+        pap = parse_spec("PAp(6)").build()
+        assert {pas.table(pc) for pc in pcs} == {0, 1, 2, 3}
+        assert len({pap.table(pc) for pc in pcs}) == len(pcs)
 
     def test_learns_patterns(self):
-        from repro.predictors.extensions import PAsPredictor
-
-        predictor = PAsPredictor(8, sets=8)
+        predictor = parse_spec("PAs(8,8)").build()
         trace = list(periodic_branch([True, False, False], 400))
         measure_accuracy(predictor, trace[:600])
         assert measure_accuracy(predictor, trace[600:]) > 0.99
@@ -169,7 +168,6 @@ class TestPAs:
         """The PAg-conflicting pair (TFT window) lands in different set
         tables when the set count separates their addresses."""
         from repro.predictors.automata import A2
-        from repro.predictors.extensions import PAsPredictor
         from repro.predictors.hrt import IHRT
         from repro.predictors.pattern_table import PatternTable
         from repro.predictors.two_level import TwoLevelAdaptivePredictor
@@ -177,25 +175,61 @@ class TestPAs:
         trace = list(
             interleaved([(0x10, [True, False]), (0x14, [True, True, False])], 600)
         )
-        pas = PAsPredictor(3, sets=2)  # 0x10 -> set 0, 0x14 -> set 1
+        pas = parse_spec("PAs(3,2)").build()  # 0x10 -> set 0, 0x14 -> set 1
         pag = TwoLevelAdaptivePredictor(IHRT(), PatternTable(3, A2))
         measure_accuracy(pas, trace[:400])
         measure_accuracy(pag, trace[:400])
         assert measure_accuracy(pas, trace[400:]) > measure_accuracy(pag, trace[400:])
 
     def test_validation(self):
-        from repro.predictors.extensions import PAsPredictor
-
         with pytest.raises(ConfigError):
-            PAsPredictor(0)
+            PerAddressPredictor(0, sets=4)
         with pytest.raises(ConfigError):
-            PAsPredictor(4, sets=0)
+            PerAddressPredictor(4, sets=0)
+        with pytest.raises(ConfigError):
+            parse_spec("PAs(4,0)")
 
     def test_reset_and_name(self):
-        from repro.predictors.extensions import PAsPredictor
-
-        predictor = PAsPredictor(5, sets=4)
+        predictor = parse_spec("PAs(5,4)").build()
         predictor.update(0x10, 0, False)
         predictor.reset()
         assert predictor.predict(0x10, 0) is True
         assert predictor.name == "PAs(5,4,A2)"
+
+    def test_one_set_is_the_papers_global_table(self, program_trace):
+        """PAs with one set is PAg: the paper's AT over an ideal HRT."""
+        from repro.sim.engine import simulate
+
+        pas = simulate(parse_spec("PAs(6,1,A3)").build(), program_trace)
+        at = simulate(parse_spec("AT(IHRT(,6SR),PT(2^6,A3),)").build(), program_trace)
+        assert pas == at
+
+
+class TestPerAddressStorage:
+    """Storage follows the patterns a trace reaches, not ``tables x 2^k``:
+    a table per branch at k = 24 would be 2^24 entries for each of gcc's
+    2,292 conditional sites."""
+
+    @pytest.mark.parametrize("spec_text", ["PAp(24,A2)", "PAs(24,1000000,A2)"])
+    def test_widest_tables_score_a_gcc_slice_in_little_memory(self, spec_text, trace_cache):
+        import tracemalloc
+
+        from repro.sim.backend import has_numpy
+        from repro.sim.kernels import score_spec
+        from repro.workloads.base import get_workload
+
+        packed = trace_cache.get(get_workload("gcc"), "test", 2_000).packed()
+        spec = parse_spec(spec_text)
+        scores = []
+        for backend in ["scalar", "vector"] if has_numpy() else ["scalar"]:
+            score_spec(parse_spec("PAp(1)"), packed, backend=backend)  # imports
+            tracemalloc.start()
+            try:
+                scores.append(score_spec(spec, packed, backend=backend))
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20, f"{backend}: peak {peak} bytes"
+        assert scores[0].conditional_total == 2_000
+        assert all(score == scores[0] for score in scores)
+

@@ -33,6 +33,8 @@ EXAMPLES = {
     "gshare": "gshare( 10 , LT )",
     "Perceptron": "perceptron(12)",
     "TAGE": "TAGE(3,7)",
+    "PAp": "PAp(6,A2)",
+    "PAs": "PAs(6,4,A2)",
     "AT": "AT(AHRT(512,12SR),PT(2^12,A2))",
     "ST": "ST(HHRT(256,8SR),PT(256,PB),diff)",
     "LS": "LS(IHRT(,LT),,)",

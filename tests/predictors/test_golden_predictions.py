@@ -65,6 +65,12 @@ GOLDEN = {
     "tage(2,5)": (
         "a38b67787428b0d223983337cbec8dd8b7d2f9ca02fbaf1ea78e504368d386a0"
     ),
+    "PAp(6,A2)": (
+        "cc6baa16ff6a3efd8b1e3398db8d105a9aec8323844e709310cbe56d5b1dc01e"
+    ),
+    "PAs(6,4,A2)": (
+        "6e89a93717189351c640603cf1656d75c369872ef84cd15dd67f1c7892d35b9d"
+    ),
 }
 
 #: Static Training on a different data set: trained on each Table 3

@@ -45,6 +45,8 @@ FAMILY_SPECS = [
     "LS(HHRT(256,A2),,)",
     "perceptron(8,16)",
     "tage(2,5)",
+    "PAp(6,A2)",
+    "PAs(6,4,A2)",
 ]
 
 BACKENDS = ["scalar", "vector"] if has_numpy() else ["scalar"]

@@ -22,7 +22,8 @@ from repro.sim.backend import (
     resolve_backend,
 )
 from repro.sim.engine import simulate
-from repro.sim.kernels import per_site_accuracy, score_spec, simulate_spec
+from repro.sim.kernels import score_spec, simulate_spec
+from repro.sim.sweep import fused_per_site
 from repro.sim.runner import SweepRunner
 from repro.sim.streaming import make_multi_scorer
 from repro.trace.columnar import pack_records
@@ -63,6 +64,17 @@ MODERN_SPECS = [
     "tage(1,3)",
 ]
 VECTOR_SPECS = VECTOR_SPECS + MODERN_SPECS
+
+#: the per-address corners, which drive one scalar predictor per session
+#: like the perceptron: private tables (PAp), and per-set tables where one
+#: set puts every branch in one table (PAs(4,1,..), PAg by another name)
+PER_ADDRESS_SPECS = [
+    "PAp(6,A2)",
+    "PAp(3,LT)",
+    "PAs(6,4,A2)",
+    "PAs(4,1,A3)",
+]
+VECTOR_SPECS = VECTOR_SPECS + PER_ADDRESS_SPECS
 
 #: finite-HRT specs — vectorized by remapping each record to its *register*
 #: key (LRU replay for AHRT, hash re-keying for HHRT) before the bucket
@@ -126,7 +138,7 @@ class TestKernelProperty:
         spec = parse_spec("AT(IHRT(,4SR),PT(2^4,A2),)")
         packed = pack_records(records)
         expected = analysis.per_site_accuracy(spec.build(), records)
-        assert per_site_accuracy(spec, packed) == expected
+        assert fused_per_site([spec], packed)[0] == expected
 
 
 @needs_numpy
