@@ -77,9 +77,9 @@ class PerAddressPredictor(ConditionalBranchPredictor):
 
     @property
     def name(self) -> str:
-        sets = "" if self.sets is None else f"{self.sets},"
-        scheme = "PAp" if self.sets is None else "PAs"
-        return f"{scheme}({self.history_length},{sets}{self.automaton.name})"
+        if self.sets is None:
+            return f"PAp({self.history_length},{self.automaton.name})"
+        return f"PAs({self.history_length},{self.sets},{self.automaton.name})"
 
 
 class _PerAddress(Family):
