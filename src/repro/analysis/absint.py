@@ -236,9 +236,7 @@ class Resolution:
         self._in_progress.add(key)
         try:
             result: Optional[ValueRange] = None
-            for def_register, def_address in self.reaching.at(address):
-                if def_register != register:
-                    continue
+            for def_address in self.reaching.of(register, address):
                 value = self._resolve_definition(register, def_address, depth)
                 result = value if result is None else result.join(value)
                 if result.is_top:
@@ -526,9 +524,7 @@ class LoopAnalysis:
         inner = self._inner_blocks(header, body)
         inside: List[int] = []
         outside: List[int] = []
-        for def_register, def_address in resolution.reaching.at(use_pc):
-            if def_register != register:
-                continue
+        for def_address in resolution.reaching.of(register, use_pc):
             if def_address == UNINITIALIZED:
                 outside.append(def_address)
             elif cfg.block_at(def_address).start in body:
@@ -572,9 +568,7 @@ class LoopAnalysis:
         # entry from outside the body (the increment kills them at the use,
         # so they must be read off at the header).
         init: Optional[int] = None
-        for def_register, def_address in resolution.reaching.at(header):
-            if def_register != register:
-                continue
+        for def_address in resolution.reaching.of(register, header):
             if (
                 def_address != UNINITIALIZED
                 and cfg.block_at(def_address).start in body
@@ -943,10 +937,11 @@ class _Walker:
                 truncated = True
                 stop_reason = "bad-fetch"
                 break
-            op, rd, rs1, rs2, imm = instructions[index]
+            # the identity tests below need Opcode members in the opcode
+            # field, which is what the assembler and the decoder store
+            opcode, rd, rs1, rs2, imm = instructions[index]
             steps += 1
             next_pc = pc + 4
-            opcode = Opcode(op)
 
             if opcode in B_FORMAT:
                 a = regs[rs1]

@@ -25,6 +25,7 @@ infinite-loop lint rule, which must also catch irreducible cycles.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -132,8 +133,11 @@ class ControlFlowGraph:
     indirect_targets: FrozenSet[int] = frozenset()
     _succ: Dict[int, List[Edge]] = field(default_factory=dict, repr=False)
     _pred: Dict[int, List[Edge]] = field(default_factory=dict, repr=False)
+    #: block starts in address order, the search column of :meth:`block_at`
+    _starts: List[int] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
+        self._starts = sorted(self.blocks)
         for start in self.blocks:
             self._succ[start] = []
             self._pred[start] = []
@@ -150,16 +154,10 @@ class ControlFlowGraph:
 
     def block_at(self, address: int) -> BasicBlock:
         """The block containing ``address`` (must be a valid text address)."""
-        starts = sorted(self.blocks)
-        lo, hi = 0, len(starts) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            block = self.blocks[starts[mid]]
-            if address < block.start:
-                hi = mid - 1
-            elif address >= block.end:
-                lo = mid + 1
-            else:
+        index = bisect_right(self._starts, address) - 1
+        if index >= 0:
+            block = self.blocks[self._starts[index]]
+            if address < block.end:
                 return block
         raise KeyError(f"address {address:#x} is not in any basic block")
 

@@ -20,7 +20,7 @@ zero and excluded throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.isa.instructions import Opcode, registers_read, registers_written
@@ -91,6 +91,10 @@ class ReachingDefinitions:
     cfg: ControlFlowGraph
     block_in: Dict[int, FrozenSet[Definition]]
     block_out: Dict[int, FrozenSet[Definition]]
+    #: the bitset solution behind ``block_in`` (block start -> bits)
+    in_bits: Dict[int, int] = field(repr=False)
+    #: register -> (its lowest bit, its definition addresses in bit order)
+    register_defs: Dict[int, Tuple[int, Tuple[int, ...]]] = field(repr=False)
 
     def at(self, address: int) -> FrozenSet[Definition]:
         """Definitions reaching ``address`` (before it executes)."""
@@ -106,6 +110,33 @@ class ReachingDefinitions:
             for register in registers_written(instruction):
                 last_def[register] = pc
         raise KeyError(f"address {address:#x} is not in block {block.start:#x}")
+
+    def of(self, register: int, address: int) -> Tuple[int, ...]:
+        """Addresses of the definitions of ``register`` reaching ``address``
+        (:data:`UNINITIALIZED` for the virtual entry definition).
+
+        The same set as ``at(address)`` narrowed to ``register``, without
+        decoding the block's whole solution: a definition earlier in the
+        block is the only one that reaches; otherwise the answer is the
+        register's run of bits in the block's in-set, walked lowest bit
+        first.
+        """
+        block = self.cfg.block_at(address)
+        offset = address - block.start
+        if offset & 3:
+            raise KeyError(f"address {address:#x} is not in block {block.start:#x}")
+        instructions = block.instructions
+        for index in range((offset >> 2) - 1, -1, -1):
+            if register in registers_written(instructions[index]):
+                return (block.start + 4 * index,)
+        low, addresses = self.register_defs.get(register, (0, ()))
+        bits = (self.in_bits[block.start] >> low) & ((1 << len(addresses)) - 1)
+        found: List[int] = []
+        while bits:
+            lowest = bits & -bits
+            found.append(addresses[lowest.bit_length() - 1])
+            bits ^= lowest
+        return tuple(found)
 
     def definitely_uninitialized_reads(self) -> List[Tuple[int, int]]:
         """``(address, register)`` pairs where every reaching definition of a
@@ -141,47 +172,53 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
     pairs plus the virtual entry definitions — small enough to give every
     definition a bit and solve with integer ``|``/``&`` instead of
     per-element frozenset rebuilds.  The solution decodes back to the
-    frozenset interface once, after convergence.
+    frozenset interface lazily, one block at a time;
+    :meth:`ReachingDefinitions.of` reads the bitsets directly.
     """
-    definitions: List[Definition] = []
-    index_of: Dict[Definition, int] = {}
-    register_bits: Dict[int, int] = {}
-
-    def intern(definition: Definition) -> int:
-        bit = index_of.get(definition)
-        if bit is None:
-            bit = len(definitions)
-            index_of[definition] = bit
-            definitions.append(definition)
-            register = definition[0]
-            register_bits[register] = register_bits.get(register, 0) | (1 << bit)
-        return bit
-
-    gen_bits: Dict[int, int] = {}
-    kill_regs: Dict[int, FrozenSet[int]] = {}
+    last_defs: Dict[int, Dict[int, int]] = {}
+    addresses: Dict[int, List[int]] = {
+        register: [] for register in range(1, NUM_REGISTERS)
+    }
     for start, block in cfg.blocks.items():
         last_def: Dict[int, int] = {}
         for pc, instruction in zip(block.addresses(), block.instructions):
             for register in registers_written(instruction):
                 last_def[register] = pc
+        last_defs[start] = last_def
+        for register, pc in last_def.items():
+            addresses[register].append(pc)
+
+    # number the definitions register by register, the virtual entry one
+    # last: each register's bits are one contiguous run, which is how
+    # ``ReachingDefinitions.of`` cuts one register out of a solution
+    definitions: List[Definition] = []
+    index_of: Dict[Definition, int] = {}
+    register_defs: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
+    register_bits: Dict[int, int] = {}
+    entry_bits = 0
+    for register, run in addresses.items():
+        run.append(UNINITIALIZED)
+        register_defs[register] = (len(definitions), tuple(run))
+        register_bits[register] = ((1 << len(run)) - 1) << len(definitions)
+        for address in run:
+            index_of[(register, address)] = len(definitions)
+            definitions.append((register, address))
+        entry_bits |= 1 << (len(definitions) - 1)
+
+    gen_bits: Dict[int, int] = {}
+    for start, last_def in last_defs.items():
         bits = 0
         for item in last_def.items():
-            bits |= 1 << intern(item)
+            bits |= 1 << index_of[item]
         gen_bits[start] = bits
-        kill_regs[start] = frozenset(last_def)
 
-    entry_bits = 0
-    for register in range(1, NUM_REGISTERS):
-        entry_bits |= 1 << intern((register, UNINITIALIZED))
-
-    # kill masks cover every definition of the killed registers, so they can
-    # only be assembled once the whole universe is interned
+    # a block kills every definition of each register it defines
     keep_mask: Dict[int, int] = {}
     universe = (1 << len(definitions)) - 1
-    for start in cfg.blocks:
+    for start, last_def in last_defs.items():
         killed = 0
-        for register in kill_regs[start]:
-            killed |= register_bits.get(register, 0)
+        for register in last_def:
+            killed |= register_bits[register]
         keep_mask[start] = universe & ~killed
 
     predecessors: Dict[int, List[int]] = {
@@ -208,6 +245,8 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
         cfg=cfg,
         block_in=_LazyDecodedSets(in_bits, definitions),
         block_out=_LazyDecodedSets(out_bits, definitions),
+        in_bits=in_bits,
+        register_defs=register_defs,
     )
 
 

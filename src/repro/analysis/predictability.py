@@ -261,7 +261,6 @@ class _CorrelationFinder:
             for start in self.cfg.blocks
         }
         self._control_deps = self._control_dependence()
-        self._defs_cache: Dict[int, Dict[int, List[int]]] = {}
 
     def _control_dependence(self) -> Dict[int, Set[int]]:
         """Control dependence in one pass (Ferrante–Ottenstein–Warren on
@@ -297,16 +296,12 @@ class _CorrelationFinder:
 
     def _real_definitions(self, register: int, use_pc: int) -> List[int]:
         """Non-virtual definition addresses of ``register`` reaching
-        ``use_pc``, cached per pc (one reaching-set scan serves every
-        register queried at that pc)."""
-        by_register = self._defs_cache.get(use_pc)
-        if by_register is None:
-            by_register = {}
-            for def_register, def_address in self.resolution.reaching.at(use_pc):
-                if def_address != UNINITIALIZED:
-                    by_register.setdefault(def_register, []).append(def_address)
-            self._defs_cache[use_pc] = by_register
-        return by_register.get(register, [])
+        ``use_pc``."""
+        return [
+            def_address
+            for def_address in self.resolution.reaching.of(register, use_pc)
+            if def_address != UNINITIALIZED
+        ]
 
     def sources(self, pc: int, depth: int = 4) -> Tuple[int, ...]:
         """Source sites correlated with the conditional at ``pc``.
@@ -542,10 +537,11 @@ def analyze_program(
 ) -> PredictabilityReport:
     """Classify every conditional site of ``program`` and bound every
     scheme's per-site accuracy at trace scale ``scale`` (the simulator's
-    ``max_conditional_branches``).  ``backend`` picks the per-site scoring
-    engine (:func:`repro.sim.analysis.per_site_scores`); the bounds are
-    identical on both."""
-    from repro.sim.analysis import per_site_scores
+    ``max_conditional_branches``).  ``backend`` picks the engine that
+    replays a complete walk (:func:`repro.sim.analysis.per_site_scores`);
+    a partial walk's per-site streams always replay on the scalar engine.
+    The bounds are identical on both."""
+    import repro.sim.analysis as sim_analysis
 
     if cfg is None:
         cfg = build_cfg(program)
@@ -625,31 +621,38 @@ def analyze_program(
         )
 
     # -- bounds ---------------------------------------------------------
-    specs = [scheme.spec for scheme in schemes]
+    # each name is a parse_spec round trip, so read it once per scheme
+    keyed = [(scheme, scheme.name) for scheme in schemes]
     if walk.complete:
         # one replay of the whole reconstructed stream: every bound is tight
         records = _records_from_stream(walk.global_stream, targets)
-        per_spec = per_site_scores(specs, records, backend)
-        for scheme in schemes:
+        per_spec = sim_analysis.per_site_scores(
+            [scheme.spec for scheme in schemes], records, backend
+        )
+        for scheme, key in keyed:
             for pc, (correct, total) in per_spec[scheme.spec].items():
                 report = reports.get(pc)
                 if report is not None:
-                    report.bounds[scheme.name] = _exact_bound(scheme.name, total, correct)
+                    report.bounds[key] = _exact_bound(key, total, correct)
     else:
         # each site's known stream alone: exact for self-contained schemes
-        # on exact streams, an estimate inside [0, n] otherwise
+        # on exact streams, an estimate inside [0, n] otherwise.  The
+        # streams are short and there is one per site, so they replay on
+        # the scalar engine (bit-exact with the fused kernel, without its
+        # per-call set-up) from specs parsed once.
+        parsed = {scheme.spec: parse_spec(scheme.spec) for scheme in schemes}
         for pc, report in reports.items():
             stream = walk.streams.get(pc, [])
             records = _records_from_stream([(pc, taken) for taken in stream], targets)
-            per_spec = per_site_scores(specs, records, backend)
+            per_spec = sim_analysis.per_site_replay(parsed, records)
             n = report.occurrences
-            for scheme in schemes:
+            for scheme, key in keyed:
                 correct = per_spec[scheme.spec][pc][0]
                 if scheme.self_contained and report.stream_exact:
-                    bound = _exact_bound(scheme.name, n, correct)
+                    bound = _exact_bound(key, n, correct)
                 else:
-                    bound = SchemeBound(scheme.name, n, 0, n, False, correct)
-                report.bounds[scheme.name] = bound
+                    bound = SchemeBound(key, n, 0, n, False, correct)
+                report.bounds[key] = bound
 
     for report in reports.values():
         report.bounds[PROFILE_SCHEME] = (

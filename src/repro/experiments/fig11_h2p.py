@@ -11,8 +11,9 @@ the top-N H2P sites and overall.  The reported ``recovered`` column is
 per-site *misprediction-mass recovery*: the fraction of AT's mispredictions
 on the H2P sites that a scheme eliminates (negative = it loses mass).
 
-Every per-site map, the analysis bounds included, is scored on the
-requested backend (:func:`repro.sim.analysis.per_site_scores`); a parity
+The analysis bounds only the reference scheme its ranking reads.  Every
+per-site map, those bounds included, is scored on the requested backend
+(:func:`repro.sim.analysis.per_site_scores`); a parity
 shape-check additionally scores the modern schemes on the scalar engine
 and asserts the totals agree, so `repro h2p` doubles as an end-to-end
 vector/scalar parity gate in CI.
@@ -62,12 +63,18 @@ def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend:
     if key not in memo:
         import repro.sim.analysis as sim_analysis
         from repro.analysis import analyze_program
+        from repro.analysis.predictability import ANALYSIS_SCHEMES, REFERENCE_SCHEME
 
+        # the H2P ranking reads the reference scheme's bounds and nothing
+        # else; SPECS are scored on the trace itself below
+        reference = [s for s in ANALYSIS_SCHEMES if s.name == REFERENCE_SCHEME]
         workload = get_workload(name)
         program = assemble(workload.build_source(workload.dataset("test")))
-        static = analyze_program(program, max_conditional, name=name, backend=backend)
+        static = analyze_program(
+            program, max_conditional, name=name, schemes=reference, backend=backend
+        )
         trace = cache.get(workload, "test", max_conditional)
-        maps = sim_analysis.per_site_scores(SPECS, trace.records, backend)
+        maps = sim_analysis.per_site_scores(SPECS, trace.packed(), backend)
         memo[key] = (static, trace, maps)
     return memo[key]
 

@@ -21,13 +21,14 @@ arguments into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.families import family_of
-from repro.predictors.spec import parse_spec
+from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
+from repro.trace.columnar import PackedTrace, pack_records
 from repro.trace.record import BranchClass, BranchRecord
 
 
@@ -164,52 +165,69 @@ def per_site_accuracy_many(
 
 def per_site_accuracy_specs(
     specs: Sequence[str],
-    records: Sequence[BranchRecord],
+    records: "Union[Sequence[BranchRecord], PackedTrace]",
 ) -> Dict[str, Dict[int, "tuple[int, int]"]]:
     """Per-site maps for spec strings through the fused sweep kernel.
 
     The vector twin of :func:`per_site_accuracy_many`: the trace packs
-    once and every spec scores through
-    :func:`repro.sim.sweep.fused_per_site` (shared per-pc grouping, shared
-    history windows, one two-level scan per group), with tallies identical
-    to the replay loop.  Maps are keyed by spec string; profiled schemes
-    profile ``records`` themselves.
+    once (a :class:`PackedTrace` is used as it is) and every spec scores
+    through :func:`repro.sim.sweep.fused_per_site` (shared per-pc
+    grouping, shared history windows, one two-level scan per group), with
+    tallies identical to the replay loop.  Maps are keyed by spec string;
+    profiled schemes profile ``records`` themselves.
     """
     from repro.sim.sweep import fused_per_site
-    from repro.trace.columnar import pack_records
 
-    packed = pack_records(
-        record for record in records if record.cls is BranchClass.CONDITIONAL
-    )
+    if isinstance(records, PackedTrace):
+        packed = records
+    else:
+        packed = pack_records(
+            record for record in records if record.cls is BranchClass.CONDITIONAL
+        )
     maps = fused_per_site(
         [parse_spec(text) for text in specs], packed, trainings={"test": packed}
     )
     return dict(zip(specs, maps))
 
 
+def per_site_replay(
+    specs: "Dict[str, PredictorSpec]",
+    records: "Union[Sequence[BranchRecord], PackedTrace]",
+) -> Dict[str, Dict[int, "tuple[int, int]"]]:
+    """Per-site maps for already-parsed specs on the scalar engine.
+
+    One fresh predictor per spec replays ``records``
+    (:func:`per_site_accuracy_many`); maps are keyed like ``specs``.
+    Profile and ST-Same profile ``records``.  A caller scoring many short
+    streams parses its specs once and calls this per stream, which is
+    cheaper than the fused kernel's per-call set-up.
+    """
+    predictors = {}
+    for key, spec in specs.items():
+        profiles_records = family_of(spec).training_role(spec) == "test"
+        predictors[key] = spec.build(training_records=records if profiles_records else None)
+    return per_site_accuracy_many(predictors, records)
+
+
 def per_site_scores(
     specs: Sequence[str],
-    records: Sequence[BranchRecord],
+    records: "Union[Sequence[BranchRecord], PackedTrace]",
     backend: Optional[str] = None,
 ) -> Dict[str, Dict[int, "tuple[int, int]"]]:
     """Per-site ``(correct, total)`` for every spec string over ``records``.
 
     The one place per-site scoring picks its backend: the fused kernel
     (:func:`per_site_accuracy_specs`) on ``vector``, one scalar predictor
-    per spec (:func:`per_site_accuracy_many`) on ``scalar``.  ``backend``
-    is ``auto``, ``scalar`` or ``vector``, or ``None`` for the process
-    default (``REPRO_BACKEND``).  Profile and ST-Same profile ``records``
-    on both backends; a spec that profiles a separate training trace
-    (ST-Diff) cannot be scored here.
+    per spec (:func:`per_site_replay`) on ``scalar``.  ``backend`` is
+    ``auto``, ``scalar`` or ``vector``, or ``None`` for the process
+    default (``REPRO_BACKEND``).  ``records`` may be a
+    :class:`PackedTrace`, which the fused kernel reads without unboxing.
+    Profile and ST-Same profile ``records`` on both backends; a spec that
+    profiles a separate training trace (ST-Diff) cannot be scored here.
     """
     if resolve_backend(backend) == "vector":
         return per_site_accuracy_specs(specs, records)
-    predictors = {}
-    for text in specs:
-        spec = parse_spec(text)
-        profiles_records = family_of(spec).training_role(spec) == "test"
-        predictors[text] = spec.build(training_records=records if profiles_records else None)
-    return per_site_accuracy_many(predictors, records)
+    return per_site_replay({text: parse_spec(text) for text in specs}, records)
 
 
 def misprediction_mass(

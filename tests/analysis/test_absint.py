@@ -218,6 +218,14 @@ inner:
         assert outcomes == [True, False, True, True, False, False]
 
 
+@pytest.mark.parametrize("name,role", VARIANTS)
+def test_assembled_instructions_hold_opcode_members(name, role):
+    # the walk tests an instruction's opcode by identity (``is Opcode.LD``)
+    # without converting it, so a plain int in that field would misread
+    for instruction in _program(name, role).instructions:
+        assert type(instruction.opcode) is Opcode, instruction
+
+
 class TestWalkMatchesDynamicTrace:
     """The decisive property: the static walk IS the conditional trace."""
 

@@ -1,7 +1,11 @@
 """CFG construction: blocks, edge kinds, dominators, loops, SCCs."""
 
+import pytest
+
 from repro.analysis import EdgeKind, build_cfg
 from repro.isa.assembler import assemble
+from repro.workloads import workload_names
+from repro.workloads.base import get_workload
 
 
 def _cfg(source: str):
@@ -34,6 +38,23 @@ class TestBlocks:
         cfg = _cfg(LOOP)
         assert cfg.block_at(0x1008).start == 0x1004
         assert cfg.block_at(0x1010).start == 0x1010
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_block_at_is_the_one_block_containing_each_address(self, name):
+        workload = get_workload(name)
+        cfg = _cfg(workload.build_source(workload.dataset("test")))
+        program = cfg.program
+        # every block that contains each address, from one pass over them all
+        owners = {}
+        for block in cfg.blocks.values():
+            for address in range(block.start, block.end, 4):
+                owners.setdefault(address, []).append(block)
+        for index in range(len(program.instructions)):
+            address = program.text_base + 4 * index
+            assert [cfg.block_at(address)] == owners[address]
+        for outside in (program.text_base - 4, program.text_base + 4 * len(program.instructions)):
+            with pytest.raises(KeyError):
+                cfg.block_at(outside)
 
     def test_labels_attached_to_blocks(self):
         cfg = _cfg(LOOP)

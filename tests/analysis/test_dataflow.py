@@ -1,4 +1,7 @@
-"""Reaching definitions and liveness on small hand-built programs."""
+"""Reaching definitions and liveness on small hand-built programs, and the
+per-register query against the whole-set one on the bundled programs."""
+
+import pytest
 
 from repro.analysis import (
     UNINITIALIZED,
@@ -7,6 +10,9 @@ from repro.analysis import (
     reaching_definitions,
 )
 from repro.isa.assembler import assemble
+from repro.isa.registers import NUM_REGISTERS
+from repro.workloads import workload_names
+from repro.workloads.base import get_workload
 
 
 def _cfg(source: str):
@@ -80,6 +86,73 @@ loop:
         reads = reaching_definitions(cfg).definitely_uninitialized_reads()
         assert all(register != 2 for _, register in reads)
         assert reads == []
+
+
+def _of_matches_at(rd, address):
+    """``of(r, address)`` is ``at(address)`` narrowed to ``r``, as a set
+    without repeats, for every register."""
+    found = [
+        (register, def_address)
+        for register in range(NUM_REGISTERS)
+        for def_address in rd.of(register, address)
+    ]
+    assert len(found) == len(set(found)), f"{address:#x}"
+    assert frozenset(found) == rd.at(address), f"{address:#x}"
+
+
+class TestPerRegisterQuery:
+    REDEFINED = """
+_start:
+    bnez r9, other
+    li r2, 1
+    br join
+other:
+    li r2, 2
+join:
+    addi r3, r2, 0
+    li r2, 5
+    addi r4, r2, 0
+    li r2, 6
+    addi r5, r2, 0
+    halt
+"""
+
+    def test_definitions_reaching_the_block_entry(self):
+        cfg = _cfg(self.REDEFINED)
+        rd = reaching_definitions(cfg)
+        join = cfg.program.symbols["join"]
+        assert set(rd.of(2, join)) == {cfg.entry + 4, cfg.program.symbols["other"]}
+        assert rd.of(9, join) == (UNINITIALIZED,)
+        assert rd.of(0, join) == ()
+
+    def test_redefinition_earlier_in_the_block_wins(self):
+        cfg = _cfg(self.REDEFINED)
+        rd = reaching_definitions(cfg)
+        join = cfg.program.symbols["join"]
+        assert rd.of(2, join + 8) == (join + 4,)
+        # the second redefinition replaces the first
+        assert rd.of(2, join + 16) == (join + 12,)
+        # the instruction's own write is not before it
+        assert len(rd.of(2, join + 4)) == 2
+        for address in range(join, join + 24, 4):
+            _of_matches_at(rd, address)
+
+    def test_misaligned_address_is_rejected(self):
+        cfg = _cfg(self.REDEFINED)
+        with pytest.raises(KeyError):
+            reaching_definitions(cfg).of(2, cfg.entry + 2)
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_matches_at_on_every_bundled_program(self, name):
+        workload = get_workload(name)
+        cfg = _cfg(workload.build_source(workload.dataset("test")))
+        rd = reaching_definitions(cfg)
+        starts = sorted(cfg.blocks)
+        # about 2,000 definitions reach each gcc pc, so checking all of them
+        # takes ~20 s; every 16th block of it keeps the test short
+        for start in starts[:: 16 if name == "gcc" else 1]:
+            for address in cfg.blocks[start].addresses():
+                _of_matches_at(rd, address)
 
 
 class TestLiveness:

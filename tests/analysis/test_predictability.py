@@ -20,10 +20,14 @@ from repro.analysis import (
     analyze_program,
     validate_predictability,
 )
-from repro.analysis.absint import loop_summaries
+import repro.sim.analysis as sim_analysis
+import repro.sim.sweep as sweep
+from repro.analysis import build_cfg, conditional_sites, reaching_definitions
+from repro.analysis.absint import Resolution, loop_summaries
 from repro.analysis.predictability import (
     PROFILE_SCHEME,
     REFERENCE_SCHEME,
+    _CorrelationFinder,
     _profile_bound,
     automaton_constant_misses,
     automaton_periodic_misses,
@@ -290,6 +294,60 @@ def test_static_trips_match_dynamic_taken_runs(bound, inner):
         assert all(run == trip for run in runs), (
             f"exit {exit_pc:#x}: static trip {trip}, dynamic runs {runs[:5]}"
         )
+
+
+class _ReversedDefinitions:
+    """A reaching-definitions solution whose per-register answers come out
+    in reverse order."""
+
+    def __init__(self, reaching):
+        self.reaching = reaching
+
+    def of(self, register, address):
+        return tuple(reversed(self.reaching.of(register, address)))
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_correlation_sources_ignore_definition_order(name):
+    # ``sources`` dedupes (register, pc) pairs whatever budget is left, so
+    # visiting definitions in another order could in principle change what
+    # it finds; on the bundled programs it does not
+    cfg = build_cfg(_program(name, "test"))
+    reaching = reaching_definitions(cfg)
+    forward = _CorrelationFinder(Resolution(cfg=cfg, reaching=reaching))
+    backward = _CorrelationFinder(
+        Resolution(cfg=cfg, reaching=_ReversedDefinitions(reaching))
+    )
+    for site in conditional_sites(cfg.program):
+        assert forward.sources(site.pc) == backward.sources(site.pc), hex(site.pc)
+
+
+def test_partial_walk_never_runs_the_fused_kernel(monkeypatch):
+    # one replay per site: the scalar engine, whatever the backend
+    pytest.importorskip("numpy")
+
+    def fused(*args, **kwargs):
+        raise AssertionError("a partial walk's per-site stream ran the fused kernel")
+
+    monkeypatch.setattr(sweep, "fused_per_site", fused)
+    monkeypatch.setattr(sim_analysis, "per_site_accuracy_specs", fused)
+    monkeypatch.setenv("REPRO_BACKEND", "vector")
+    program = assemble(
+        """
+_start:
+    li r2, 5
+loop:
+    subi r2, r2, 1
+    bnez r2, loop
+spin:
+    br spin
+"""
+    )
+    for backend in (None, "vector"):
+        report = analyze_program(program, 100, backend=backend)
+        assert not report.walk_complete
+        [site] = report.sites.values()
+        assert site.bounds[REFERENCE_SCHEME].exact
 
 
 # ----------------------------------------------------------------------

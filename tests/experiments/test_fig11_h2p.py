@@ -13,7 +13,7 @@ import repro.analysis
 import repro.sim.analysis as sim_analysis
 from repro.experiments import fig11_h2p
 from repro.sim.backend import resolve_backend
-from repro.workloads.base import TraceCache
+from repro.workloads.base import TraceCache, workload_names
 
 BENCHMARKS = ["eqntott", "li"]
 SCALE = 3_000
@@ -108,3 +108,32 @@ def test_process_default_backend_reaches_the_analysis(no_fused_kernel, monkeypat
     trace = TraceCache(disk_dir=None).get(workload, "test", SCALE)
     validation = repro.analysis.validate_predictability(program, trace.records, SCALE)
     assert validation.ok, validation.mismatches
+
+
+def test_the_analysis_bounds_only_the_reference_scheme(monkeypatch):
+    from repro.analysis.predictability import REFERENCE_SCHEME
+
+    asked = []
+    original = repro.analysis.analyze_program
+
+    def spy(*args, **kwargs):
+        asked.append([scheme.name for scheme in kwargs["schemes"]])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(repro.analysis, "analyze_program", spy)
+    fig11_h2p.site_table(SCALE, BENCHMARKS, TraceCache(disk_dir=None))
+    assert asked == [[REFERENCE_SCHEME]] * len(BENCHMARKS)
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_reference_only_ranking_matches_the_full_registry(name):
+    from repro.analysis.predictability import ANALYSIS_SCHEMES, REFERENCE_SCHEME
+    from repro.isa.assembler import assemble
+    from repro.workloads.base import get_workload
+
+    workload = get_workload(name)
+    program = assemble(workload.build_source(workload.dataset("test")))
+    reference = [s for s in ANALYSIS_SCHEMES if s.name == REFERENCE_SCHEME]
+    full = repro.analysis.analyze_program(program, 1_000, name=name)
+    alone = repro.analysis.analyze_program(program, 1_000, name=name, schemes=reference)
+    assert alone.h2p_ranking() == full.h2p_ranking()
