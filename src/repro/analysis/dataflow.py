@@ -205,20 +205,17 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
             definitions.append((register, address))
         entry_bits |= 1 << (len(definitions) - 1)
 
+    # a block generates its last definition of each register it writes and
+    # kills every other definition of that register
     gen_bits: Dict[int, int] = {}
-    for start, last_def in last_defs.items():
-        bits = 0
-        for item in last_def.items():
-            bits |= 1 << index_of[item]
-        gen_bits[start] = bits
-
-    # a block kills every definition of each register it defines
     keep_mask: Dict[int, int] = {}
     universe = (1 << len(definitions)) - 1
     for start, last_def in last_defs.items():
-        killed = 0
-        for register in last_def:
-            killed |= register_bits[register]
+        bits = killed = 0
+        for item in last_def.items():
+            bits |= 1 << index_of[item]
+            killed |= register_bits[item[0]]
+        gen_bits[start] = bits
         keep_mask[start] = universe & ~killed
 
     predecessors: Dict[int, List[int]] = {
