@@ -64,18 +64,6 @@ from repro.analysis.dataflow import (
 _WORD_MAX = 0xFFFFFFFF
 _SIGN = 0x80000000
 
-#: Edge kinds of the intraprocedural view: calls are summarised by their
-#: continuation (every generated subroutine returns), returns are cut.
-INTRAPROCEDURAL_KINDS: FrozenSet[str] = frozenset(
-    {
-        EdgeKind.TAKEN,
-        EdgeKind.FALLTHROUGH,
-        EdgeKind.CONTINUATION,
-        EdgeKind.INDIRECT,
-    }
-)
-
-
 # ----------------------------------------------------------------------
 # Value ranges.
 # ----------------------------------------------------------------------
@@ -375,21 +363,16 @@ class LoopAnalysis:
 
     resolution: Resolution
     _dominators: Dict[int, Optional[int]] = field(default_factory=dict)
-    _intra_succ: Dict[int, List[int]] = field(default_factory=dict)
-    _intra_pred: Dict[int, List[int]] = field(default_factory=dict)
+    _intra_succ: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
+    _intra_pred: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
     _loops: List[Tuple[int, FrozenSet[int]]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         cfg = self.resolution.cfg
-        self._intra_succ = {start: [] for start in cfg.blocks}
-        self._intra_pred = {start: [] for start in cfg.blocks}
+        self._intra_succ = cfg.intra_successors
+        self._intra_pred = cfg.intra_predecessors
         roots = {cfg.entry}
-        for edge in cfg.edges:
-            if edge.kind in INTRAPROCEDURAL_KINDS:
-                self._intra_succ[edge.src].append(edge.dst)
-                self._intra_pred[edge.dst].append(edge.src)
-            elif edge.kind == EdgeKind.CALL:
-                roots.add(edge.dst)
+        roots.update(edge.dst for edge in cfg.edges if edge.kind == EdgeKind.CALL)
         self._dominators = self._intra_dominators(sorted(roots))
         self._loops = self._intra_loops()
 
@@ -414,9 +397,9 @@ class LoopAnalysis:
         position = {node: index for index, node in enumerate(order)}
         idom: Dict[int, int] = {_VIRTUAL_ROOT: _VIRTUAL_ROOT}
 
-        def preds(node: int) -> List[int]:
-            base = self._intra_pred.get(node, [])
-            return base + [_VIRTUAL_ROOT] if node in roots else base
+        def preds(node: int) -> Tuple[int, ...]:
+            base = self._intra_pred.get(node, ())
+            return base + (_VIRTUAL_ROOT,) if node in roots else base
 
         def intersect(a: int, b: int) -> int:
             while a != b:
@@ -757,20 +740,16 @@ class _Walker:
     def __init__(self, program: Program, cfg: ControlFlowGraph) -> None:
         self.program = program
         self.cfg = cfg
-        self.ipdom = cfg.post_dominators(INTRAPROCEDURAL_KINDS)
-        self._intra_succ: Dict[int, List[int]] = {}
-        self._call_targets: Dict[int, List[int]] = {}
-        for start in cfg.blocks:
-            self._intra_succ[start] = [
-                edge.dst
-                for edge in cfg.successors(start)
-                if edge.kind in INTRAPROCEDURAL_KINDS
-            ]
-            self._call_targets[start] = [
+        self.ipdom = cfg.intra_post_dominators
+        self._intra_succ = cfg.intra_successors
+        self._call_targets: Dict[int, List[int]] = {
+            start: [
                 edge.dst
                 for edge in cfg.successors(start)
                 if edge.kind == EdgeKind.CALL
             ]
+            for start in cfg.blocks
+        }
         self._region_cache: Dict[int, RegionInfo] = {}
         self._proc_cache: Dict[
             int, Tuple[FrozenSet[int], Tuple[int, ...], bool]

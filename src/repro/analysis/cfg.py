@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.isa.instructions import Instruction, Opcode
@@ -44,6 +45,18 @@ class EdgeKind:
     INDIRECT = "indirect"
 
     ALL = (TAKEN, FALLTHROUGH, CALL, CONTINUATION, RETURN, INDIRECT)
+
+
+#: Edge kinds of the intraprocedural view: calls are summarised by their
+#: continuation (every generated subroutine returns), returns are cut.
+INTRAPROCEDURAL_KINDS: FrozenSet[str] = frozenset(
+    {
+        EdgeKind.TAKEN,
+        EdgeKind.FALLTHROUGH,
+        EdgeKind.CONTINUATION,
+        EdgeKind.INDIRECT,
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -151,6 +164,38 @@ class ControlFlowGraph:
 
     def predecessors(self, start: int) -> List[Edge]:
         return self._pred[start]
+
+    @cached_property
+    def intra_successors(self) -> Dict[int, Tuple[int, ...]]:
+        """Per block, the successors along intraprocedural edges, in edge
+        order.  Computed once and shared: callers must not mutate it."""
+        return {
+            start: tuple(
+                edge.dst
+                for edge in self._succ[start]
+                if edge.kind in INTRAPROCEDURAL_KINDS
+            )
+            for start in self.blocks
+        }
+
+    @cached_property
+    def intra_predecessors(self) -> Dict[int, Tuple[int, ...]]:
+        """Per block, the predecessors along intraprocedural edges, in
+        edge order (shared, like :attr:`intra_successors`)."""
+        return {
+            start: tuple(
+                edge.src
+                for edge in self._pred[start]
+                if edge.kind in INTRAPROCEDURAL_KINDS
+            )
+            for start in self.blocks
+        }
+
+    @cached_property
+    def intra_post_dominators(self) -> Dict[int, Optional[int]]:
+        """:meth:`post_dominators` over the intraprocedural view, computed
+        once and shared."""
+        return self.post_dominators(INTRAPROCEDURAL_KINDS)
 
     def block_at(self, address: int) -> BasicBlock:
         """The block containing ``address`` (must be a valid text address)."""

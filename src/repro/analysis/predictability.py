@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.analysis.absint import (
-    INTRAPROCEDURAL_KINDS,
     LoopAnalysis,
     LoopSummary,
     Resolution,
@@ -77,7 +76,7 @@ from repro.isa.instructions import B_FORMAT, Opcode
 from repro.isa.program import Program
 from repro.predictors.automata import Automaton
 from repro.predictors.spec import parse_spec
-from repro.trace.record import BranchClass, BranchRecord
+from repro.trace.columnar import pack_conditional_stream
 
 
 class PredictabilityClass(enum.Enum):
@@ -251,15 +250,7 @@ class _CorrelationFinder:
     def __init__(self, resolution: Resolution) -> None:
         self.cfg = resolution.cfg
         self.resolution = resolution
-        self.ipdom = self.cfg.post_dominators(INTRAPROCEDURAL_KINDS)
-        self._intra_succ: Dict[int, List[int]] = {
-            start: [
-                edge.dst
-                for edge in self.cfg.successors(start)
-                if edge.kind in INTRAPROCEDURAL_KINDS
-            ]
-            for start in self.cfg.blocks
-        }
+        self.ipdom = self.cfg.intra_post_dominators
         self._control_deps = self._control_dependence()
 
     def _control_dependence(self) -> Dict[int, Set[int]]:
@@ -269,7 +260,7 @@ class _CorrelationFinder:
         from ``succ`` up to (excluding) ``ipdom(S)`` is control-dependent
         on the branch terminating ``S``."""
         deps: Dict[int, Set[int]] = {start: set() for start in self.cfg.blocks}
-        for start, successors in self._intra_succ.items():
+        for start, successors in self.cfg.intra_successors.items():
             if len(successors) < 2:
                 continue
             terminator = self.cfg.blocks[start].terminator
@@ -495,21 +486,6 @@ class PredictabilityReport:
         }
 
 
-def _records_from_stream(
-    stream: Sequence[Tuple[int, bool]], targets: Dict[int, int]
-) -> List[BranchRecord]:
-    """Reconstruct conditional branch records from the walk's sequence."""
-    return [
-        BranchRecord(
-            pc=pc,
-            cls=BranchClass.CONDITIONAL,
-            taken=taken,
-            target=targets[pc],
-        )
-        for pc, taken in stream
-    ]
-
-
 def _exact_bound(scheme: str, occurrences: int, correct: int) -> SchemeBound:
     """The point interval of an exact replay."""
     return SchemeBound(scheme, occurrences, correct, correct, True, correct)
@@ -625,9 +601,10 @@ def analyze_program(
     keyed = [(scheme, scheme.name) for scheme in schemes]
     if walk.complete:
         # one replay of the whole reconstructed stream: every bound is tight
-        records = _records_from_stream(walk.global_stream, targets)
         per_spec = sim_analysis.per_site_scores(
-            [scheme.spec for scheme in schemes], records, backend
+            [scheme.spec for scheme in schemes],
+            pack_conditional_stream(walk.global_stream, targets),
+            backend,
         )
         for scheme, key in keyed:
             for pc, (correct, total) in per_spec[scheme.spec].items():
@@ -643,8 +620,8 @@ def analyze_program(
         parsed = {scheme.spec: parse_spec(scheme.spec) for scheme in schemes}
         for pc, report in reports.items():
             stream = walk.streams.get(pc, [])
-            records = _records_from_stream([(pc, taken) for taken in stream], targets)
-            per_spec = sim_analysis.per_site_replay(parsed, records)
+            packed = pack_conditional_stream([(pc, taken) for taken in stream], targets)
+            per_spec = sim_analysis.per_site_replay(parsed, packed)
             n = report.occurrences
             for scheme, key in keyed:
                 correct = per_spec[scheme.spec][pc][0]

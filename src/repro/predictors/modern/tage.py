@@ -14,13 +14,19 @@ other: no ``USE_ALT_ON_NA`` heuristic, no randomised allocation (the first
 is decremented), no periodic ``u`` reset.  The hash functions are plain
 XOR folds defined by :func:`fold_history`, :func:`tage_index` and
 :func:`tage_tag`.  The columnar kernel runs the same fixed-chunk fold over
-whole history columns; the scalar predictor instead advances one folded
-register per (table, width) by one bit per outcome, which equals the
-definition after every outcome (the property tests check both).
+whole history columns.  The scalar predictor folds nothing per outcome: a
+fold masks, shifts and XORs, so it is linear over XOR, and the fold of a
+history is exactly the XOR of the folds of its bytes.  One 256-entry table
+per history byte, built by :func:`fold_history` itself, holds every
+table's index fold and tag hash for each byte value; a lookup per byte
+(at most four) and their XOR give all of them at once.  The property
+tests hold the result equal to :func:`tage_index` and :func:`tage_tag`
+after every outcome.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigError
@@ -109,36 +115,17 @@ class TageState:
         self.useful = [[0] * size for _ in range(tables)]
 
     # ------------------------------------------------------------------
-    def _select(
-        self, base_index: int, indices: Sequence[int], tags: Sequence[int]
-    ) -> Tuple[int, bool, bool]:
-        """(provider table or -1, prediction, altpred)."""
-        provider = -1
-        alternate = -1
-        tag = self.tag
-        for i in range(self.tables - 1, -1, -1):
-            if tag[i][indices[i]] == tags[i]:
-                if provider < 0:
-                    provider = i
-                else:
-                    alternate = i
-                    break
-        base_prediction = self.base[base_index] >= 2
-        if provider < 0:
-            return provider, base_prediction, base_prediction
-        ctr = self.ctr
-        prediction = ctr[provider][indices[provider]] >= 0
-        if alternate >= 0:
-            alt_prediction = ctr[alternate][indices[alternate]] >= 0
-        else:
-            alt_prediction = base_prediction
-        return provider, prediction, alt_prediction
-
     def peek(
         self, base_index: int, indices: Sequence[int], tags: Sequence[int]
     ) -> bool:
-        """Prediction only — no state change."""
-        return self._select(base_index, indices, tags)[1]
+        """Prediction only — no state change.  The provider is the
+        matching table with the longest history; without one, the base
+        table predicts."""
+        tag = self.tag
+        for i in range(self.tables - 1, -1, -1):
+            if tag[i][indices[i]] == tags[i]:
+                return self.ctr[i][indices[i]] >= 0
+        return self.base[base_index] >= 2
 
     def step(
         self,
@@ -147,33 +134,59 @@ class TageState:
         tags: Sequence[int],
         taken: bool,
     ) -> bool:
-        """Predict-and-update one branch; returns the prediction."""
-        provider, prediction, alt_prediction = self._select(
-            base_index, indices, tags
-        )
-        useful = self.useful
-        if provider >= 0:
+        """Predict-and-update one branch; returns the prediction.
+
+        Selection (provider and altpred) and update run in one pass, each
+        counter read once: the provider's prediction counter moves toward
+        the outcome (or the base counter, without a provider), its useful
+        counter moves when provider and altpred disagree, and a
+        misprediction allocates in the first longer table whose useful
+        counter is zero (else every candidate's useful counter decays).
+        """
+        tables = self.tables
+        tag = self.tag
+        provider = alternate = -1
+        for i in range(tables - 1, -1, -1):
+            if tag[i][indices[i]] == tags[i]:
+                if provider < 0:
+                    provider = i
+                else:
+                    alternate = i
+                    break
+        base = self.base
+        if provider < 0:
+            counter = base[base_index]
+            prediction = counter >= 2
+            if taken:
+                base[base_index] = counter + 1 if counter < 3 else 3
+            else:
+                base[base_index] = counter - 1 if counter > 0 else 0
+        else:
             index = indices[provider]
-            if prediction != alt_prediction:
-                u = useful[provider][index]
-                useful[provider][index] = (
-                    min(U_MAX, u + 1) if prediction == taken else max(0, u - 1)
-                )
             ctr = self.ctr[provider]
             counter = ctr[index]
-            ctr[index] = (
-                min(CTR_MAX, counter + 1) if taken else max(CTR_MIN, counter - 1)
-            )
-        else:
-            counter = self.base[base_index]
-            self.base[base_index] = (
-                min(3, counter + 1) if taken else max(0, counter - 1)
-            )
-        if prediction != taken and provider < self.tables - 1:
-            candidates = range(provider + 1, self.tables)
+            prediction = counter >= 0
+            if alternate >= 0:
+                alt_prediction = self.ctr[alternate][indices[alternate]] >= 0
+            else:
+                alt_prediction = base[base_index] >= 2
+            if prediction != alt_prediction:
+                useful_row = self.useful[provider]
+                u = useful_row[index]
+                if prediction == taken:
+                    useful_row[index] = u + 1 if u < U_MAX else U_MAX
+                else:
+                    useful_row[index] = u - 1 if u > 0 else 0
+            if taken:
+                ctr[index] = counter + 1 if counter < CTR_MAX else CTR_MAX
+            else:
+                ctr[index] = counter - 1 if counter > CTR_MIN else CTR_MIN
+        if prediction != taken and provider < tables - 1:
+            useful = self.useful
+            candidates = range(provider + 1, tables)
             for j in candidates:
                 if useful[j][indices[j]] == 0:
-                    self.tag[j][indices[j]] = tags[j]
+                    tag[j][indices[j]] = tags[j]
                     self.ctr[j][indices[j]] = 0 if taken else -1
                     break
             else:
@@ -183,15 +196,46 @@ class TageState:
         return prediction
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(tables: int, entry_bits: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per history byte, the packed hash contribution of each byte value.
+
+    Entry ``v`` of table ``k`` packs, for every tagged table ``i``, the
+    index fold of ``v << 8k`` at bit ``i * (entry_bits + TAG_BITS)`` and
+    its tag hash ``fold8 ^ (fold7 << 1)`` just above it.  The fields never
+    carry into each other, so the XOR of packed entries is the packed XOR
+    of the folds.  Cached: every predictor of one geometry, a serve
+    session's included, shares the tables.
+    """
+    lengths = tage_geometries(tables)
+    width = entry_bits + TAG_BITS
+    byte_count = (lengths[-1] + 7) // 8
+    built = []
+    for position in range(byte_count):
+        entries = []
+        for value in range(256):
+            history = value << (8 * position)
+            packed = 0
+            for i, length in enumerate(lengths):
+                tag = fold_history(history, length, TAG_BITS) ^ (
+                    fold_history(history, length, TAG_BITS - 1) << 1
+                )
+                packed |= (
+                    fold_history(history, length, entry_bits) | tag << entry_bits
+                ) << (i * width)
+            entries.append(packed)
+        built.append(tuple(entries))
+    return tuple(built)
+
+
 class TagePredictor(ConditionalBranchPredictor):
     """TAGE over a single global history register (init all-zeros).
 
-    Instead of re-folding the whole history for every lookup, the
-    predictor carries one folded register per (table, width) — the index
-    fold and the two tag folds — and advances each by one bit per outcome
-    with the standard circular-fold update.  After every outcome each
-    register equals :func:`fold_history` of the current history, so the
-    indices and tags are exactly :func:`tage_index` and :func:`tage_tag`.
+    The indices and tags are exactly :func:`tage_index` and
+    :func:`tage_tag`, but no fold runs per outcome: the XOR of at most
+    four byte-table lookups (:func:`_byte_tables`) gives every table's
+    index fold and tag hash at once, and an outcome only shifts the
+    history.
     """
 
     def __init__(self, tables: int, entry_bits: int = DEFAULT_ENTRY_BITS):
@@ -203,43 +247,26 @@ class TagePredictor(ConditionalBranchPredictor):
         self._index_mask = (1 << entry_bits) - 1
         self._tag_mask = (1 << TAG_BITS) - 1
         self._base_mask = (1 << (entry_bits + BASE_EXTRA_BITS)) - 1
-        #: per folded register, index folds first, then tag, then tag-1:
-        #: (history bit leaving the window, its fold position, top bit, mask)
-        self._geometry = [
-            (length - 1, length % bits, bits - 1, (1 << bits) - 1)
-            for bits in (entry_bits, TAG_BITS, TAG_BITS - 1)
-            for length in self.state.lengths
+        width = entry_bits + TAG_BITS
+        self._index_shifts = [i * width for i in range(tables)]
+        self._tag_shifts = [i * width + entry_bits for i in range(tables)]
+        #: (byte table, shift of its history byte), low byte first
+        self._lookups = [
+            (table, 8 * position)
+            for position, table in enumerate(_byte_tables(tables, entry_bits))
         ]
         self._history = 0
-        self._folds = [0] * len(self._geometry)
 
     def _hashes(self, pc: int) -> Tuple[int, List[int], List[int]]:
-        word = pc >> 2
-        folds = self._folds
-        tables = self.tables
-        index_mask, tag_mask = self._index_mask, self._tag_mask
-        indices = [(word ^ fold) & index_mask for fold in folds[:tables]]
-        tags = [
-            (word ^ tag ^ (tag1 << 1)) & tag_mask
-            for tag, tag1 in zip(folds[tables : 2 * tables], folds[2 * tables :])
-        ]
-        return word & self._base_mask, indices, tags
-
-    def _push(self, taken: bool) -> None:
-        """Shift one outcome into the history and every folded register.
-
-        This is the standard TAGE circular-fold update ``f = (f << 1) |
-        bit; f ^= h[L-1] << (L % b); f ^= f >> b; f &= mask`` written as
-        one expression: rotate ``f`` left within its ``b`` bits, XOR the
-        entering bit in at 0 and the leaving bit ``h[L-1]`` at ``L % b``.
-        """
-        bit = 1 if taken else 0
         history = self._history
-        self._folds = [
-            (((fold << 1) & mask) | (fold >> top)) ^ bit ^ (((history >> leaving) & 1) << drop)
-            for fold, (leaving, drop, top, mask) in zip(self._folds, self._geometry)
-        ]
-        self._history = ((history << 1) | bit) & self._mask
+        folds = 0
+        for table, shift in self._lookups:
+            folds ^= table[(history >> shift) & 0xFF]
+        word = pc >> 2
+        index_mask, tag_mask = self._index_mask, self._tag_mask
+        indices = [(word ^ (folds >> shift)) & index_mask for shift in self._index_shifts]
+        tags = [(word ^ (folds >> shift)) & tag_mask for shift in self._tag_shifts]
+        return word & self._base_mask, indices, tags
 
     def predict(self, pc: int, target: int) -> bool:
         return self.state.peek(*self._hashes(pc))
@@ -249,13 +276,12 @@ class TagePredictor(ConditionalBranchPredictor):
 
     def observe(self, pc: int, target: int, taken: bool) -> bool:
         prediction = self.state.step(*self._hashes(pc), taken)
-        self._push(taken)
+        self._history = ((self._history << 1) | (1 if taken else 0)) & self._mask
         return prediction
 
     def reset(self) -> None:
         self.state = TageState(self.tables, self.entry_bits)
         self._history = 0
-        self._folds = [0] * len(self._geometry)
 
     @property
     def name(self) -> str:

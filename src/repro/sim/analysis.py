@@ -21,7 +21,7 @@ arguments into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
@@ -137,26 +137,34 @@ def per_site_accuracy(
 
 def per_site_accuracy_many(
     predictors: "Dict[str, ConditionalBranchPredictor]",
-    records: Iterable[BranchRecord],
+    records: "Union[Iterable[BranchRecord], PackedTrace]",
 ) -> Dict[str, Dict[int, "tuple[int, int]"]]:
     """Per-site ``(correct, total)`` for several predictors in one pass.
 
     The scalar replay behind :func:`per_site_scores`: the trace is read
     once and every predictor observes each conditional record in turn.
+    A :class:`PackedTrace` is read through its conditional-only columns,
+    as :func:`repro.sim.engine.simulate_packed` reads it.
     """
     names = list(predictors)
     correct: Dict[str, Dict[int, int]] = {name: {} for name in names}
+    observers = [(predictors[name].observe, correct[name]) for name in names]
     total: Dict[int, int] = {}
-    for record in records:
-        if record.cls is not BranchClass.CONDITIONAL:
-            continue
-        total[record.pc] = total.get(record.pc, 0) + 1
-        for name in names:
-            predictor = predictors[name]
-            prediction = predictor.observe(record.pc, record.target, record.taken)
-            if prediction == record.taken:
-                scheme_correct = correct[name]
-                scheme_correct[record.pc] = scheme_correct.get(record.pc, 0) + 1
+    if isinstance(records, PackedTrace):
+        branches: Iterable[Tuple[int, int, bool]] = zip(
+            records.cond_pc, records.cond_target, records.cond_taken
+        )
+    else:
+        branches = (
+            (record.pc, record.target, record.taken)
+            for record in records
+            if record.cls is BranchClass.CONDITIONAL
+        )
+    for pc, target, taken in branches:
+        total[pc] = total.get(pc, 0) + 1
+        for observe, scheme_correct in observers:
+            if observe(pc, target, taken) == taken:
+                scheme_correct[pc] = scheme_correct.get(pc, 0) + 1
     return {
         name: {pc: (correct[name].get(pc, 0), n) for pc, n in total.items()}
         for name in names

@@ -267,8 +267,9 @@ def _tage_predictions(
 ) -> Any:
     """TAGE predictions with columnar hashing and a sequential state walk.
 
-    All per-table folded indices and tags — the per-record arithmetic that
-    dominates the scalar predictor — are precomputed as whole columns;
+    All per-table folded indices and tags — which the scalar predictor
+    reads from its byte tables one record at a time — are precomputed as
+    whole columns;
     the remaining walk drives :meth:`TageState.step` (the *same* update
     rule the scalar predictor runs), mutating ``state`` in place so
     streaming sessions can carry it across batches.

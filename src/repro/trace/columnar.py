@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from array import array
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceFormatError
 from repro.trace.record import BranchClass, BranchRecord
@@ -181,6 +181,27 @@ def pack_records(records: Iterable[BranchRecord]) -> PackedTrace:
         targets.append(record.target & 0xFFFFFFFF)
         flags.append(pack_flags(record.taken, record.cls, record.is_call))
     return PackedTrace(pcs, targets, bytes(flags))
+
+
+def pack_conditional_stream(
+    stream: Sequence[Tuple[int, bool]], targets: Mapping[int, int]
+) -> PackedTrace:
+    """Pack a ``(pc, taken)`` sequence of conditional branches (lossless).
+
+    Equal to ``pack_records`` of the conditional records with targets
+    ``targets[pc]``, without building them: the flag byte is the taken
+    bit (class CONDITIONAL, no call bit), addresses are masked to 32 bits
+    as :func:`pack_records` masks them, and, every record being
+    conditional, the conditional-only columns are the columns themselves.
+    """
+    pcs = [pc & 0xFFFFFFFF for pc, _ in stream]
+    branch_targets = [targets[pc] & 0xFFFFFFFF for pc, _ in stream]
+    taken = [bool(outcome) for _, outcome in stream]
+    packed = PackedTrace(
+        array(_ADDR_TYPECODE, pcs), array(_ADDR_TYPECODE, branch_targets), bytes(taken)
+    )
+    packed._cond_columns = (tuple(pcs), tuple(branch_targets), tuple(taken))
+    return packed
 
 
 def read_packed_trace(source: "Union[str, Path, IO[bytes]]") -> PackedTrace:

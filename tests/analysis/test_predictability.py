@@ -23,7 +23,7 @@ from repro.analysis import (
 import repro.sim.analysis as sim_analysis
 import repro.sim.sweep as sweep
 from repro.analysis import build_cfg, conditional_sites, reaching_definitions
-from repro.analysis.absint import Resolution, loop_summaries
+from repro.analysis.absint import Resolution, loop_summaries, walk_program
 from repro.analysis.predictability import (
     PROFILE_SCHEME,
     REFERENCE_SCHEME,
@@ -37,7 +37,8 @@ from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
 from repro.isa.instructions import encoded_target
 from repro.predictors.automata import automaton_by_name
-from repro.trace.record import BranchClass
+from repro.trace.columnar import pack_conditional_stream, pack_records
+from repro.trace.record import BranchClass, BranchRecord
 from repro.workloads._asmlib import bounded_driver
 from repro.workloads import workload_names
 from repro.workloads.base import get_workload
@@ -348,6 +349,31 @@ spin:
         assert not report.walk_complete
         [site] = report.sites.values()
         assert site.bounds[REFERENCE_SCHEME].exact
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_packed_walk_stream_equals_packed_records(name):
+    # the analysis packs the walk's (pc, taken) stream straight into
+    # columns; it must equal packing the conditional records it stands for
+    program = _program(name, "test")
+    walk = walk_program(program, 1_000)
+    targets = {
+        site.pc: site.target
+        for site in conditional_sites(program)
+        if site.target is not None
+    }
+    records = [
+        BranchRecord(pc=pc, cls=BranchClass.CONDITIONAL, taken=taken, target=targets[pc])
+        for pc, taken in walk.global_stream
+    ]
+    packed = pack_conditional_stream(walk.global_stream, targets)
+    expected = pack_records(records)
+    assert len(packed) == len(records) > 0
+    assert packed == expected
+    assert packed.num_conditional == expected.num_conditional
+    columns = (packed.cond_pc, packed.cond_target, packed.cond_taken)
+    assert columns == (expected.cond_pc, expected.cond_target, expected.cond_taken)
+    assert all(type(taken) is bool for taken in packed.cond_taken)
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.predictors.modern import (
     WEIGHT_MIN,
     PerceptronPredictor,
     TagePredictor,
+    TageState,
     fold_history,
     perceptron_threshold,
     tage_geometries,
@@ -140,8 +141,10 @@ class TestTageHashing:
 
 
 class TestTageFoldedRegisters:
-    """The scalar predictor advances its folded registers one outcome at a
-    time; after every outcome they must equal the re-folded definition."""
+    """The scalar predictor reads its folded history values from one
+    table per history byte (XORing the lookups); after every outcome they
+    must equal the re-folded definition, and the hashes the definition's
+    indices and tags."""
 
     @pytest.mark.parametrize("entry_bits", [1, 3, 9, 16])
     @pytest.mark.parametrize("tables", range(1, MAX_TABLES + 1))
@@ -151,7 +154,7 @@ class TestTageFoldedRegisters:
         rng = random.Random(tables * 100 + entry_bits)
         predictor = TagePredictor(tables, entry_bits)
         lengths = tage_geometries(tables)
-        widths = (entry_bits, TAG_BITS, TAG_BITS - 1)
+        width = entry_bits + TAG_BITS
         history = 0
         for step in range(300):
             if step == 150:
@@ -161,16 +164,139 @@ class TestTageFoldedRegisters:
             taken = rng.random() < (0.9 if step % 50 < 25 else 0.4)
             predictor.observe(pc, TARGET, taken)
             history = ((history << 1) | taken) & ((1 << lengths[-1]) - 1)
-            assert predictor._folds == [
-                fold_history(history, length, bits)
-                for bits in widths
-                for length in lengths
-            ]
-            _base, indices, tags = predictor._hashes(pc)
+            assert predictor._history == history
+            folds = 0
+            for table, shift in predictor._lookups:
+                folds ^= table[(history >> shift) & 0xFF]
+            for i, length in enumerate(lengths):
+                field = folds >> (i * width)
+                assert field & ((1 << entry_bits) - 1) == fold_history(
+                    history, length, entry_bits
+                )
+                assert (field >> entry_bits) & ((1 << TAG_BITS) - 1) == (
+                    fold_history(history, length, TAG_BITS)
+                    ^ (fold_history(history, length, TAG_BITS - 1) << 1)
+                )
+            base, indices, tags = predictor._hashes(pc)
+            assert base == (pc >> 2) & ((1 << (entry_bits + 2)) - 1)
             assert indices == [
                 tage_index(pc, history, length, entry_bits) for length in lengths
             ]
             assert tags == [tage_tag(pc, history, length) for length in lengths]
+
+    def test_fold_is_xor_linear(self):
+        # the property the byte tables rest on
+        rng = random.Random(5)
+        for _ in range(200):
+            a, b = rng.getrandbits(32), rng.getrandbits(32)
+            for length in tage_geometries(MAX_TABLES):
+                for bits in (1, 3, 7, 8, 9, 16):
+                    assert fold_history(a ^ b, length, bits) == (
+                        fold_history(a, length, bits) ^ fold_history(b, length, bits)
+                    )
+
+
+class _ReferenceTageState(TageState):
+    """Selection (a ``_select`` returning provider, prediction and
+    altpred) and update as two methods: the reference the one-pass
+    :meth:`TageState.step` must match."""
+
+    def _select(self, base_index, indices, tags):
+        provider = -1
+        alternate = -1
+        tag = self.tag
+        for i in range(self.tables - 1, -1, -1):
+            if tag[i][indices[i]] == tags[i]:
+                if provider < 0:
+                    provider = i
+                else:
+                    alternate = i
+                    break
+        base_prediction = self.base[base_index] >= 2
+        if provider < 0:
+            return provider, base_prediction, base_prediction
+        ctr = self.ctr
+        prediction = ctr[provider][indices[provider]] >= 0
+        if alternate >= 0:
+            alt_prediction = ctr[alternate][indices[alternate]] >= 0
+        else:
+            alt_prediction = base_prediction
+        return provider, prediction, alt_prediction
+
+    def peek(self, base_index, indices, tags):
+        return self._select(base_index, indices, tags)[1]
+
+    def step(self, base_index, indices, tags, taken):
+        provider, prediction, alt_prediction = self._select(
+            base_index, indices, tags
+        )
+        useful = self.useful
+        if provider >= 0:
+            index = indices[provider]
+            if prediction != alt_prediction:
+                u = useful[provider][index]
+                useful[provider][index] = (
+                    min(U_MAX, u + 1) if prediction == taken else max(0, u - 1)
+                )
+            ctr = self.ctr[provider]
+            counter = ctr[index]
+            ctr[index] = (
+                min(CTR_MAX, counter + 1) if taken else max(CTR_MIN, counter - 1)
+            )
+        else:
+            counter = self.base[base_index]
+            self.base[base_index] = (
+                min(3, counter + 1) if taken else max(0, counter - 1)
+            )
+        if prediction != taken and provider < self.tables - 1:
+            candidates = range(provider + 1, self.tables)
+            for j in candidates:
+                if useful[j][indices[j]] == 0:
+                    self.tag[j][indices[j]] = tags[j]
+                    self.ctr[j][indices[j]] = 0 if taken else -1
+                    break
+            else:
+                for j in candidates:
+                    if useful[j][indices[j]] > 0:
+                        useful[j][indices[j]] -= 1
+        return prediction
+
+
+class TestTageStateStep:
+    """The one-pass :meth:`TageState.step` against the two-method
+    reference: same predictions and the same tables after every step."""
+
+    @pytest.mark.parametrize("tables,entry_bits", [(1, 3), (4, 9)])
+    def test_step_matches_reference(self, tables, entry_bits):
+        rng = random.Random(tables * 10 + entry_bits)
+        state = TageState(tables, entry_bits)
+        reference = _ReferenceTageState(tables, entry_bits)
+        lengths = tage_geometries(tables)
+        pool = [0x1000 + 4 * i for i in range(5)]
+        history = 0
+        allocations = 0
+        for step in range(4000):
+            pc = rng.choice(pool)
+            # noisy phases keep mispredicting, so allocation and useful
+            # decay run often; biased phases let providers settle
+            taken = rng.random() < (0.5 if step % 400 < 200 else 0.9)
+            base = (pc >> 2) & ((1 << (entry_bits + 2)) - 1)
+            indices = [tage_index(pc, history, n, entry_bits) for n in lengths]
+            tags = [tage_tag(pc, history, n) for n in lengths]
+            assert state.peek(base, indices, tags) == reference.peek(
+                base, indices, tags
+            )
+            before = [list(row) for row in reference.tag]
+            assert state.step(base, indices, tags, taken) == reference.step(
+                base, indices, tags, taken
+            )
+            allocations += reference.tag != before
+            assert state.base == reference.base
+            assert state.tag == reference.tag
+            assert state.ctr == reference.ctr
+            assert state.useful == reference.useful
+            history = ((history << 1) | taken) & ((1 << lengths[-1]) - 1)
+        assert allocations > 100
 
 
 class TestTagePredictor:

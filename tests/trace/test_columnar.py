@@ -13,6 +13,7 @@ from repro.predictors.two_level import TwoLevelAdaptivePredictor
 from repro.sim.engine import simulate, simulate_packed
 from repro.trace.columnar import (
     PackedTrace,
+    pack_conditional_stream,
     pack_flags,
     pack_records,
     read_packed_trace,
@@ -65,6 +66,30 @@ class TestRoundTrip:
         write_trace(records, buffer)
         buffer.seek(0)
         assert read_packed_trace(buffer).to_records() == records
+
+    @given(
+        st.dictionaries(
+            st.integers(0, 0x1FFFFFFFF), st.integers(0, 0x1FFFFFFFF), min_size=1
+        ),
+        st.data(),
+    )
+    def test_conditional_stream_equals_packed_records(self, targets, data):
+        # addresses past 32 bits are masked, as pack_records masks them
+        stream = data.draw(
+            st.lists(st.tuples(st.sampled_from(sorted(targets)), st.booleans()))
+        )
+        packed = pack_conditional_stream(stream, targets)
+        expected = pack_records(
+            BranchRecord(pc, BranchClass.CONDITIONAL, taken, targets[pc])
+            for pc, taken in stream
+        )
+        assert packed == expected
+        assert packed.num_conditional == expected.num_conditional
+        assert (packed.cond_pc, packed.cond_target, packed.cond_taken) == (
+            expected.cond_pc,
+            expected.cond_target,
+            expected.cond_taken,
+        )
 
     def test_exhaustive_flag_byte_round_trip(self):
         for cls in _BRANCH_CLASSES:
