@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping
 
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.trace.record import BranchClass, BranchRecord
+from repro.trace.columnar import conditional_branches
+from repro.trace.record import BranchRecord
 
 
 class AlwaysTaken(ConditionalBranchPredictor):
@@ -88,9 +89,8 @@ class ProfilePredictor(ConditionalBranchPredictor):
         """Profile a trace: count taken vs not-taken per static branch and
         keep the majority (ties resolve to taken)."""
         balance: Dict[int, int] = {}
-        for record in records:
-            if record.cls is BranchClass.CONDITIONAL:
-                balance[record.pc] = balance.get(record.pc, 0) + (1 if record.taken else -1)
+        for pc, _target, taken in conditional_branches(records):
+            balance[pc] = balance.get(pc, 0) + (1 if taken else -1)
         return cls(
             {pc: net >= 0 for pc, net in balance.items()},
             default_taken=default_taken,

@@ -20,7 +20,8 @@ from typing import Dict, Iterable, List, Sequence
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.hrt import HistoryRegisterTable, IHRT
-from repro.trace.record import BranchClass, BranchRecord
+from repro.trace.columnar import conditional_branches
+from repro.trace.record import BranchRecord
 
 
 def profile_pattern_table(
@@ -40,12 +41,10 @@ def profile_pattern_table(
     net = [0] * (mask + 1)
     histories: Dict[int, int] = {}
 
-    for record in training_records:
-        if record.cls is not BranchClass.CONDITIONAL:
-            continue
-        history = histories.get(record.pc, mask)  # registers init to all 1s
-        net[history] += 1 if record.taken else -1
-        histories[record.pc] = ((history << 1) | (1 if record.taken else 0)) & mask
+    for pc, _target, taken in conditional_branches(training_records):
+        history = histories.get(pc, mask)  # registers init to all 1s
+        net[history] += 1 if taken else -1
+        histories[pc] = ((history << 1) | (1 if taken else 0)) & mask
 
     return [balance >= 0 for balance in net]
 

@@ -21,14 +21,14 @@ arguments into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.families import family_of
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
-from repro.trace.columnar import PackedTrace, pack_records
+from repro.trace.columnar import PackedTrace, conditional_branches, pack_records
 from repro.trace.record import BranchClass, BranchRecord
 
 
@@ -150,17 +150,7 @@ def per_site_accuracy_many(
     correct: Dict[str, Dict[int, int]] = {name: {} for name in names}
     observers = [(predictors[name].observe, correct[name]) for name in names]
     total: Dict[int, int] = {}
-    if isinstance(records, PackedTrace):
-        branches: Iterable[Tuple[int, int, bool]] = zip(
-            records.cond_pc, records.cond_target, records.cond_taken
-        )
-    else:
-        branches = (
-            (record.pc, record.target, record.taken)
-            for record in records
-            if record.cls is BranchClass.CONDITIONAL
-        )
-    for pc, target, taken in branches:
+    for pc, target, taken in conditional_branches(records):
         total[pc] = total.get(pc, 0) + 1
         for observe, scheme_correct in observers:
             if observe(pc, target, taken) == taken:

@@ -39,8 +39,9 @@ here is a one-spec fused sweep.
     keyed by the register that services it.  The register assignment is a
     pure function of the pc touch sequence (LRU order never reads payloads
     or outcomes) and decomposes per way-set; sets whose touch alphabet
-    fits in the ways — the common case — assign fully columnarly, and only
-    *conflicted* sets walk their recency stack (see :class:`AhrtReplay`).
+    fits in the ways — the common case — assign fully columnarly, and one
+    loop walks only the LRU events of all *conflicted* sets, the same walk
+    the streaming scorers carry (see :class:`AhrtReplay`).
 
 Every kernel is **bit-exact** against the scalar engine, which remains the
 reference: the per-record predictions are identical, so
@@ -53,7 +54,7 @@ here raises :class:`~repro.errors.KernelError` when it is missing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError, KernelError
 from repro.predictors.hrt import _HASH_MULTIPLIER
@@ -125,20 +126,35 @@ def _hash_buckets(np: Any, pc: Any, buckets: int) -> Any:
     return (((pc >> 2) * _HASH_MULTIPLIER) & 0xFFFFFFFF) % buckets
 
 
-class AhrtReplay:
-    """Incremental AHRT register assignment (the streaming scorers' carry).
+def _compact_sort_keys(np: Any, keys: Any) -> Any:
+    """The narrowest integer view of a non-negative key column.
 
-    Maps each access to the *physical register* that services it.  The
-    AHRT's one coupling between branches — LRU eviction, whose victim's
-    payload is inherited rather than re-initialised (section 4.2) — never
-    reads payloads or outcomes, so the register sequence is a pure function
-    of the pc touch sequence and can be computed up front; after the remap,
-    payload evolution is ordinary independent-bucket replay keyed by
-    register.  This class walks every touched set's recency stack one touch
-    at a time (consecutive repeats short-circuited), allocating register
-    ids globally on first use so they are stable across ``assign`` calls:
-    feeding a trace through one instance chunk by chunk yields exactly the
-    ids a single whole-trace call would (chunking invariance).
+    NumPy's stable sort is a radix sort for one- and two-byte integers and
+    a comparison sort above that; history patterns, hashed slots and set
+    ranks almost always fit in sixteen bits, which makes a segment sort a
+    small fraction of its int64 cost.
+    """
+    if len(keys) == 0:
+        return keys
+    top = int(keys.max())
+    if top < (1 << 16):
+        return keys.astype(np.uint16)
+    if top < (1 << 31):
+        return keys.astype(np.int32)
+    return keys
+
+
+class AhrtReplay:
+    """AHRT register assignment: the one LRU walk and its per-set state.
+
+    Maps each access to the *physical register* that services it.  LRU
+    eviction, whose victim's payload is inherited (section 4.2), never
+    reads payloads or outcomes, so the register sequence is a pure
+    function of the pc sequence; after the remap, payloads replay as
+    independent buckets keyed by register.  Fed chunk by chunk, every
+    access lands on the same physical register as in one whole-trace call
+    (the same partition, so the same predictions); only the id numbers,
+    allocated in walk order, may differ.
     """
 
     def __init__(self, entries: int, associativity: int):
@@ -151,79 +167,77 @@ class AhrtReplay:
             )
         self.associativity = associativity
         self.num_sets = entries // associativity
-        #: per touched set: ({tag: register}, [tags in LRU..MRU order])
-        self._sets: Dict[int, Tuple[Dict[int, int], list]] = {}
+        #: per touched set: {tag: register}, least recently used first
+        self._sets: Dict[int, Dict[int, int]] = {}
         self._next_register = 0
-        self.evictions = 0
 
     def assign(self, np: Any, pc: Any) -> Any:
         """Register id serving each access in ``pc``, advancing the LRU state."""
-        sets = _hash_buckets(np, pc, self.num_sets)
-        out = [0] * len(pc)
-        assoc = self.associativity
-        tables = self._sets
-        last_set = last_tag = last_register = -1
-        for i, (set_index, tag) in enumerate(zip(sets.tolist(), pc.tolist())):
-            if set_index == last_set and tag == last_tag:
-                out[i] = last_register
-                continue
-            ways = tables.get(set_index)
-            if ways is None:
-                ways = ({}, [])
-                tables[set_index] = ways
-            tagmap, recency = ways
-            register = tagmap.get(tag)
+        return self.walk(np, _hash_buckets(np, pc, self.num_sets), pc)
+
+    def walk(self, np: Any, sets: Any, tags: Any) -> Any:
+        """Register id of each ``(set, tag)`` access, in trace order.
+
+        Sorts by set and loops over the *heads* only: accesses whose tag
+        differs from their set's previous one (``sets`` is a function of
+        ``tags``).  A repeat is an LRU stack-distance-0 hit (Mattson et
+        al., 1970) that changes nothing, so it takes its head's register.
+        """
+        order = np.argsort(_compact_sort_keys(np, sets), kind="stable")
+        tags = tags[order]
+        head = np.ones(len(tags), dtype=bool)
+        np.not_equal(tags[1:], tags[:-1], out=head[1:])
+        assoc, tables, next_register = self.associativity, self._sets, self._next_register
+        out: List[int] = []
+        current: Any = None
+        for set_index, tag in zip(sets[order][head].tolist(), tags[head].tolist()):
+            if set_index != current:
+                current = set_index
+                lru = tables.setdefault(set_index, {})
+            register = lru.pop(tag, None)
             if register is None:
-                if len(tagmap) < assoc:  # untagged physical registers remain
-                    register = self._next_register
-                    self._next_register += 1
+                if len(lru) < assoc:  # untagged physical registers remain
+                    register = next_register
+                    next_register += 1
                 else:  # evict LRU; its register (and payload) is inherited
-                    victim = recency.pop(0)
-                    register = tagmap.pop(victim)
-                    self.evictions += 1
-                tagmap[tag] = register
-                recency.append(tag)
-            elif recency[-1] != tag:
-                recency.remove(tag)
-                recency.append(tag)
-            out[i] = register
-            last_set, last_tag, last_register = set_index, tag, register
-        return np.asarray(out, dtype=np.int64)
+                    register = lru.pop(next(iter(lru)))
+            lru[tag] = register  # (re)inserted as the most recently used
+            out.append(register)
+        self._next_register = next_register
+        registers = np.empty(len(tags), dtype=np.int64)
+        registers[order] = np.asarray(out, dtype=np.int64)[np.cumsum(head) - 1]
+        return registers
 
 
 def _ahrt_registers(np: Any, pc: Any, entries: int, associativity: int) -> Any:
     """One-shot AHRT register assignment for a whole pc column.
 
     LRU decomposes per way-set, and a set whose whole touch alphabet fits
-    in its ways can never evict — every (set, tag) pair keeps the register
-    it first allocated, so its assignment is just the dense pair id from
-    ``np.unique``.  With the paper's geometries (e.g. 128 sets for
-    AHRT(512)) that covers nearly every set; only *conflicted* sets (more
-    distinct tags than ways) walk their touch sequence through
-    :class:`AhrtReplay`, renumbered into per-set id ranges disjoint from
-    the pair ids.
+    in its ways never evicts: each branch keeps one register, its dense pc
+    id (``np.unique``, sorted at radix width: a program's branch addresses
+    span far fewer than 2**16 bytes).  With the paper's geometries (128
+    sets for AHRT(512)) that covers nearly every set.  The touches of the
+    *conflicted* sets (more distinct tags than ways) go through one
+    :meth:`AhrtReplay.walk`, keyed by set rank, with ids after the pc ids.
     """
     replay = AhrtReplay(entries, associativity)  # validates the geometry
-    num_sets = replay.num_sets
-    if num_sets > 0x7FFFFFFF:  # pair packing needs the set id in 31 bits
-        return replay.assign(np, pc)
-    sets = _hash_buckets(np, pc, num_sets)
-    pairs = (sets << np.int64(32)) | pc
-    unique_pairs, pair_ids = np.unique(pairs, return_inverse=True)
-    distinct_per_set = np.bincount(unique_pairs >> 32, minlength=num_sets)
-    conflicted = distinct_per_set > associativity
-    registers = pair_ids.astype(np.int64)
-    if not conflicted.any():
+    registers = np.zeros(len(pc), dtype=np.int64)
+    if len(pc) == 0:
         return registers
-    touched = np.nonzero(conflicted[sets])[0]
-    order = touched[np.argsort(sets[touched], kind="stable")]
-    boundaries = np.nonzero(np.diff(sets[order]))[0] + 1
-    base = len(unique_pairs)
-    for chunk in np.split(order, boundaries):
-        # a conflicted set allocates all `associativity` of its registers
-        set_replay = AhrtReplay(entries, associativity)
-        registers[chunk] = set_replay.assign(np, pc[chunk]) + base
-        base += associativity
+    order = np.argsort(_compact_sort_keys(np, pc - pc.min()), kind="stable")
+    values = pc[order]
+    first = np.ones(len(pc), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    registers[order] = np.cumsum(first) - 1
+    unique_pc = values[first]
+    _sets, set_rank, tags_per_set = np.unique(
+        _hash_buckets(np, unique_pc, replay.num_sets), return_inverse=True, return_counts=True
+    )
+    touched = np.flatnonzero((tags_per_set[set_rank] > associativity)[registers])
+    if len(touched):
+        registers[touched] = len(unique_pc) + replay.walk(
+            np, set_rank[registers[touched]], pc[touched]
+        )
     return registers
 
 

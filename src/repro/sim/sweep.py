@@ -51,7 +51,9 @@ from repro.errors import KernelError
 from repro.predictors.automata import Automaton
 from repro.predictors.families import FAMILIES, Family
 from repro.predictors.spec import PredictorSpec
-from repro.sim.kernels import _conditional_columns, _history_global, _hrt_keys, _np
+from repro.sim.kernels import (
+    _compact_sort_keys, _conditional_columns, _history_global, _hrt_keys, _np,
+)
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 
@@ -100,24 +102,6 @@ def _hrt_token(spec: PredictorSpec) -> Tuple[Any, ...]:
     if spec.hrt_kind == "HHRT":
         return ("HHRT", spec.hrt_entries)
     return ("IHRT",)
-
-
-def _compact_sort_keys(np: Any, keys: Any) -> Any:
-    """The narrowest integer view of a non-negative key column.
-
-    NumPy's stable sort is a radix sort for one- and two-byte integers and
-    a comparison sort above that; history patterns and hashed slots almost
-    always fit in sixteen bits, which makes the per-bucket segment sort a
-    small fraction of its int64 cost.
-    """
-    if len(keys) == 0:
-        return keys
-    top = int(keys.max())
-    if top < (1 << 16):
-        return keys.astype(np.uint16)
-    if top < (1 << 31):
-        return keys.astype(np.int32)
-    return keys
 
 
 def _segments(np: Any, keys: Any) -> Tuple[Any, Any, Any, Any]:

@@ -171,6 +171,24 @@ class PackedTrace:
         return list(self)
 
 
+def conditional_branches(
+    records: "Union[Iterable[BranchRecord], PackedTrace]",
+) -> Iterable[Tuple[int, int, bool]]:
+    """``(pc, target, taken)`` of every conditional record, in trace order.
+
+    A :class:`PackedTrace` is read through its conditional-only columns, as
+    :func:`repro.sim.engine.simulate_packed` reads it, so no
+    :class:`BranchRecord` is boxed.
+    """
+    if isinstance(records, PackedTrace):
+        return zip(records.cond_pc, records.cond_target, records.cond_taken)
+    return (
+        (record.pc, record.target, record.taken)
+        for record in records
+        if record.cls is BranchClass.CONDITIONAL
+    )
+
+
 def pack_records(records: Iterable[BranchRecord]) -> PackedTrace:
     """Pack an iterable of records into a :class:`PackedTrace` (lossless)."""
     pcs = array(_ADDR_TYPECODE)

@@ -6,6 +6,7 @@ from repro.errors import ConfigError
 from repro.predictors.automata import A2
 from repro.predictors.hrt import IHRT
 from repro.predictors.pattern_table import PatternTable
+from repro.predictors.spec import parse_spec
 from repro.predictors.two_level import TwoLevelAdaptivePredictor
 from repro.sim.analysis import (
     accuracy_within_bounds,
@@ -14,6 +15,7 @@ from repro.sim.analysis import (
     pattern_conflicts,
     per_site_accuracy,
     per_site_accuracy_many,
+    per_site_replay,
     top_mispredicted,
     windowed_accuracy,
 )
@@ -108,6 +110,18 @@ class TestPerSiteHelpers:
         single = per_site_accuracy(self._predictor(), trace)
         assert combined["a"] == single
         assert combined["b"] == single
+
+    def test_self_profiling_specs_read_packed_columns(self, eqntott_trace):
+        """Profile and ST-Same profile the very trace they score; from a
+        packed trace they read its conditional columns and must give the
+        maps the record list gives."""
+        specs = {
+            text: parse_spec(text)
+            for text in ("Profile", "ST(IHRT(,8SR),PT(2^8,PB),Same)")
+        }
+        from_packed = per_site_replay(specs, eqntott_trace.packed())
+        assert from_packed == per_site_replay(specs, eqntott_trace.records)
+        assert all(from_packed.values())
 
     def test_misprediction_mass(self):
         assert misprediction_mass({0x10: (90, 100), 0x20: (100, 100)}) == {
