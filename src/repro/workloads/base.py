@@ -225,6 +225,8 @@ class TraceCache:
 
     def __init__(self, disk_dir: "Optional[Path | str]" = None):
         self._memory: Dict[Tuple[str, str, int, int], WorkloadTrace] = {}
+        #: store stems by the same key; a figure asks for each one per cell
+        self._stems: Dict[Tuple[str, str, int, int], Tuple[str, Dict[str, Any]]] = {}
         self.disk_dir = Path(disk_dir).expanduser() if disk_dir is not None else None
         self.store: Optional[TraceStore] = (
             TraceStore(self.disk_dir) if self.disk_dir is not None else None
@@ -245,13 +247,17 @@ class TraceCache:
         self, workload: Workload, role: str, max_conditional: int
     ) -> Tuple[str, Dict[str, Any]]:
         """The store's content-addressed (stem, key dict) for one trace."""
-        return content_key(
-            workload.name,
-            role,
-            max_conditional,
-            workload.version,
-            workload.dataset(role).params,
-        )
+        key = (workload.name, role, max_conditional, workload.version)
+        stem = self._stems.get(key)
+        if stem is None:
+            stem = self._stems[key] = content_key(
+                workload.name,
+                role,
+                max_conditional,
+                workload.version,
+                workload.dataset(role).params,
+            )
+        return stem
 
     def stem_for(
         self, workload: Workload, role: str, max_conditional: int

@@ -10,13 +10,17 @@ and the parallel tests pin the (benchmark x spec-group) partitioning to
 the serial sweep.
 The result-cache tests cover the persistence layer the runner rides: a
 round trip, the backend's presence in the key (backend-agreement tests
-are the verification that makes caching sound), eviction, and corrupt
-entries degrading to misses.
+are the verification that makes caching sound), eviction, corrupt, torn
+and legacy rows degrading to misses, and rows crossing instances and
+processes through the append-only logs.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +203,16 @@ class TestParallelFusedGroups:
             assert serial.accuracies(scheme) == parallel.accuracies(scheme)
 
 
+def _append_rows(root: str, worker: int, count: int) -> None:
+    """One process appending ``count`` distinct rows to one shared log."""
+    cache = ResultCache(root)
+    for index in range(count):
+        cache.put(
+            "BTFN", "li-test-300-x", f"w{worker}-{index}", "vector",
+            TestResultCache.STATS,
+        )
+
+
 class TestResultCache:
     STATS = PredictionStats(conditional_total=100, conditional_correct=88)
 
@@ -228,16 +242,102 @@ class TestResultCache:
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "results")
         cache.put("BTFN", "li-test-300-x", None, "vector", self.STATS)
-        (entry,) = cache.root.glob("*.json")
+        (log,) = cache.root.glob("*.jsonl")
         # a row with the four counters of the format-1 layout
-        payload = json.loads(entry.read_text())
-        payload["stats"] = [100, 88, 7, 7]
-        entry.write_text(json.dumps(payload))
+        row = json.loads(log.read_text())
+        four_counters = dict(row, stats=[100, 88, 7, 7])
+        format_1 = {"digest": row["digest"], "format": 1, "spec": "Profile"}
+        for line in (json.dumps(four_counters), json.dumps(format_1), "not json at all"):
+            log.write_text(line + "\n")
+            assert ResultCache(cache.root).get("BTFN", "li-test-300-x", None, "vector") is None
+
+    def test_rows_and_keys_are_canonical_json(self, tmp_path):
+        canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+        spec, test, train = "ST(IHRT(,4SR),PT(2^4,PB),Diff)", 'li-"t\\e"-\u00e9', "li-train"
+        cache = ResultCache(tmp_path / "results")
+        cache.put(spec, test, train, "vector", self.STATS)
+        (log,) = cache.root.glob("*.jsonl")
+        fields = {"format": 3, "spec": spec, "test": test, "train": train, "backend": "vector"}
+        semantics = family_of(parse_spec(spec)).semantics
+        digest = hashlib.sha256(
+            canonical(dict(fields, semantics=semantics)).encode()
+        ).hexdigest()[:24]
+        assert result_key(spec, test, train, "vector") == digest
+        row = dict(fields, digest=digest, stats=[100, 88])
+        assert log.read_text() == "\n" + canonical(row) + "\n"
+        assert ResultCache(cache.root).get(spec, test, train, "vector") == self.STATS
+
+    def test_torn_or_garbage_line_costs_only_its_row(self, tmp_path):
+        cache = ResultCache(tmp_path / "results")
+        cache.put("BTFN", "li-test-300-x", None, "vector", self.STATS)
+        (log,) = cache.root.glob("*.jsonl")
+        scratch = ResultCache(tmp_path / "scratch")
+        scratch.put("Profile", "li-test-300-x", None, "vector", self.STATS)
+        profile_row = next(scratch.root.glob("*.jsonl")).read_bytes()
+
+        def hits(*specs):
+            fresh = ResultCache(cache.root)
+            return [fresh.get(spec, "li-test-300-x", None, "vector") == self.STATS
+                    for spec in specs]
+
+        with log.open("ab") as handle:  # a write cut short at the end of the log
+            handle.write(profile_row[: len(profile_row) // 2])
+        assert hits("BTFN", "Profile") == [True, False]
+        cache.put("AlwaysTaken", "li-test-300-x", None, "vector", self.STATS)
+        with log.open("ab") as handle:
+            handle.write(b"\xff{not a row\n")
+        cache.put("GAg(6,A2)", "li-test-300-x", None, "vector", self.STATS)
+        assert hits("BTFN", "Profile", "AlwaysTaken", "GAg(6,A2)") == [
+            True, False, True, True,
+        ]
+        assert [row.spec for row in cache.entries()] == sorted(
+            ["BTFN", "AlwaysTaken", "GAg(6,A2)"],
+            key=lambda spec: result_key(spec, "li-test-300-x", None, "vector"),
+        )
+
+    def test_rows_another_instance_appends_are_found(self, tmp_path):
+        reader = ResultCache(tmp_path / "results")
+        writer = ResultCache(tmp_path / "results")
+        writer.put("BTFN", "li-test-300-x", None, "vector", self.STATS)
+        assert reader.get("BTFN", "li-test-300-x", None, "vector") == self.STATS
+        assert reader.get("AlwaysTaken", "li-test-300-x", None, "vector") is None
+        writer.put("AlwaysTaken", "li-test-300-x", None, "vector", self.STATS)
+        assert reader.get("AlwaysTaken", "li-test-300-x", None, "vector") == self.STATS
+
+    def test_concurrent_appenders_lose_no_row(self, tmp_path):
+        root = tmp_path / "results"
+        context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(target=_append_rows, args=(str(root), worker, 200))
+            for worker in range(4)  # more appenders than the CI runners' cores
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=120)
+            assert not process.is_alive() and process.exitcode == 0
+        fresh = ResultCache(root)
+        for worker in range(4):
+            for index in range(200):
+                assert fresh.get("BTFN", "li-test-300-x", f"w{worker}-{index}", "vector") == (
+                    self.STATS
+                )
+        assert len(list(fresh.entries())) == 800
+
+    def test_legacy_row_files_are_never_read_and_cleared(self, tmp_path):
+        cache = ResultCache(tmp_path / "results")
+        cache.root.mkdir()
+        digest = result_key("BTFN", "li-test-300-x", None, "vector")
+        legacy = cache.root / f"{digest}.json"
+        legacy.write_text(json.dumps({
+            "format": 3, "spec": "BTFN", "test": "li-test-300-x", "train": "",
+            "backend": "vector", "stats": [100, 88],
+        }))
         assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
-        entry.write_text('{"format": 1, "spec": "Profile"}')
-        assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
-        entry.write_text("not json at all")
-        assert cache.get("BTFN", "li-test-300-x", None, "vector") is None
+        assert list(cache.entries()) == []
+        cache.put("AlwaysTaken", "li-test-300-x", None, "vector", self.STATS)
+        assert cache.clear() == 2
+        assert list(cache.root.iterdir()) == []
 
     def test_family_semantics_is_part_of_the_key(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "results")
@@ -274,6 +374,48 @@ class TestResultCache:
 
     def test_memory_only_runner_has_no_result_cache(self):
         assert SweepRunner(["li"], 300, TraceCache()).result_cache is None
+
+
+
+class TestResultLogSweeps:
+    SPECS = ["BTFN", "GAg(6,A2)", "AT(AHRT(4,8SR),PT(2^8,A2),)"]
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """Every ``ResultCache.get`` result, in call order."""
+        seen = []
+        original = ResultCache.get
+
+        def get(self, *key):
+            seen.append(original(self, *key))
+            return seen[-1]
+
+        monkeypatch.setattr(ResultCache, "get", get)
+        return seen
+
+    def test_parallel_rows_serve_a_serial_rerun(self, tmp_path, lookups):
+        store = tmp_path / "store"
+        benchmarks = ["li", "eqntott"]
+        first = SweepRunner(benchmarks, 300, TraceCache(disk_dir=store)).run(
+            self.SPECS, jobs=2
+        )
+        del lookups[:]  # the pool workers looked up in their own processes
+        again = SweepRunner(benchmarks, 300, TraceCache(disk_dir=store)).run(self.SPECS)
+        assert len(lookups) == len(self.SPECS) * len(benchmarks)
+        assert all(hit is not None for hit in lookups)
+        for scheme in first.schemes():
+            assert first.accuracies(scheme) == again.accuracies(scheme)
+        digests = [entry.digest for entry in ResultCache(store / "results").entries()]
+        assert len(digests) == len(set(digests)) == len(lookups)
+
+    def test_clear_makes_the_next_sweep_score_every_cell(self, tmp_path, lookups):
+        store = tmp_path / "store"
+        SweepRunner(["li"], 300, TraceCache(disk_dir=store)).run(self.SPECS)
+        assert ResultCache(store / "results").clear() == len(self.SPECS)
+        del lookups[:]
+        SweepRunner(["li"], 300, TraceCache(disk_dir=store)).run(self.SPECS)
+        assert lookups == [None] * len(self.SPECS)
+        assert len(list(ResultCache(store / "results").entries())) == len(self.SPECS)
 
 
 class TestCacheCli:

@@ -114,3 +114,14 @@ class TestTraceCache:
         baseline = cache.get(get_workload("eqntott"), "test", 200)
         bumped = cache.get(Versioned(), "test", 200)
         assert bumped is not baseline
+
+    def test_bumped_version_gets_a_new_stem(self):
+        workload = get_workload("li")
+        cache = TraceCache()
+        stem = cache.stem_for(workload, "test", 200)
+        assert cache.stem_for(workload, "test", 200) == stem  # memoised
+        workload.version += 1
+        bumped = cache.stem_for(workload, "test", 200)
+        assert bumped != stem
+        assert bumped == TraceCache().stem_for(workload, "test", 200)
+        assert cache.stem_for(workload, "train", 200) != bumped
