@@ -13,9 +13,9 @@ instruction, so the dynamic simulator can be cross-validated against them:
   liveness on that CFG, driven by the operand metadata in
   :mod:`repro.isa.instructions`;
 * :mod:`repro.analysis.absint` — abstract interpretation: value ranges,
-  affine induction variables with closed-form loop trip counts, and a
-  deterministic whole-program walk that reconstructs per-site outcome
-  streams;
+  affine induction variables with closed-form loop trip counts, and the
+  deterministic walk, which runs the program on the CPU and splits its
+  conditional branches into per-site outcome streams;
 * :mod:`repro.analysis.predictability` — the four-way predictability
   taxonomy (constant / loop-periodic / correlated / data-dependent) with
   per-scheme accuracy bounds and the static H2P candidate ranking, behind

@@ -1,7 +1,7 @@
-"""Abstract interpretation over the workload ISA.
+"""Abstract interpretation over the workload ISA, and the deterministic walk.
 
-Three cooperating engines, all built on the PR-3 CFG and sharing the
-interpreter's value semantics through the tables in
+Two static engines, built on the CFG of :mod:`repro.analysis.cfg` and
+sharing the interpreter's value semantics through the tables in
 :mod:`repro.isa.instructions` (stated once, never restated):
 
 * **Value resolution** (:class:`Resolution`) — a reaching-definitions-based
@@ -17,24 +17,17 @@ interpreter's value semantics through the tables in
   (solved algebraically, then verified at the boundary through
   :data:`~repro.isa.instructions.BRANCH_SEMANTICS`).
 
-* **The deterministic walk** (:func:`walk_program`) — the CPU semantics
-  over partially-known state.  Registers start at the architectural zero
-  and memory starts as the loaded data segment, so the walk interprets the
-  program concretely — recording the *exact* outcome stream of every
-  conditional site it can evaluate — until unknown state intervenes.
-  Unknown control flow is handled soundly by skipping to the branch's
-  intraprocedural immediate post-dominator while invalidating everything
-  the skipped region could write (registers always; all of memory once a
-  skipped region contains a store).  A site's recorded stream is therefore
-  exact for its first ``len(stream)`` dynamic occurrences (its *horizon*);
-  data-dependent control flow truncates horizons rather than corrupting
-  them.
-
-The walk is parameterized by a conditional-branch budget.  Because it
-counts only the conditionals it can evaluate — an undercount of the real
-execution — running it to the simulator's ``max_conditional_branches``
-budget guarantees every never-poisoned site's horizon covers its dynamic
-occurrence count in a trace of that scale.
+**The deterministic walk** (:func:`walk_program`) is not abstract at all:
+it runs the program on :class:`~repro.isa.cpu.CPU`, through the same
+translated blocks that build every trace, and splits the conditional
+branches into per-site outcome streams.  A walk starts from zeroed
+registers and the loaded data segment, and the ISA has no input
+instruction, so every value the program ever reads is known: there is no
+unknown operand to skip past and no state to invalidate, and each stream
+is exact for as long as the walk runs.  The walk therefore *is* the
+dynamic conditional-branch trace of its budget; it stops at the budget, at
+HALT, at its step cap, or at a fault (a division by zero or a fetch outside
+the text segment), keeping the branches executed before the stop.
 """
 
 from __future__ import annotations
@@ -42,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
 
+from repro.errors import ExecutionError
+from repro.isa.cpu import CPU
 from repro.isa.instructions import (
     ALU_SEMANTICS,
     B_FORMAT,
@@ -50,9 +45,9 @@ from repro.isa.instructions import (
     Instruction,
     Opcode,
     encoded_target,
-    registers_written,
 )
 from repro.isa.program import Program
+from repro.trace.columnar import PackedTrace, conditional_only
 
 from repro.analysis.cfg import ControlFlowGraph, EdgeKind, build_cfg
 from repro.analysis.dataflow import (
@@ -682,425 +677,73 @@ def loop_summaries(program: Program) -> List[LoopSummary]:
 # The deterministic walk.
 # ----------------------------------------------------------------------
 
-class RegionInfo(NamedTuple):
-    """What a branch-to-join skip must account for: the join block, every
-    register the region (including called subroutines) can write, every
-    conditional site whose occurrences the walk will not observe, and
-    whether the region can write memory at all."""
-
-    join: Optional[int]
-    clobbers: FrozenSet[int]
-    sites: Tuple[int, ...]
-    has_store: bool
-
 
 @dataclass
 class WalkResult:
-    """Exact per-site outcome streams from one deterministic walk.
+    """The conditional branches of one deterministic run.
 
-    ``streams[pc]`` holds the site's first ``len(streams[pc])`` dynamic
-    outcomes, in order; that length is the site's *horizon*.  A site enters
-    ``poisoned`` the first time its occurrences stop being observable —
-    unknown operands at the site, or residence inside a skipped region —
-    and its stream stops growing (the recorded prefix stays exact).
+    ``packed`` holds them in execution order as a conditional-only
+    :class:`~repro.trace.columnar.PackedTrace`; ``streams[pc]`` holds site
+    ``pc``'s outcomes in order.  ``stop_reason`` is ``budget``, ``halt``,
+    ``step-cap``, ``divide-fault`` or ``bad-fetch``.
     """
 
+    packed: PackedTrace
     streams: Dict[int, List[bool]]
-    poisoned: Dict[int, str]
-    observed_unknown: Dict[int, int]
-    region_entries: Dict[int, int]
-    region_sites: Dict[int, Tuple[int, ...]]
-    known_conditionals: int
-    observed_conditionals: int
-    checkpoint: Dict[int, int]
-    steps: int
-    truncated: bool
-    halted: bool
-    stop_reason: str = "budget"
-    stop_pc: int = -1
-    global_stream: List[Tuple[int, bool]] = field(default_factory=list)
-    global_exact: bool = True
+    stop_reason: str
 
-    def horizon(self, pc: int) -> int:
-        """Occurrences for which ``pc``'s outcomes are exactly known."""
-        return len(self.streams.get(pc, []))
+    @property
+    def known_conditionals(self) -> int:
+        return len(self.packed)
+
+    @property
+    def halted(self) -> bool:
+        return self.stop_reason == "halt"
 
     @property
     def complete(self) -> bool:
-        """True when the walk reproduced the execution's conditional-branch
-        sequence exactly up to where it stopped — no region was ever
-        skipped, so ``global_stream`` IS the dynamic branch trace."""
-        return self.global_exact and not self.truncated
+        """True when the walk stopped where a trace of its budget stops, at
+        the budget or at HALT, so its branches ARE that dynamic trace."""
+        return self.stop_reason in ("budget", "halt")
 
+    @property
+    def poisoned(self) -> Dict[int, str]:
+        """Sites whose streams stop being exact: none, as every value the
+        walk reads is known (see the module docstring)."""
+        return {}
 
-class _Walker:
-    """Implementation of :func:`walk_program` (state bundled in a class so
-    the region machinery can be memoized per program)."""
-
-    def __init__(self, program: Program, cfg: ControlFlowGraph) -> None:
-        self.program = program
-        self.cfg = cfg
-        self.ipdom = cfg.intra_post_dominators
-        self._intra_succ = cfg.intra_successors
-        self._call_targets: Dict[int, List[int]] = {
-            start: [
-                edge.dst
-                for edge in cfg.successors(start)
-                if edge.kind == EdgeKind.CALL
-            ]
-            for start in cfg.blocks
-        }
-        self._region_cache: Dict[int, RegionInfo] = {}
-        self._proc_cache: Dict[
-            int, Tuple[FrozenSet[int], Tuple[int, ...], bool]
-        ] = {}
-        self._proc_in_progress: Set[int] = set()
-
-    # -- procedure summaries -------------------------------------------
-    def _procedure_summary(
-        self, entry: int
-    ) -> Tuple[FrozenSet[int], Tuple[int, ...], bool]:
-        """(clobbered registers, conditional sites, writes-memory) of the
-        procedure whose body is reachable from ``entry`` along
-        intraprocedural edges, including everything its own calls can do."""
-        cached = self._proc_cache.get(entry)
-        if cached is not None:
-            return cached
-        if entry in self._proc_in_progress:
-            # Recursion: give the conservative answer (everything).
-            return frozenset(range(1, 32)), (), True
-        self._proc_in_progress.add(entry)
-        try:
-            clobbers: Set[int] = set()
-            sites: Set[int] = set()
-            seen: Set[int] = set()
-            has_store = False
-            stack = [entry]
-            while stack:
-                start = stack.pop()
-                if start in seen:
-                    continue
-                seen.add(start)
-                block = self.cfg.blocks[start]
-                for pc, instruction in zip(block.addresses(), block.instructions):
-                    clobbers.update(registers_written(instruction))
-                    if instruction.opcode in B_FORMAT:
-                        sites.add(pc)
-                    elif instruction.opcode in (Opcode.ST, Opcode.STB):
-                        has_store = True
-                for callee in self._call_targets[start]:
-                    sub = self._procedure_summary(callee)
-                    clobbers.update(sub[0])
-                    sites.update(sub[1])
-                    has_store = has_store or sub[2]
-                stack.extend(self._intra_succ[start])
-            result = (frozenset(clobbers), tuple(sorted(sites)), has_store)
-        finally:
-            self._proc_in_progress.discard(entry)
-        self._proc_cache[entry] = result
-        return result
-
-    # -- region skipping -----------------------------------------------
-    def region_info(self, block_start: int) -> RegionInfo:
-        """Join point and side effects of "this block's terminator went an
-        unknown way": everything reachable intraprocedurally from its
-        successors short of the immediate post-dominator."""
-        cached = self._region_cache.get(block_start)
-        if cached is not None:
-            return cached
-        join = self.ipdom.get(block_start)
-        if join is None:
-            info = RegionInfo(
-                join=None, clobbers=frozenset(), sites=(), has_store=False
-            )
-            self._region_cache[block_start] = info
-            return info
-        clobbers: Set[int] = set()
-        sites: Set[int] = set()
-        seen: Set[int] = set()
-        has_store = False
-        stack = [s for s in self._intra_succ[block_start] if s != join]
-        while stack:
-            start = stack.pop()
-            if start in seen or start == join:
-                continue
-            seen.add(start)
-            block = self.cfg.blocks[start]
-            for pc, instruction in zip(block.addresses(), block.instructions):
-                clobbers.update(registers_written(instruction))
-                if instruction.opcode in B_FORMAT:
-                    sites.add(pc)
-                elif instruction.opcode in (Opcode.ST, Opcode.STB):
-                    has_store = True
-            for callee in self._call_targets[start]:
-                sub = self._procedure_summary(callee)
-                clobbers.update(sub[0])
-                sites.update(sub[1])
-                has_store = has_store or sub[2]
-            stack.extend(s for s in self._intra_succ[start] if s != join)
-        info = RegionInfo(
-            join=join,
-            clobbers=frozenset(clobbers),
-            sites=tuple(sorted(sites)),
-            has_store=has_store,
-        )
-        self._region_cache[block_start] = info
-        return info
-
-    # -- the walk itself -----------------------------------------------
-    def walk(self, budget: int, step_cap: Optional[int] = None) -> WalkResult:
-        program = self.program
-        instructions = program.instructions
-        text_base = program.text_base
-        count = len(instructions)
-        if step_cap is None:
-            step_cap = 200 * budget + 10_000
-
-        regs: List[Optional[int]] = [0] * 32
-        streams: Dict[int, List[bool]] = {}
-        poisoned: Dict[int, str] = {}
-        observed_unknown: Dict[int, int] = {}
-        region_entries: Dict[int, int] = {}
-        region_sites: Dict[int, Tuple[int, ...]] = {}
-        checkpoint: Dict[int, int] = {}
-        known = 0
-        observed = 0
-        steps = 0
-        truncated = False
-        halted = False
-        checkpointed = False
-        stop_reason = "budget"
-        pc = program.entry
-        global_stream: List[Tuple[int, bool]] = []
-        global_exact = True
-        # Concrete memory: the loaded data segment, word-indexed like
-        # Memory._words.  A None entry is a known address holding an unknown
-        # value; mem_valid False means an unskipped store to an unknown
-        # address (or a skipped region containing stores) may have clobbered
-        # anything, so every load is ⊤ from then on.
-        mem: Dict[int, Optional[int]] = {
-            address >> 2: word & _WORD_MAX for address, word in program.data
-        }
-        mem_valid = True
-
-        def poison(site: int, reason: str) -> None:
-            if site not in poisoned:
-                poisoned[site] = reason
-
-        def nonlocal_exact() -> None:
-            nonlocal global_exact
-            global_exact = False
-
-        def skip_unknown(branch_pc: int) -> Optional[int]:
-            """Handle an unresolvable terminator: invalidate and rejoin."""
-            nonlocal mem_valid
-            block_start = self.cfg.block_at(branch_pc).start
-            info = self.region_info(block_start)
-            if info.join is None:
-                return None
-            nonlocal_exact()
-            region_entries[branch_pc] = region_entries.get(branch_pc, 0) + 1
-            region_sites[branch_pc] = info.sites
-            for register in info.clobbers:
-                if register:
-                    regs[register] = None
-            for site in info.sites:
-                poison(site, "skipped-region")
-            if info.has_store:
-                mem_valid = False
-            return info.join
-
-        while steps < step_cap and known < budget:
-            index = (pc - text_base) >> 2
-            if pc & 3 or not 0 <= index < count:
-                truncated = True
-                stop_reason = "bad-fetch"
-                break
-            # the identity tests below need Opcode members in the opcode
-            # field, which is what the assembler and the decoder store
-            opcode, rd, rs1, rs2, imm = instructions[index]
-            steps += 1
-            next_pc = pc + 4
-
-            if opcode in B_FORMAT:
-                a = regs[rs1]
-                b = regs[rs2]
-                observed += 1
-                if a is not None and b is not None:
-                    taken = BRANCH_SEMANTICS[opcode](a, b)
-                    known += 1
-                    if global_exact:
-                        global_stream.append((pc, taken))
-                    if pc not in poisoned:
-                        streams.setdefault(pc, []).append(taken)
-                    if taken:
-                        next_pc = pc + 4 + 4 * imm
-                else:
-                    observed_unknown[pc] = observed_unknown.get(pc, 0) + 1
-                    poison(pc, "unknown-operands")
-                    nonlocal_exact()
-                    join = skip_unknown(pc)
-                    if join is None:
-                        truncated = True
-                        stop_reason = "no-join"
-                        break
-                    next_pc = join
-                if not checkpointed and observed >= budget:
-                    checkpointed = True
-                    checkpoint = {site: len(s) for site, s in streams.items()}
-            elif opcode in IMM_SEMANTICS:
-                if rd:
-                    base = regs[rs1] if opcode is not Opcode.LUI else 0
-                    if base is not None:
-                        regs[rd] = IMM_SEMANTICS[opcode](base, imm)
-                    else:
-                        regs[rd] = None
-            elif opcode in ALU_SEMANTICS:
-                if rd:
-                    a = regs[rs1]
-                    b = regs[rs2]
-                    if a is not None and b is not None:
-                        try:
-                            regs[rd] = ALU_SEMANTICS[opcode](a, b)
-                        except ZeroDivisionError:
-                            # The CPU would fault here; the walk has
-                            # followed real paths, so stop faithfully.
-                            truncated = True
-                            stop_reason = "divide-fault"
-                            break
-                    else:
-                        regs[rd] = None
-            elif opcode is Opcode.LD:
-                if rd:
-                    base = regs[rs1]
-                    if mem_valid and base is not None:
-                        regs[rd] = mem.get((base + imm) >> 2, 0)
-                    else:
-                        regs[rd] = None
-            elif opcode is Opcode.LDB:
-                if rd:
-                    base = regs[rs1]
-                    if mem_valid and base is not None:
-                        address = base + imm
-                        word = mem.get(address >> 2, 0)
-                        if word is None:
-                            regs[rd] = None
-                        else:
-                            regs[rd] = (word >> ((3 - (address & 3)) * 8)) & 0xFF
-                    else:
-                        regs[rd] = None
-            elif opcode is Opcode.ST:
-                base = regs[rs1]
-                if base is None:
-                    mem_valid = False
-                elif mem_valid:
-                    mem[(base + imm) >> 2] = regs[rd]
-            elif opcode is Opcode.STB:
-                base = regs[rs1]
-                value = regs[rd]
-                if base is None:
-                    mem_valid = False
-                elif mem_valid:
-                    address = base + imm
-                    windex = address >> 2
-                    word = mem.get(windex, 0)
-                    if word is None or value is None:
-                        mem[windex] = None
-                    else:
-                        shift = (3 - (address & 3)) * 8
-                        mem[windex] = (
-                            (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-                        )
-            elif opcode is Opcode.NOP:
-                pass
-            elif opcode is Opcode.BR:
-                next_pc = pc + 4 + 4 * imm
-            elif opcode is Opcode.BSR:
-                regs[1] = next_pc
-                next_pc = pc + 4 + 4 * imm
-            elif opcode is Opcode.JMP:
-                target = regs[rs1]
-                if target is not None:
-                    next_pc = target
-                else:
-                    join = skip_unknown(pc)
-                    if join is None:
-                        truncated = True
-                        stop_reason = "no-join"
-                        break
-                    next_pc = join
-            elif opcode is Opcode.JSR:
-                target = regs[rs1]
-                if target is not None:
-                    regs[1] = next_pc
-                    next_pc = target
-                else:
-                    # Unknown indirect call: every candidate callee's side
-                    # effects, then the continuation.  The callee's rts
-                    # reaches the continuation *through* r1, so r1 holds
-                    # exactly the continuation address when control resumes.
-                    block_start = self.cfg.block_at(pc).start
-                    nonlocal_exact()
-                    candidates = self._call_targets[block_start]
-                    if not candidates:
-                        mem_valid = False
-                        for register in range(2, 32):
-                            regs[register] = None
-                    for callee in candidates:
-                        sub = self._procedure_summary(callee)
-                        for register in sub[0]:
-                            if register:
-                                regs[register] = None
-                        for site in sub[1]:
-                            poison(site, "skipped-region")
-                        if sub[2]:
-                            mem_valid = False
-                    regs[1] = next_pc
-            elif opcode is Opcode.RTS:
-                target = regs[1]
-                if target is None:
-                    truncated = True
-                    stop_reason = "unknown-return"
-                    break
-                next_pc = target
-            elif opcode is Opcode.HALT:
-                halted = True
-                stop_reason = "halt"
-                break
-            pc = next_pc
-
-        if steps >= step_cap:
-            truncated = True
-            stop_reason = "step-cap"
-        if not checkpointed:
-            checkpoint = {site: len(s) for site, s in streams.items()}
-        return WalkResult(
-            streams=streams,
-            poisoned=poisoned,
-            observed_unknown=observed_unknown,
-            region_entries=region_entries,
-            region_sites=region_sites,
-            known_conditionals=known,
-            observed_conditionals=observed,
-            checkpoint=checkpoint,
-            steps=steps,
-            truncated=truncated,
-            halted=halted,
-            stop_reason=stop_reason,
-            stop_pc=pc,
-            global_stream=global_stream,
-            global_exact=global_exact,
-        )
+    @property
+    def global_stream(self) -> List[Tuple[int, bool]]:
+        """``(pc, taken)`` of every conditional branch, in execution order."""
+        return list(zip(self.packed.cond_pc, self.packed.cond_taken))
 
 
 def walk_program(
-    program: Program,
-    budget: int,
-    cfg: Optional[ControlFlowGraph] = None,
-    step_cap: Optional[int] = None,
+    program: Program, budget: int, step_cap: Optional[int] = None
 ) -> WalkResult:
-    """Run the deterministic walk until ``budget`` conditional branches
-    have been evaluated (or the program halts / becomes unresolvable)."""
-    if cfg is None:
-        cfg = build_cfg(program)
-    return _Walker(program, cfg).walk(budget, step_cap)
+    """Run ``program`` on the CPU until ``budget`` conditional branches
+    have executed, it halts, it faults, or ``step_cap`` instructions (by
+    default ``200 * budget + 10_000``) have run."""
+    if step_cap is None:
+        step_cap = 200 * budget + 10_000
+    try:
+        result = CPU(program).run(
+            max_instructions=step_cap, max_conditional_branches=budget
+        )
+    except ExecutionError as fault:
+        # CPU.run sets both: the faulting pc and the branches before it
+        assert fault.pc is not None and fault.trace is not None
+        fetched = program.text_base <= fault.pc < program.text_end and not fault.pc & 3
+        stop_reason = "divide-fault" if fetched else "bad-fetch"
+        trace = fault.trace
+    else:
+        if result.instructions_executed >= step_cap:
+            stop_reason = "step-cap"
+        else:
+            stop_reason = "halt" if result.halted else "budget"
+        trace = result.packed
+    packed = conditional_only(trace)
+    streams: Dict[int, List[bool]] = {}
+    for pc, taken in zip(packed.cond_pc, packed.cond_taken):
+        streams.setdefault(pc, []).append(taken)
+    return WalkResult(packed=packed, streams=streams, stop_reason=stop_reason)

@@ -1,9 +1,9 @@
 """Static branch-predictability classification and per-scheme bounds.
 
-Built on :mod:`repro.analysis.absint`: the deterministic walk reconstructs
-each conditional site's exact outcome stream (up to its *horizon*), the
-range analysis proves branches one-sided forever, and the loop analysis
-attaches closed-form trip counts.  From those three inputs every static
+Built on :mod:`repro.analysis.absint`: the deterministic walk records
+each conditional site's exact outcome stream, the range analysis proves
+branches one-sided forever, and the loop analysis attaches closed-form
+trip counts.  From those three inputs every static
 conditional site is placed in one predictability class:
 
 * ``constant`` — one outcome for every occurrence.  Proved analytically
@@ -23,14 +23,14 @@ For every site × scheme the analysis derives a correct-prediction interval
 (:class:`SchemeBound`).  When the walk is *complete* (it reproduced the
 execution's conditional sequence exactly — true for every bundled
 workload), bounds are tight for **all** schemes: the analysis replays the
-actual predictor implementations over the statically reconstructed stream,
-so ``lower == upper`` equals what the simulator must measure.  When a
-stream is only partially known, self-contained schemes (whose predictions
-for a site depend only on that site's own stream — AlwaysTaken,
-AlwaysNotTaken, BTFN, Profile, LS over an ideal HRT, PAp) still get exact
-partial replay plus a sound slack term, while shared-state schemes (AT's
-global pattern table, GAg, gshare, and the modern subsystem) degrade to
-``[0, n]`` with a replay *estimate*.
+actual predictor implementations over the walk's stream, so
+``lower == upper`` equals what the simulator must measure.  When the walk
+stops early (its step cap or a fault), self-contained schemes (whose
+predictions for a site depend only on that site's own stream —
+AlwaysTaken, AlwaysNotTaken, BTFN, Profile, LS over an ideal HRT, PAp)
+still get exact replay of each site's stream, while shared-state schemes
+(AT's global pattern table, GAg, gshare, and the modern subsystem) degrade
+to ``[0, n]`` with a replay *estimate*.
 
 The modern schemes (:mod:`repro.predictors.modern`) bound the same way —
 replay over the reconstructed global stream — but their *rationale*
@@ -65,7 +65,6 @@ from repro.analysis.absint import (
     LoopAnalysis,
     LoopSummary,
     Resolution,
-    WalkResult,
     reaching_definitions,
     walk_program,
 )
@@ -361,14 +360,19 @@ class SchemeBound(NamedTuple):
 
 @dataclass
 class SiteReport:
-    """Everything the analysis knows about one static conditional site."""
+    """Everything the analysis knows about one static conditional site.
+
+    ``horizon`` equals ``occurrences``, ``stream_exact`` is always True and
+    ``poisoned`` always None: the walk is concrete, so every recorded
+    outcome is exact.  They stay in the report payload for its readers.
+    """
 
     site: BranchSite
     predictability: PredictabilityClass
     occurrences: int
     taken_count: int
     horizon: int
-    stream_exact: bool
+    stream_exact: bool = True
     analytic_constant: Optional[bool] = None
     period: Optional[int] = None
     transient: int = 0
@@ -524,7 +528,7 @@ def analyze_program(
     resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
     loop_analysis = LoopAnalysis(resolution=resolution)
     loops = loop_analysis.summarize()
-    walk = walk_program(program, scale, cfg=cfg)
+    walk = walk_program(program, scale)
     finder = _CorrelationFinder(resolution)
 
     sites = conditional_sites(program)
@@ -544,7 +548,8 @@ def analyze_program(
 
     # Occurrence counts at this scale.  When the walk is complete its
     # per-site stream lengths ARE the dynamic counts; otherwise they are
-    # exact up to each site's horizon (a lower bound thereafter).
+    # the counts up to where it stopped (a lower bound thereafter).  Each
+    # class test runs only when the ones before it fail.
     reports: Dict[int, SiteReport] = {}
     for site in sites:
         stream = walk.streams.get(site.pc, [])
@@ -553,16 +558,12 @@ def analyze_program(
             continue  # never executed at this scale: nothing to bound
         taken_count = sum(stream)
         analytic = resolution.branch_decision(site.pc)
-        poisoned = walk.poisoned.get(site.pc)
-        stream_exact = poisoned is None or walk.complete
-
-        period_info = eventual_period(stream)
-        sources = finder.sources(site.pc)
+        period_info: Optional[Tuple[int, int]] = None
+        sources: Tuple[int, ...] = ()
         trip = trip_by_exit.get(site.pc)
         if analytic is not None or taken_count in (0, occurrences):
             predictability = PredictabilityClass.CONSTANT
-            period_info = None
-        elif period_info is not None:
+        elif (period_info := eventual_period(stream)) is not None:
             predictability = PredictabilityClass.LOOP_PERIODIC
         elif trip is not None and _loop_stream_matches(
             stream,
@@ -576,7 +577,7 @@ def analyze_program(
             # period directly.
             predictability = PredictabilityClass.LOOP_PERIODIC
             period_info = (trip + 1, 0)
-        elif sources:
+        elif sources := finder.sources(site.pc):
             predictability = PredictabilityClass.CORRELATED
         else:
             predictability = PredictabilityClass.DATA_DEPENDENT
@@ -586,25 +587,21 @@ def analyze_program(
             predictability=predictability,
             occurrences=occurrences,
             taken_count=taken_count,
-            horizon=walk.horizon(site.pc),
-            stream_exact=stream_exact,
+            horizon=occurrences,
             analytic_constant=analytic,
             period=period_info[0] if period_info else None,
             transient=period_info[1] if period_info else 0,
-            sources=sources if predictability is PredictabilityClass.CORRELATED else (),
-            trip_count=trip_by_exit.get(site.pc),
-            poisoned=poisoned,
+            sources=sources,
+            trip_count=trip,
         )
 
     # -- bounds ---------------------------------------------------------
     # each name is a parse_spec round trip, so read it once per scheme
     keyed = [(scheme, scheme.name) for scheme in schemes]
     if walk.complete:
-        # one replay of the whole reconstructed stream: every bound is tight
+        # one replay of the walk's whole stream: every bound is tight
         per_spec = sim_analysis.per_site_scores(
-            [scheme.spec for scheme in schemes],
-            pack_conditional_stream(walk.global_stream, targets),
-            backend,
+            [scheme.spec for scheme in schemes], walk.packed, backend
         )
         for scheme, key in keyed:
             for pc, (correct, total) in per_spec[scheme.spec].items():
@@ -612,11 +609,11 @@ def analyze_program(
                 if report is not None:
                     report.bounds[key] = _exact_bound(key, total, correct)
     else:
-        # each site's known stream alone: exact for self-contained schemes
-        # on exact streams, an estimate inside [0, n] otherwise.  The
-        # streams are short and there is one per site, so they replay on
-        # the scalar engine (bit-exact with the fused kernel, without its
-        # per-call set-up) from specs parsed once.
+        # each site's stream alone: exact for self-contained schemes, an
+        # estimate inside [0, n] otherwise.  The streams are short and
+        # there is one per site, so they replay on the scalar engine
+        # (bit-exact with the fused kernel, without its per-call set-up)
+        # from specs parsed once.
         parsed = {scheme.spec: parse_spec(scheme.spec) for scheme in schemes}
         for pc, report in reports.items():
             stream = walk.streams.get(pc, [])
@@ -625,24 +622,15 @@ def analyze_program(
             n = report.occurrences
             for scheme, key in keyed:
                 correct = per_spec[scheme.spec][pc][0]
-                if scheme.self_contained and report.stream_exact:
+                if scheme.self_contained:
                     bound = _exact_bound(key, n, correct)
                 else:
                     bound = SchemeBound(key, n, 0, n, False, correct)
                 report.bounds[key] = bound
 
     for report in reports.values():
-        report.bounds[PROFILE_SCHEME] = (
-            _profile_bound(report.occurrences, report.taken_count)
-            if report.stream_exact
-            else SchemeBound(
-                scheme=PROFILE_SCHEME,
-                occurrences=report.occurrences,
-                lower=0,
-                upper=report.occurrences,
-                exact=False,
-                expected=None,
-            )
+        report.bounds[PROFILE_SCHEME] = _profile_bound(
+            report.occurrences, report.taken_count
         )
 
     return PredictabilityReport(

@@ -8,6 +8,11 @@ reserved for genuine programming errors (bad types, impossible arguments).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.trace.columnar import PackedTrace
+
 
 class ReproError(Exception):
     """Base class for every error raised by the repro library."""
@@ -32,10 +37,15 @@ class EncodingError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """The CPU interpreter hit a fault (bad opcode, unmapped jump, ...)."""
+    """The CPU interpreter hit a fault (bad opcode, unmapped jump, ...).
+
+    ``trace`` holds the branches that executed before the fault when the
+    error leaves :meth:`repro.isa.cpu.CPU.run`, and None otherwise.
+    """
 
     def __init__(self, message: str, pc: int | None = None):
         self.pc = pc
+        self.trace: PackedTrace | None = None
         if pc is not None:
             message = f"pc={pc:#010x}: {message}"
         super().__init__(message)

@@ -430,7 +430,8 @@ class CPU:
         A limit stops execution exactly, even inside a block, and a later
         ``run`` resumes from the stop.  A fault raises
         :class:`~repro.errors.ExecutionError` with ``pc`` (and ``self.pc``)
-        at the faulting instruction.
+        at the faulting instruction and ``trace`` holding the branches
+        executed before it.
         """
         blocks = self._translation_cache()
         lookup = blocks.get
@@ -466,6 +467,7 @@ class CPU:
                 n_cond += conditional
         except ExecutionError as exc:
             self.pc = exc.pc
+            exc.trace = PackedTrace(pcs[:], targets[:], bytes(flags))
             raise
 
         self.pc = pc

@@ -28,6 +28,7 @@ makes warm cache hits in a parallel sweep cheap.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -46,6 +47,8 @@ _ADDR_TYPECODE = "I" if array("I").itemsize >= 4 else "L"
 _CONDITIONAL_TABLE = bytes(
     1 if not byte & _CLS_MASK else 0 for byte in range(256)
 )
+#: translate table keeping only a flag byte's taken bit
+_TAKEN_TABLE = bytes(byte & 1 for byte in range(256))
 
 
 def pack_flags(taken: bool, cls: BranchClass, is_call: bool) -> int:
@@ -220,6 +223,25 @@ def pack_conditional_stream(
     )
     packed._cond_columns = (tuple(pcs), tuple(branch_targets), tuple(taken))
     return packed
+
+
+def conditional_only(packed: PackedTrace) -> PackedTrace:
+    """The conditional records of ``packed``, in order, as a trace of their own.
+
+    Equal to ``pack_records`` of those records, but selected at C speed;
+    every record being conditional, the conditional-only columns are the
+    columns themselves.
+    """
+    keep = packed.flags.translate(_CONDITIONAL_TABLE)
+    pcs = tuple(compress(packed.pc, keep))
+    targets = tuple(compress(packed.target, keep))
+    flags = bytes(compress(packed.flags, keep))
+    conditional = PackedTrace(
+        array(_ADDR_TYPECODE, pcs), array(_ADDR_TYPECODE, targets), flags
+    )
+    taken = tuple(map(bool, flags.translate(_TAKEN_TABLE)))
+    conditional._cond_columns = (pcs, targets, taken)
+    return conditional
 
 
 def read_packed_trace(source: "Union[str, Path, IO[bytes]]") -> PackedTrace:

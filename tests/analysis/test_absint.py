@@ -218,10 +218,95 @@ inner:
         assert outcomes == [True, False, True, True, False, False]
 
 
+class TestWalkStops:
+    """Where the walk stops, and what it keeps of the branches before."""
+
+    def test_halt_before_the_budget(self):
+        program = assemble(
+            """
+_start:
+    li r2, 3
+loop:
+    subi r2, r2, 1
+    bnez r2, loop
+    halt
+"""
+        )
+        result = walk_program(program, budget=100)
+        assert (result.stop_reason, result.halted, result.complete) == ("halt", True, True)
+        assert result.known_conditionals == 3
+
+    def test_budget_inside_an_iteration_stops_exactly(self):
+        # two conditional sites per iteration; an odd budget ends the walk
+        # between them, after the first site of the fourth iteration
+        program = assemble(
+            """
+_start:
+    li r2, 1000
+loop:
+    andi r3, r2, 1
+    beqz r3, even
+    addi r4, r4, 1
+even:
+    subi r2, r2, 1
+    bnez r2, loop
+    halt
+"""
+        )
+        result = walk_program(program, budget=7)
+        assert (result.stop_reason, result.halted, result.complete) == ("budget", False, True)
+        assert result.known_conditionals == 7
+        assert len(result.global_stream) == 7
+        parity, latch = sorted(result.streams)
+        assert result.streams[parity] == [True, False, True, False]
+        assert result.streams[latch] == [True, True, True]
+
+    def test_division_by_zero_keeps_the_branches_before_it(self):
+        program = assemble(
+            """
+_start:
+    li r2, 4
+    li r5, 9
+loop:
+    subi r2, r2, 1
+    bnez r2, loop
+    divs r6, r5, r2
+    halt
+"""
+        )
+        result = walk_program(program, budget=100)
+        assert (result.stop_reason, result.halted, result.complete) == (
+            "divide-fault", False, False,
+        )
+        assert result.known_conditionals == 4
+        [stream] = result.streams.values()
+        assert stream == [True, True, True, False]
+
+    def test_jump_out_of_the_text_segment(self):
+        program = assemble(
+            """
+_start:
+    li r2, 2
+loop:
+    subi r2, r2, 1
+    bnez r2, loop
+    li r14, 0x40
+    jmp r14
+"""
+        )
+        result = walk_program(program, budget=100)
+        assert (result.stop_reason, result.halted, result.complete) == (
+            "bad-fetch", False, False,
+        )
+        [stream] = result.streams.values()
+        assert stream == [True, False]
+
+
 @pytest.mark.parametrize("name,role", VARIANTS)
 def test_assembled_instructions_hold_opcode_members(name, role):
-    # the walk tests an instruction's opcode by identity (``is Opcode.LD``)
-    # without converting it, so a plain int in that field would misread
+    # the range and loop analyses test an instruction's opcode by identity
+    # (``is Opcode.ADDI``) without converting it, so a plain int in that
+    # field would misread
     for instruction in _program(name, role).instructions:
         assert type(instruction.opcode) is Opcode, instruction
 

@@ -268,6 +268,16 @@ class TestLimitsAndAccounting:
         with pytest.raises(ExecutionError):
             run("_start: li r2, 0\njmp r2")
 
+    def test_fault_carries_the_branches_before_it(self):
+        source = "_start: li r2, 2\nloop: subi r2, r2, 1\nbnez r2, loop\ndivs r3, r3, r2\nhalt"
+        cpu = CPU(assemble(source))
+        with pytest.raises(ExecutionError) as caught:
+            cpu.run()
+        trace = caught.value.trace
+        assert caught.value.pc == cpu.pc
+        assert [record.taken for record in trace] == [True, False]
+        assert {record.cls for record in trace} == {BranchClass.CONDITIONAL}
+
     def test_run_resumes_from_current_pc(self):
         cpu = CPU(assemble("_start: nop\nnop\nnop\nhalt"))
         first = cpu.run(max_instructions=2)

@@ -13,6 +13,7 @@ from repro.predictors.two_level import TwoLevelAdaptivePredictor
 from repro.sim.engine import simulate, simulate_packed
 from repro.trace.columnar import (
     PackedTrace,
+    conditional_only,
     pack_conditional_stream,
     pack_flags,
     pack_records,
@@ -59,6 +60,19 @@ class TestRoundTrip:
         assert list(packed.cond_pc) == [r.pc for r in conditionals]
         assert list(packed.cond_target) == [r.target for r in conditionals]
         assert packed.cond_taken == tuple(r.taken for r in conditionals)
+
+    @given(_RECORDS)
+    def test_conditional_only_equals_packed_conditional_records(self, records):
+        conditionals = [r for r in records if r.cls is BranchClass.CONDITIONAL]
+        packed = conditional_only(pack_records(records))
+        expected = pack_records(conditionals)
+        assert packed == expected
+        assert packed.num_conditional == len(conditionals)
+        assert (packed.cond_pc, packed.cond_target, packed.cond_taken) == (
+            expected.cond_pc,
+            expected.cond_target,
+            expected.cond_taken,
+        )
 
     @given(_RECORDS)
     def test_file_parity_with_record_reader(self, records):
