@@ -65,11 +65,6 @@ class HistoryRegisterTable(ABC):
         """Drop all entries and statistics (start-of-execution state)."""
 
     @property
-    def hit_ratio(self) -> float:
-        accesses = self.hits + self.misses
-        return self.hits / accesses if accesses else 0.0
-
-    @property
     @abstractmethod
     def spec_name(self) -> str:
         """The Table 2 naming-convention fragment, e.g. ``AHRT(512,...)``."""

@@ -91,6 +91,8 @@ def _run_task(task: Task) -> GroupResult:
         result_cache=AUTO_RESULT_CACHE if cache_results else None,
     )
     rows = runner.score_benchmark(list(spec_texts), benchmark, skip_unavailable=True)
+    if _WORKER_CACHE.store is not None:  # a pool worker exits without finalizers
+        _WORKER_CACHE.store.flush()
     return tuple(
         None if stats is None else (stats.conditional_total, stats.conditional_correct)
         for stats in rows

@@ -13,7 +13,9 @@ segment sorts.  The fused scorer pays for each of them exactly once:
   nest — a k-bit window is the K-bit window masked to its low k bits for
   any ``k <= K`` — so the context keeps only the *widest* window per key
   space and serves shorter ones as a mask (``fig7``'s whole ladder runs on
-  one window).
+  one window).  The AHRT registers and widest windows also outlive the
+  context, in a per-trace store that dies with its :class:`PackedTrace`
+  under one byte budget, so a command's later figures read them.
 * Each scheme's semantics is one *recipe* written against a context and
   owned by its :class:`~repro.predictors.families.Family`: a
   ``direct_mask`` for the scan-free families, a ``scan_request`` for the
@@ -45,6 +47,7 @@ variants and require equality with ``score_spec(..., backend="scalar")``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import KernelError
@@ -75,6 +78,14 @@ _IDENTITY_CODE = 0b11100100
 #: carry 32-bit pcs, so ``(slot << 32) | key`` is collision-free for every
 #: key space (addresses, HHRT slots, AHRT register ids, history patterns).
 _NS_SHIFT = 32
+
+#: byte budget of every live column store together (figures keep 3.4 MB at 20k)
+_STORE_BUDGET = 32 << 20
+
+#: ``id(PackedTrace)`` -> {column key: (window width, column)}.  A trace
+#: compares by content, so it cannot key a WeakKeyDictionary; a finalizer
+#: drops its store with it instead.
+_STORES: Dict[int, Dict[Tuple[Any, ...], Tuple[int, Any]]] = {}
 
 
 def _family(spec: PredictorSpec) -> Family:
@@ -201,6 +212,9 @@ class TraceContext:
         np = _np()
         _index, pc, target, taken = _conditional_columns(np, packed)
         self._setup(np, pc, target, taken)
+        if id(packed) not in _STORES:
+            weakref.finalize(packed, _STORES.pop, id(packed), None)
+        self._store = _STORES.setdefault(id(packed), {})
 
     def _setup(self, np: Any, pc: Any, target: Any, taken: Any) -> None:
         self.np = np
@@ -252,12 +266,35 @@ class TraceContext:
         return None
 
     def _keys_for(self, spec: PredictorSpec) -> Any:
-        return _hrt_keys(self.np, spec, self.pc)
+        token = _hrt_token(spec)
+        if token in self._store:
+            return self._store[token][1].astype(self.np.int64)
+        keys = _hrt_keys(self.np, spec, self.pc)
+        if token[0] == "AHRT":
+            self._keep(token, 0, keys.astype(self.np.int32))
+        return keys
 
     def _window(self, token: Tuple[Any, ...], keys: Any, k: int, init_bit: int) -> Any:
+        np, key = self.np, ("window", init_bit) + token
+        width, kept = self._store.get(key, (0, None))
+        if kept is not None and width >= k:
+            return kept.astype(np.int64) & ((1 << k) - 1)
         if keys is None:
-            return _history_global(self.np, self.taken, k, init_bit)
-        return _branch_history(self.np, keys, self.taken, k, init_bit)
+            window = _history_global(np, self.taken, k, init_bit)
+        else:
+            window = _branch_history(np, keys, self.taken, k, init_bit)
+        if k <= 32:
+            self._keep(key, k, window.astype(np.uint16 if k <= 16 else np.uint32))
+        return window
+
+    def _keep(self, key: Tuple[Any, ...], width: int, column: Any) -> None:
+        """Store ``column`` (replacing ``key``'s) if this context's trace is
+        alive and every live store still fits in the budget."""
+        stores = list(_STORES.values())
+        held = sum(kept.nbytes for store in stores for _w, kept in store.values())
+        held -= self._store[key][1].nbytes if key in self._store else 0
+        if any(s is self._store for s in stores) and held + column.nbytes <= _STORE_BUDGET:
+            self._store[key] = (width, column)
 
     # -- shared columns ------------------------------------------------
     def hrt_keys(self, spec: PredictorSpec) -> Any:

@@ -78,7 +78,7 @@ class PackedTrace:
     the columnar fast path.
     """
 
-    __slots__ = ("pc", "target", "flags", "_num_conditional", "_cond_columns")
+    __slots__ = ("pc", "target", "flags", "_num_conditional", "_cond_columns", "__weakref__")
 
     def __init__(self, pc: array, target: array, flags: bytes):
         if not (len(pc) == len(target) == len(flags)):

@@ -29,7 +29,9 @@ minutes at 20M.  This module replaces it with a *shard* store:
   (default 4 GiB, override with ``REPRO_STORE_MAX_BYTES``) by evicting
   least-recently-used shards after each write.  Access statistics live in
   a best-effort ``index.json``; losing it costs only LRU fidelity (file
-  mtimes take over), never data.
+  mtimes take over), never data.  Loads record their hits in memory, and
+  a store writes them with its next index write or when it is collected,
+  so a run of loads costs one index write.
 
 Corruption is reported through :class:`~repro.errors.StoreError` following
 the trace readers' convention: promised byte/record counts next to what
@@ -46,6 +48,7 @@ import mmap
 import os
 import struct
 import time
+import weakref
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -352,43 +355,35 @@ class TraceStore:
             raise ConfigError("TraceStore max_bytes must be positive")
         self.compression = compression
         self._index_path = self.root / "index.json"
+        #: stem -> access stats not yet in ``index.json``: loads only touch
+        #: memory, so a run of loads costs one index write, not one each
+        self._pending: Dict[str, Dict[str, Any]] = {}
+        weakref.finalize(self, _flush_touches, self._index_path, self._pending)
 
     # -- index (best-effort access stats) ------------------------------
     def _read_index(self) -> Dict[str, Dict[str, Any]]:
-        try:
-            data = json.loads(self._index_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return {}
-        entries = data.get("entries") if isinstance(data, dict) else None
-        return entries if isinstance(entries, dict) else {}
+        """The index on disk with this instance's unwritten touches merged in."""
+        return _merge_touches(_read_entries(self._index_path), self._pending)
 
     def _write_index(self, entries: Dict[str, Dict[str, Any]]) -> None:
-        tmp = self._index_path.with_name(self._index_path.name + ".tmp")
-        try:
-            tmp.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=1))
-            os.replace(tmp, self._index_path)
-        except OSError:
-            pass  # stats are advisory; never fail a run over them
+        """Write ``entries`` (read through :meth:`_read_index`, so they hold
+        every pending touch) and forget the pending touches."""
+        _dump_index(self._index_path, entries)
+        self._pending.clear()
 
     def _touch(self, stem: str, size: int, records: int, code: int, hit: bool) -> None:
-        entries = self._read_index()
-        entry = entries.setdefault(
-            stem,
-            {
-                "created": time.time(),
-                "hits": 0,
-                "bytes": size,
-                "records": records,
-                "compression": _COMPRESSION_NAMES[code],
-            },
+        """Record an access in memory; the next index write carries it."""
+        touch = self._pending.setdefault(stem, {"hits": 0})
+        touch.update(
+            bytes=size, records=records, compression=_COMPRESSION_NAMES[code],
+            last_used=time.time(),
         )
-        entry["bytes"] = size
-        entry["records"] = records
-        entry["compression"] = _COMPRESSION_NAMES[code]
-        entry["last_used"] = time.time()
-        if hit:
-            entry["hits"] = int(entry.get("hits", 0)) + 1
-        self._write_index(entries)
+        touch["hits"] += int(hit)
+
+    def flush(self) -> None:
+        """Write the pending access stats to ``index.json`` now (a store
+        also flushes them when it is collected or the interpreter exits)."""
+        _flush_touches(self._index_path, self._pending)
 
     # -- core API ------------------------------------------------------
     def path_for(self, stem: str) -> Path:
@@ -435,6 +430,7 @@ class TraceStore:
         size = write_shard(path, packed, meta, self.compression)
         code = _resolve_compression(self.compression)
         self._touch(stem, size, len(packed), code, hit=False)
+        self.flush()
         self._evict_to_bound(keep=stem)
         return path
 
@@ -538,6 +534,45 @@ class TraceStore:
             else:
                 results.append((stem, None))
         return results
+
+
+def _merge_touches(
+    entries: Dict[str, Dict[str, Any]], pending: Dict[str, Dict[str, Any]]
+) -> Dict[str, Dict[str, Any]]:
+    """``entries`` with every pending touch applied (hits add up)."""
+    for stem, touch in pending.items():
+        entry = entries.setdefault(stem, {"created": touch["last_used"], "hits": 0})
+        hits = int(entry.get("hits", 0)) + touch["hits"]
+        entry.update(touch)
+        entry["hits"] = hits
+    return entries
+
+
+def _dump_index(path: Path, entries: Dict[str, Dict[str, Any]]) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=1))
+        os.replace(tmp, path)
+    except OSError:
+        pass  # stats are advisory; never fail a run over them
+
+
+def _read_entries(path: Path) -> Dict[str, Dict[str, Any]]:
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return {}
+    entries = data.get("entries") if isinstance(data, dict) else None
+    return entries if isinstance(entries, dict) else {}
+
+
+def _flush_touches(path: Path, pending: Dict[str, Dict[str, Any]]) -> None:
+    """Merge ``pending`` into the index at ``path`` and forget it; a
+    store's finalizer, so its loads reach the index when it is collected
+    or the interpreter exits."""
+    if pending:
+        _dump_index(path, _merge_touches(_read_entries(path), pending))
+        pending.clear()
 
 
 def read_shard_header(path: Path) -> Tuple[int, int, int, Tuple[int, int, int, int]]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.parallel import resolve_jobs, run_parallel_sweep
 from repro.sim.runner import SweepRunner, run_sweep
+from repro.trace.store import TraceStore
 from repro.workloads.base import TraceCache, get_workload
 
 SPECS = [
@@ -66,6 +67,19 @@ class TestCacheWarming:
         trace_files = sorted(p.name for p in (tmp_path / "traces").glob("*.shard"))
         # eqntott test, li test, li train (for ST-Diff) — exactly once each
         assert len(trace_files) == 3
+
+    def test_worker_loads_reach_the_index(self, tmp_path):
+        # the coordinator generates the shards and never loads them, so
+        # every hit comes from a worker, and a pool worker exits without
+        # running finalizers.  One benchmark: every worker's flush then
+        # carries a hit of its test trace, whichever write lands last.
+        cache = TraceCache(disk_dir=tmp_path / "traces")
+        run_sweep(SPECS, ["li"], SCALE, cache, jobs=2)
+        (test_trace,) = [
+            info for info in TraceStore(tmp_path / "traces").entries()
+            if info.stem.startswith("li-test-")
+        ]
+        assert test_trace.hits >= 1
 
     def test_ensure_on_disk_requires_disk(self):
         from repro.errors import WorkloadError

@@ -7,6 +7,10 @@ module when installed, and the documented degradation when not).
 
 from __future__ import annotations
 
+import gc
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigError, ReproError, StoreError
@@ -188,6 +192,27 @@ class TestStoreLifecycle:
         stems = {info.stem for info in store.entries()}
         assert stems == {"a", "c"}
         assert store.total_bytes() <= store.max_bytes
+
+    def test_loads_write_the_index_once(self, tmp_path, packed, meta, monkeypatch):
+        TraceStore(tmp_path).store("a", packed, meta)
+        writes = []
+        replace = os.replace
+
+        def counting(src, dst):
+            if Path(dst).name == "index.json":
+                writes.append(dst)
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", counting)
+        store = TraceStore(tmp_path)
+        for _ in range(14):
+            assert store.load("a") is not None
+        assert writes == []  # the hits wait in memory...
+        assert [info.hits for info in store.entries()] == [14]  # ...and count already
+        del store  # a collected store writes them in one go
+        gc.collect()
+        assert len(writes) == 1
+        assert [info.hits for info in TraceStore(tmp_path).entries()] == [14]
 
     def test_new_entry_never_evicts_itself(self, tmp_path, packed, meta):
         shard_size = write_shard(tmp_path / "probe.bin", packed, meta, "none")
