@@ -18,6 +18,12 @@ is batch size — under load the vector kernels see one large batch per tick
 instead of dozens of small ones, and per-record cost collapses.  Each
 RECORDS2 frame is still answered individually, in per-session order.
 
+**A tick, not a frame.**  With several sessions active a tick lingers so
+their frames fuse, until every answer written earlier is repaid by its
+session's next RECORDS2 (``fuse_window`` only bounds the linger).  A
+tick's replies leave each connection in one write, and each connection
+has one read-deadline timer.
+
 **Robustness.**  Malformed frames, oversized frames, protocol violations,
 bad specs/backends/session-ids and read timeouts each earn the *offending
 connection* one typed ERROR frame and a close; the server and every other
@@ -100,11 +106,17 @@ class ServerConfig:
     drain_timeout: float = 10.0  #: grace period for in-flight sessions on stop
     queue_frames: int = 64  #: per-connection frame backlog before backpressure
     max_sessions: int = 4096  #: logical sessions one connection may hold
-    #: seconds the score loop lingers collecting frames from concurrent
-    #: sessions before scoring, so they fuse into one kernel call; never
-    #: applied while a single session is active (request-response latency
-    #: is unchanged for a lone session)
+    #: upper limit, in seconds, of the score loop's linger: it collects
+    #: frames from concurrent sessions so they fuse into one kernel call,
+    #: and ends earlier once every answered session has sent its next
+    #: frame; never applied while a single session is active
+    #: (request-response latency is unchanged for a lone session)
     fuse_window: float = 0.002
+
+
+#: how a tick's linger ended: every answered session sent its next frame,
+#: ``fuse_window`` ran out, the queue filled, or no linger (one session)
+LINGER_EXITS = ("refilled", "deadline", "capacity", "none")
 
 
 class ServeStats:
@@ -125,6 +137,10 @@ class ServeStats:
         self.max_fused_sessions = 0
         #: per-scheme scoring cost: batches, records, seconds.
         self.schemes: Dict[str, Dict[str, float]] = {}
+        #: scoring ticks, the seconds they lingered, how each linger ended.
+        self.ticks = 0
+        self.linger_seconds = 0.0
+        self.linger_exits: Dict[str, int] = dict.fromkeys(LINGER_EXITS, 0)
 
     def session_opened(self) -> None:
         self.sessions_total += 1
@@ -133,6 +149,11 @@ class ServeStats:
 
     def session_closed(self) -> None:
         self.active_sessions -= 1
+
+    def record_tick(self, ended: str, seconds: float) -> None:
+        self.ticks += 1
+        self.linger_seconds += seconds
+        self.linger_exits[ended] += 1
 
     def record_batch(
         self, scheme: str, size: int, seconds: float, sessions: int = 1
@@ -175,6 +196,9 @@ class ServeStats:
                 str(bucket): count for bucket, count in sorted(self.batch_sizes.items())
             },
             "schemes": schemes,
+            "ticks": self.ticks,
+            "linger_s": round(self.linger_seconds, 6),
+            "linger_exits": dict(self.linger_exits),
         }
 
 
@@ -207,6 +231,7 @@ class _Session:
     group: Optional[_FusionGroup] = None
     started: bool = False  #: first RECORDS2 seen; scorer state exists
     closed: bool = False
+    owed: int = 0  #: answers written that no later RECORDS2 has repaid
 
     def stats(self) -> PredictionStats:
         if self.started and not self.closed and self.group is not None:
@@ -235,6 +260,9 @@ class _Connection:
         self.hello_done = False
         self.max_sessions = 1
         self.sessions: Dict[int, _Session] = {}  #: client sid -> session
+        self.out: List[bytes] = []  #: this tick's frames, sent in one write
+        self.waiting_since: Optional[float] = None  #: None: not reading
+        self.deadline: Optional[asyncio.TimerHandle] = None
 
 
 class PredictionServer:
@@ -249,6 +277,9 @@ class PredictionServer:
         self._queue: "Optional[asyncio.Queue[Tuple[Any, ...]]]" = None
         self._score_task: "Optional[asyncio.Task]" = None
         self._next_session = 0
+        self._owed = 0  #: sum of every session's ``owed``
+        self._refill: "Optional[asyncio.Future[str]]" = None  #: linger waiter
+        self._outbox: Set[_Connection] = set()  #: connections with frames to send
         self._stopping = False
         self._closed = asyncio.Event()
 
@@ -360,6 +391,8 @@ class PredictionServer:
         except asyncio.CancelledError:
             pass  # server shutdown cancelled this connection; end quietly
         finally:
+            if conn.deadline is not None:
+                conn.deadline.cancel()
             # a vanished client leaves its sessions behind; free their
             # fused predictor state (queued batches are skipped via
             # session.closed)
@@ -378,15 +411,13 @@ class PredictionServer:
         typed errors are reported to the client before the close.
         """
         reader, writer = conn.reader, conn.writer
-        queue = self._queue
-        assert queue is not None
+        loop = asyncio.get_running_loop()
+        self._arm_deadline(conn)
         try:
             while True:
+                conn.waiting_since = loop.time()
                 try:
-                    frame = await asyncio.wait_for(
-                        protocol.read_frame(reader, self.config.max_frame_bytes),
-                        timeout=self.config.read_timeout,
-                    )
+                    frame = await protocol.read_frame(reader, self.config.max_frame_bytes)
                 except asyncio.TimeoutError:
                     self.stats.errors += 1
                     await self._send_error(
@@ -395,6 +426,7 @@ class PredictionServer:
                         f"no frame within the {self.config.read_timeout:g}s read timeout",
                     )
                     return
+                conn.waiting_since = None
                 if frame is None:  # client closed (mid-stream disconnect is fine)
                     return
                 frame_type, payload = frame
@@ -402,8 +434,10 @@ class PredictionServer:
                 if frame_type == FRAME_HELLO:
                     self._handle_hello(conn, payload)
                 elif frame_type == FRAME_BYE:
-                    future = asyncio.get_running_loop().create_future()
-                    await queue.put(("bye", conn, future))
+                    for session in conn.sessions.values():
+                        self._repay(session, session.owed)
+                    future = loop.create_future()
+                    await self._enqueue(("bye", conn, future))
                     await future
                     return
                 elif not conn.hello_done:
@@ -422,7 +456,8 @@ class PredictionServer:
                     records = _parse_records(body)
                     if not session.started:
                         self._start_scoring(session)
-                    await queue.put(("records", session, records))
+                    self._repay(session, min(session.owed, 1))
+                    await self._enqueue(("records", session, records))
                 elif frame_type == FRAME_OPEN:
                     self._handle_open(conn, payload)
                 elif frame_type == FRAME_CLOSE:
@@ -437,7 +472,8 @@ class PredictionServer:
                     # reused; predictor state is freed by the score loop
                     # after queued batches flush
                     del conn.sessions[sid]
-                    await queue.put(("close", session))
+                    self._repay(session, session.owed)
+                    await self._enqueue(("close", session))
                 elif frame_type == FRAME_STATS_REQUEST:
                     session: Optional[_Session] = None
                     if payload:
@@ -450,7 +486,7 @@ class PredictionServer:
                                 "STATS_REQUEST 'session' must be an integer",
                                 "bad-session",
                             )
-                    await queue.put(("stats", conn, session))
+                    await self._enqueue(("stats", conn, session))
                 else:
                     name = protocol.FRAME_NAMES.get(frame_type, str(frame_type))
                     raise ProtocolError(
@@ -470,6 +506,43 @@ class PredictionServer:
             await self._send_error(writer, "internal", str(exc))
         except (ConnectionResetError, BrokenPipeError):
             return  # mid-stream disconnect; nothing to report to anyone
+
+    def _arm_deadline(self, conn: _Connection) -> None:
+        """Start the connection's one read-deadline timer: it fails the
+        read once the loop has waited ``read_timeout`` for a frame, else
+        re-arms for the end of the current wait."""
+        loop = asyncio.get_running_loop()
+        timeout = self.config.read_timeout
+
+        def _check() -> None:
+            since, now = conn.waiting_since, loop.time()
+            if since is not None and now - since >= timeout:
+                conn.reader.set_exception(asyncio.TimeoutError())
+            else:
+                start = now if since is None else since
+                conn.deadline = loop.call_at(start + timeout, _check)
+
+        conn.deadline = loop.call_later(timeout, _check)
+
+    async def _enqueue(self, item: Tuple[Any, ...]) -> None:
+        queue = self._queue
+        assert queue is not None
+        await queue.put(item)
+        if queue.full():
+            self._wake("capacity")
+
+    def _repay(self, session: _Session, count: int) -> None:
+        """Clear ``count`` of the session's unrepaid answers; the linger
+        ends once no session owes one."""
+        if count:
+            session.owed -= count
+            self._owed -= count
+            if self._owed == 0:
+                self._wake("refilled")
+
+    def _wake(self, ended: str) -> None:
+        if self._refill is not None and not self._refill.done():
+            self._refill.set_result(ended)
 
     # ------------------------------------------------------------------
     # handshake and session management
@@ -581,6 +654,7 @@ class PredictionServer:
         if session.closed:
             return
         session.closed = True
+        self._repay(session, session.owed)
         conn = session.conn
         if conn.sessions.get(session.sid) is session:
             del conn.sessions[session.sid]
@@ -600,29 +674,16 @@ class PredictionServer:
         queue = self._queue
         assert queue is not None
         loop = asyncio.get_running_loop()
-        capacity = queue.maxsize or 4096
         while True:
             items = [await queue.get()]
-            if self.stats.active_sessions > 1 and self.config.fuse_window > 0:
-                # linger briefly so frames from concurrent sessions land in
-                # the same tick and fuse into one kernel call per group
-                deadline = loop.time() + self.config.fuse_window
-                while len(items) < capacity:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        items.append(
-                            await asyncio.wait_for(queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
+            lingered = loop.time()
+            ended = await self._linger(queue)
+            self.stats.record_tick(ended, loop.time() - lingered)
             while True:  # everything already queued = this scoring tick
                 try:
                     items.append(queue.get_nowait())
                 except asyncio.QueueEmpty:
                     break
-            touched: Set[_Connection] = set()
             pending: "Dict[_FusionGroup, List[Tuple[_Session, List[BranchRecord]]]]" = {}
             for item in items:
                 kind = item[0]
@@ -634,8 +695,7 @@ class PredictionServer:
                         )
                     continue
                 # control frames order against scoring: flush first
-                self._flush(pending, touched)
-                pending = {}
+                self._flush(pending)
                 if kind == "stats":
                     _kind, conn, session = item
                     self._write(
@@ -644,7 +704,6 @@ class PredictionServer:
                             FRAME_STATS, self._stats_payload(session)
                         ),
                     )
-                    touched.add(conn)
                 elif kind == "close":
                     _kind, session = item
                     # snapshot *before* teardown so the final stats still
@@ -654,23 +713,38 @@ class PredictionServer:
                     self._write(
                         session.conn, protocol.pack_json(FRAME_STATS, payload)
                     )
-                    touched.add(session.conn)
                 elif kind == "bye":
                     _kind, conn, future = item
                     payload = self._bye_payload(conn)
                     for session in list(conn.sessions.values()):
                         self._end_session(session)
                     self._write(conn, protocol.pack_json(FRAME_STATS, payload))
-                    touched.add(conn)
                     if not future.done():
                         future.set_result(None)
-            self._flush(pending, touched)
-            await self._drain(touched)
+            self._flush(pending)
+            await self._drain()
+
+    async def _linger(self, queue: "asyncio.Queue[Tuple[Any, ...]]") -> str:
+        """Hold the tick open so frames from concurrent sessions fuse into
+        it; returns how the linger ended (one of :data:`LINGER_EXITS`)."""
+        if self.stats.active_sessions <= 1 or self.config.fuse_window <= 0:
+            return "none"
+        if queue.full():
+            return "capacity"
+        if self._owed == 0:
+            return "refilled"
+        loop = asyncio.get_running_loop()
+        self._refill = loop.create_future()
+        timer = loop.call_later(self.config.fuse_window, self._wake, "deadline")
+        try:
+            return await self._refill
+        finally:
+            timer.cancel()
+            self._refill = None
 
     def _flush(
         self,
         pending: "Dict[_FusionGroup, List[Tuple[_Session, List[BranchRecord]]]]",
-        touched: Set[_Connection],
     ) -> None:
         """One fused scoring call per group; answer each frame in order."""
         for group, entries in pending.items():
@@ -682,12 +756,12 @@ class PredictionServer:
                 # scoring failure: fail every involved connection, spare the
                 # rest of the server
                 self.stats.errors += 1
-                for session, _records in entries:
+                for conn in {session.conn for session, _records in entries}:
                     self._write(
-                        session.conn,
-                        protocol.pack_error("internal", f"scoring failed: {exc}"),
+                        conn, protocol.pack_error("internal", f"scoring failed: {exc}")
                     )
-                    session.conn.writer.close()
+                    self._send(conn)
+                    conn.writer.close()
                 continue
             elapsed = time.perf_counter() - started
             total = sum(len(records) for _session, records in entries)
@@ -703,21 +777,33 @@ class PredictionServer:
                 else:
                     body = protocol.encode_predictions(records, frame_predictions)
                 self._write(session.conn, protocol.pack_predictions2(session.sid, body))
-                touched.add(session.conn)
+                session.owed += 1
+                self._owed += 1
         pending.clear()
 
+    def _write(self, conn: _Connection, data: bytes) -> None:
+        """Buffer a frame; the connection's tick output leaves in one write."""
+        conn.out.append(data)
+        self._outbox.add(conn)
+
     @staticmethod
-    def _write(conn: _Connection, data: bytes) -> None:
+    def _send(conn: _Connection) -> None:
+        if not conn.out:
+            return
         try:
-            conn.writer.write(data)
+            conn.writer.writelines(conn.out)
         except (ConnectionResetError, BrokenPipeError, RuntimeError):
             pass  # client vanished mid-answer; its reader cleans up
+        conn.out = []
 
-    async def _drain(self, touched: Set[_Connection]) -> None:
-        """Flush written answers; disconnect consumers too slow to take
-        them (they would otherwise stall the shared score loop)."""
+    async def _drain(self) -> None:
+        """Send every buffered tick output; disconnect consumers too slow
+        to take it (they would otherwise stall the shared score loop)."""
+        touched, self._outbox = self._outbox, set()
         if not touched:
             return
+        for conn in touched:
+            self._send(conn)
 
         async def _drain_one(conn: _Connection) -> None:
             try:
@@ -757,8 +843,8 @@ class PredictionServer:
         try:
             writer.write(protocol.pack_error(code, message))
             await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
+        except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
+            pass  # a vanished client, or the read deadline (drain re-raises it)
 
     @staticmethod
     async def _close_writer(writer: asyncio.StreamWriter) -> None:

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ConfigError
 from repro.serve import protocol
 from repro.serve.protocol import FRAME_BYE, FRAME_STATS, FRAME_STATS_REQUEST
-from repro.serve.server import PredictionServer, ServerConfig
+from repro.serve.server import LINGER_EXITS, PredictionServer, ServerConfig
 
 __all__ = ["Supervisor", "WorkerInfo", "aggregate_worker_stats"]
 
@@ -70,7 +70,7 @@ def aggregate_worker_stats(
 ) -> Dict[str, Any]:
     """Sum per-worker ``ServeStats`` dicts into one fleet-wide view.
 
-    Counters add; batch-size histograms and per-scheme tallies merge;
+    Counters and linger exits add; histograms and per-scheme tallies merge;
     ``peak_sessions`` adds too (each worker peaked independently, so the
     sum is the fleet's upper bound, exact when load is steady).
     """
@@ -85,6 +85,9 @@ def aggregate_worker_stats(
         "max_fused_sessions": 0,
         "batch_size_histogram": {},
         "schemes": {},
+        "ticks": 0,
+        "linger_s": 0.0,
+        "linger_exits": dict.fromkeys(LINGER_EXITS, 0),
     }
     for stats in workers:
         if not stats:
@@ -97,8 +100,12 @@ def aggregate_worker_stats(
             "frames",
             "errors",
             "fused_batches",
+            "ticks",
+            "linger_s",
         ):
             aggregate[key] += stats.get(key, 0)
+        for ended, count in stats.get("linger_exits", {}).items():
+            aggregate["linger_exits"][ended] += count
         aggregate["max_fused_sessions"] = max(
             aggregate["max_fused_sessions"], stats.get("max_fused_sessions", 0)
         )
@@ -112,6 +119,7 @@ def aggregate_worker_stats(
             merged["batches"] += entry.get("batches", 0)
             merged["records"] += entry.get("records", 0)
             merged["seconds"] += entry.get("seconds", 0.0)
+    aggregate["linger_s"] = round(aggregate["linger_s"], 6)
     for entry in aggregate["schemes"].values():
         entry["seconds"] = round(entry["seconds"], 6)
         entry["mean_batch_us"] = round(

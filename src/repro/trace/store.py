@@ -31,7 +31,9 @@ minutes at 20M.  This module replaces it with a *shard* store:
   a best-effort ``index.json``; losing it costs only LRU fidelity (file
   mtimes take over), never data.  Loads record their hits in memory, and
   a store writes them with its next index write or when it is collected,
-  so a run of loads costs one index write.
+  so a run of loads costs one index write.  Each write re-reads and
+  merges the index under an advisory lock (``index.json.lock``, where
+  ``fcntl`` exists), so processes sharing a store lose no hit counts.
 
 Corruption is reported through :class:`~repro.errors.StoreError` following
 the trace readers' convention: promised byte/record counts next to what
@@ -42,17 +44,24 @@ operator.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
 import os
 import struct
+import threading
 import time
 import weakref
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - not on POSIX: writes go unlocked
+    fcntl = None  # type: ignore[assignment]
 
 from repro.errors import ConfigError, StoreError
 from repro.trace.columnar import PackedTrace
@@ -194,7 +203,7 @@ def write_shard(
         len(flags_raw),
         len(meta_raw),
     )
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = _temp_path(path)
     with open(tmp, "wb") as handle:
         handle.write(header)
         handle.write(pc_raw)
@@ -365,12 +374,6 @@ class TraceStore:
         """The index on disk with this instance's unwritten touches merged in."""
         return _merge_touches(_read_entries(self._index_path), self._pending)
 
-    def _write_index(self, entries: Dict[str, Dict[str, Any]]) -> None:
-        """Write ``entries`` (read through :meth:`_read_index`, so they hold
-        every pending touch) and forget the pending touches."""
-        _dump_index(self._index_path, entries)
-        self._pending.clear()
-
     def _touch(self, stem: str, size: int, records: int, code: int, hit: bool) -> None:
         """Record an access in memory; the next index write carries it."""
         touch = self._pending.setdefault(stem, {"hits": 0})
@@ -489,25 +492,19 @@ class TraceStore:
             total -= info.bytes
             victims.append(info.stem)
         if victims:
-            entries = self._read_index()
-            for stem in victims:
-                entries.pop(stem, None)
-            self._write_index(entries)
+            _update_index(self._index_path, self._pending, victims)
         return victims
 
     def evict(self, stems: List[str]) -> List[str]:
         """Explicitly drop the named shards; returns the stems removed."""
         removed: List[str] = []
-        entries = self._read_index()
         for stem in stems:
-            path = self.path_for(stem)
             try:
-                path.unlink()
+                self.path_for(stem).unlink()
                 removed.append(stem)
             except OSError:
                 pass
-            entries.pop(stem, None)
-        self._write_index(entries)
+        _update_index(self._index_path, self._pending, stems)
         return removed
 
     def clear(self) -> int:
@@ -519,7 +516,7 @@ class TraceStore:
                 count += 1
             except OSError:
                 pass
-        self._write_index({})
+        _update_index(self._index_path, self._pending, None)
         return count
 
     def verify(self) -> List[Tuple[str, Optional[StoreError]]]:
@@ -548,13 +545,45 @@ def _merge_touches(
     return entries
 
 
-def _dump_index(path: Path, entries: Dict[str, Dict[str, Any]]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=1))
-        os.replace(tmp, path)
-    except OSError:
-        pass  # stats are advisory; never fail a run over them
+def _temp_path(path: Path) -> Path:
+    """A temp name next to ``path`` that no other process or thread
+    writing the same file uses."""
+    return path.with_name(f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+
+
+@contextlib.contextmanager
+def _index_lock(path: Path) -> Iterator[None]:
+    """Hold the advisory lock of the index at ``path`` (none without
+    ``fcntl``, or when the lock file cannot be opened)."""
+    handle = None
+    if fcntl is not None:
+        with contextlib.suppress(OSError):
+            handle = open(path.with_name(path.name + ".lock"), "a")
+    if handle is None:
+        yield
+        return
+    with handle:  # closing the file releases the lock
+        fcntl.flock(handle, fcntl.LOCK_EX)
+        yield
+
+
+def _update_index(
+    path: Path, pending: Dict[str, Dict[str, Any]], drop: Optional[Iterable[str]] = ()
+) -> None:
+    """Read, merge ``pending`` into, and rewrite the index at ``path``
+    under its lock, dropping ``drop``'s entries (``None``: all of them);
+    then forget ``pending``."""
+    with _index_lock(path):
+        entries = {} if drop is None else _merge_touches(_read_entries(path), pending)
+        for stem in drop or ():
+            entries.pop(stem, None)
+        tmp = _temp_path(path)
+        try:
+            tmp.write_text(json.dumps({"entries": entries}, sort_keys=True, indent=1))
+            os.replace(tmp, path)
+        except OSError:
+            pass  # stats are advisory; never fail a run over them
+    pending.clear()
 
 
 def _read_entries(path: Path) -> Dict[str, Dict[str, Any]]:
@@ -571,8 +600,7 @@ def _flush_touches(path: Path, pending: Dict[str, Dict[str, Any]]) -> None:
     store's finalizer, so its loads reach the index when it is collected
     or the interpreter exits."""
     if pending:
-        _dump_index(path, _merge_touches(_read_entries(path), pending))
-        pending.clear()
+        _update_index(path, pending)
 
 
 def read_shard_header(path: Path) -> Tuple[int, int, int, Tuple[int, int, int, int]]:

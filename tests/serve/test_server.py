@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import struct
 import threading
+import time
 
 import pytest
 
@@ -534,3 +535,117 @@ class TestLoadgen:
         for session in payload["sessions"]:
             assert session["backend"] in ("scalar", "vector")
             assert 0.0 < session["accuracy"] <= 1.0
+
+
+class TestTicks:
+    """The score loop pays per tick: the linger ends on refill, the read
+    deadline re-arms per frame, a scoring failure fails only its
+    connection."""
+
+    def test_linger_ends_on_refill(self, program_trace):
+        records = program_trace[:640]
+
+        async def _run():
+            server = await _started_server(ServerConfig(fuse_window=1.0))
+            try:
+                client = await MuxPredictionClient.connect(
+                    server.host, server.port, max_sessions=2
+                )
+                for sid in (0, 1):
+                    await client.open(sid, "BTFN")
+
+                async def _closed_loop(sid):  # window 1: one frame in flight
+                    for start in range(0, len(records), 64):
+                        if start:
+                            # session 1 refills later, so each linger waits
+                            # for its frame and ends when it arrives
+                            await asyncio.sleep(0.05 * sid)
+                        await client.predict(sid, records[start:start + 64])
+
+                started = time.perf_counter()
+                await asyncio.gather(_closed_loop(0), _closed_loop(1))
+                final = await client.finish()
+                return time.perf_counter() - started, final["server"]
+            finally:
+                await server.stop(drain=False)
+
+        elapsed, stats = asyncio.run(_run())
+        # a fixed 1 s linger per tick would take at least 10 s
+        assert elapsed < 3.0, elapsed
+        assert stats["linger_exits"]["refilled"] > 0, stats
+        assert stats["ticks"] == sum(stats["linger_exits"].values())
+        assert stats["linger_s"] < 3.0
+
+    def test_read_deadline_rearms_per_frame(self, program_trace):
+        frame = protocol.pack_records2(0, program_trace[:32])
+
+        async def _run():
+            server = await _started_server(ServerConfig(read_timeout=0.3))
+            try:
+                reader, writer = await _raw_session(server)
+                # a frame every 0.12 s for 1.2 s, four read timeouts long
+                for _ in range(10):
+                    writer.write(frame)
+                    sent = time.perf_counter()
+                    reply = await asyncio.wait_for(protocol.read_frame(reader), 5)
+                    assert reply is not None
+                    assert reply[0] == protocol.FRAME_PREDICTIONS2
+                    await asyncio.sleep(0.12)
+                await _expect_error(reader, "timeout")
+                waited = time.perf_counter() - sent  # silent since the last frame
+                assert await protocol.read_frame(reader) is None
+                writer.close()
+                return waited
+            finally:
+                await server.stop(drain=False)
+
+        assert 0.25 <= asyncio.run(_run()) < 2.0
+
+    def test_scoring_failure_fails_only_its_connection(
+        self, program_trace, monkeypatch
+    ):
+        from repro.serve import server as server_module
+
+        records = program_trace[:1200]
+        failing = parse_spec("gshare(8,A2)").canonical()
+        make = server_module.make_multi_scorer
+
+        def _faulty(spec, backend):
+            scorer = make(spec, backend)
+            if spec.canonical() == failing:
+                def _boom(batches):
+                    raise RuntimeError("injected scoring fault")
+
+                scorer.feed_many = _boom
+            return scorer
+
+        monkeypatch.setattr(server_module, "make_multi_scorer", _faulty)
+
+        async def _failing_connection(server):
+            reader, writer = await _raw_session(server, failing)
+            writer.write(protocol.pack_records2(0, records[:100]))
+            body = await _expect_error(reader, "internal")
+            assert "injected scoring fault" in body["error"]
+            assert await protocol.read_frame(reader) is None  # then closed
+            writer.close()
+
+        async def _run():
+            server = await _started_server()
+            try:
+                survivor = await _one_session(server, "GAg(6,A2)")
+                served = await survivor.predict(0, records[:400])
+                # the failure and a healthy frame land in the same ticks
+                _, middle = await asyncio.gather(
+                    _failing_connection(server),
+                    survivor.predict(0, records[400:800]),
+                )
+                served += middle + await survivor.predict(0, records[800:])
+                await survivor.finish()
+                return served, server.stats.errors
+            finally:
+                await server.stop(drain=False)
+
+        served, errors = asyncio.run(_run())
+        expected = ScalarStreamingScorer(parse_spec("GAg(6,A2)")).feed(records)
+        assert [None if r is None else r.predicted for r in served] == expected
+        assert errors == 1

@@ -19,7 +19,7 @@ from repro.errors import ConfigError
 from repro.predictors.spec import parse_spec
 from repro.serve import protocol
 from repro.serve.loadgen import SessionPlan, run_loadgen
-from repro.serve.server import ServerConfig
+from repro.serve.server import ServerConfig, ServeStats
 from repro.serve.supervisor import Supervisor, aggregate_worker_stats
 from repro.sim.streaming import ScalarStreamingScorer
 
@@ -234,3 +234,16 @@ class TestAggregation:
         scheme = merged["schemes"]["BTFN"]
         assert scheme["batches"] == 4 and scheme["records"] == 100
         assert scheme["mean_batch_us"] == pytest.approx(1e5, rel=0.01)
+
+    def test_aggregate_sums_tick_counters(self):
+        first, second = ServeStats(), ServeStats()
+        first.record_tick("refilled", 0.25)
+        first.record_tick("deadline", 0.5)
+        second.record_tick("refilled", 0.125)
+        second.record_tick("none", 0.0)
+        merged = aggregate_worker_stats([first.as_dict(), second.as_dict(), {}])
+        assert merged["ticks"] == 4
+        assert merged["linger_s"] == pytest.approx(0.875)
+        assert merged["linger_exits"] == {
+            "refilled": 2, "deadline": 1, "capacity": 0, "none": 1,
+        }

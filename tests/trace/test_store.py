@@ -8,6 +8,7 @@ module when installed, and the documented degradation when not).
 from __future__ import annotations
 
 import gc
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -44,6 +45,16 @@ def _records(count=50, seed=3):
             )
         )
     return out
+
+
+def _load_and_flush(root, stem, times, barrier):
+    """Load ``stem`` ``times`` times once every loader is up, writing the
+    index after each load."""
+    store = TraceStore(root)
+    barrier.wait(60)
+    for _ in range(times):
+        assert store.load(stem) is not None
+        store.flush()
 
 
 @pytest.fixture
@@ -228,6 +239,24 @@ class TestStoreLifecycle:
         assert not store.has("a") and store.has("b")
         assert store.clear() == 1
         assert store.entries() == []
+
+    def test_processes_sharing_a_store_lose_no_hits(self, tmp_path, packed, meta):
+        TraceStore(tmp_path).store("a", packed, meta)
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(4)  # all four start loading together
+        loaders = [
+            context.Process(
+                target=_load_and_flush, args=(str(tmp_path), "a", 25, barrier)
+            )
+            for _ in range(4)  # more writers than the CI runners' cores
+        ]
+        for process in loaders:
+            process.start()
+        for process in loaders:
+            process.join(timeout=120)
+            assert not process.is_alive() and process.exitcode == 0
+        assert [info.hits for info in TraceStore(tmp_path).entries()] == [4 * 25]
+        assert not list(tmp_path.glob("*.tmp"))  # every writer replaced its own
 
     def test_index_loss_only_costs_stats(self, tmp_path, packed, meta):
         store = TraceStore(tmp_path)
