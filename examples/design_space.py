@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Scenario: sizing the predictor for a hardware budget.
 
-Sweeps the two cost axes the paper studies — history register length
+Sweeps the two size axes the paper studies — history register length
 (pattern table size doubles per bit) and history register table size /
 organisation — and prints the accuracy grid, so an architect can pick the
-cheapest configuration meeting an accuracy target.
+smallest configuration meeting an accuracy target: the fewest history
+bits, then the fewest HRT entries.
 
 Run:  python examples/design_space.py [--scale N]
 """
@@ -12,7 +13,6 @@ Run:  python examples/design_space.py [--scale N]
 import argparse
 
 from repro import run_sweep
-from repro.predictors.cost import storage_cost
 
 HISTORY_LENGTHS = [6, 8, 10, 12]
 TABLES = ["AHRT(256", "AHRT(512", "HHRT(256", "HHRT(512"]
@@ -34,22 +34,23 @@ def main() -> None:
     sweep = run_sweep(specs, max_conditional=args.scale)
 
     print(f"\n{'table':12s}" + "".join(f"{bits:>4d}SR" for bits in HISTORY_LENGTHS))
-    cheapest = None
+    smallest = None
     for table in TABLES:
         row = f"{table + ')':12s}"
+        entries = int(table.split("(")[1])
         for bits in HISTORY_LENGTHS:
             mean = sweep.mean(spec_for(table, bits))
             marker = "*" if mean >= args.target else " "
             row += f"{mean:5.3f}{marker}"
-            cost = storage_cost(spec_for(table, bits)).total_bits
-            if mean >= args.target and (cheapest is None or cost < cheapest[0]):
-                cheapest = (cost, spec_for(table, bits), mean)
+            size = (bits, entries)
+            if mean >= args.target and (smallest is None or size < smallest[0]):
+                smallest = (size, spec_for(table, bits), mean)
         print(row)
 
     print(f"\n* = meets the {args.target:.0%} target")
-    if cheapest:
-        cost, spec, mean = cheapest
-        print(f"cheapest qualifying design: {spec}  (~{cost} storage bits, {mean:.3f})")
+    if smallest:
+        _, spec, mean = smallest
+        print(f"smallest qualifying design: {spec}  ({mean:.3f})")
     else:
         print("no configuration meets the target — raise the budget")
 

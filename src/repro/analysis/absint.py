@@ -33,7 +33,7 @@ the text segment), keeping the branches executed before the stop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ExecutionError
 from repro.isa.cpu import CPU
@@ -49,7 +49,7 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 from repro.trace.columnar import PackedTrace, conditional_only
 
-from repro.analysis.cfg import ControlFlowGraph, EdgeKind, build_cfg
+from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import (
     UNINITIALIZED,
     ReachingDefinitions,
@@ -340,14 +340,12 @@ _EXIT_RELATION = {
 _NEGATED = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
-_VIRTUAL_ROOT = -2
-
-
 @dataclass
 class LoopAnalysis:
     """Affine induction variables and trip counts over every natural loop.
 
-    Loop structure is computed on the *intraprocedural* edge view with every
+    Loop structure is the CFG's intraprocedural view
+    (:attr:`~repro.analysis.cfg.ControlFlowGraph.intra_loops`), with every
     procedure entry as an additional dominator-tree root: context-insensitive
     RETURN edges would otherwise pull unrelated procedures into loop bodies
     and manufacture spurious exits, and CALL edges would make a call inside a
@@ -357,123 +355,20 @@ class LoopAnalysis:
     """
 
     resolution: Resolution
-    _dominators: Dict[int, Optional[int]] = field(default_factory=dict)
-    _intra_succ: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    _intra_pred: Dict[int, Tuple[int, ...]] = field(default_factory=dict)
-    _loops: List[Tuple[int, FrozenSet[int]]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        cfg = self.resolution.cfg
-        self._intra_succ = cfg.intra_successors
-        self._intra_pred = cfg.intra_predecessors
-        roots = {cfg.entry}
-        roots.update(edge.dst for edge in cfg.edges if edge.kind == EdgeKind.CALL)
-        self._dominators = self._intra_dominators(sorted(roots))
-        self._loops = self._intra_loops()
-
-    def _intra_dominators(self, roots: List[int]) -> Dict[int, Optional[int]]:
-        """CHK immediate dominators over the multi-rooted intra view."""
-        seen: Set[int] = {_VIRTUAL_ROOT}
-        order: List[int] = []
-        stack: List[Tuple[int, Iterator[int]]] = [(_VIRTUAL_ROOT, iter(roots))]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, iter(self._intra_succ[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                order.append(node)
-        order.reverse()
-        position = {node: index for index, node in enumerate(order)}
-        idom: Dict[int, int] = {_VIRTUAL_ROOT: _VIRTUAL_ROOT}
-
-        def preds(node: int) -> Tuple[int, ...]:
-            base = self._intra_pred.get(node, ())
-            return base + (_VIRTUAL_ROOT,) if node in roots else base
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while position[a] > position[b]:
-                    a = idom[a]
-                while position[b] > position[a]:
-                    b = idom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for node in order:
-                if node == _VIRTUAL_ROOT:
-                    continue
-                new_idom: Optional[int] = None
-                for pred in preds(node):
-                    if pred in idom and pred in position:
-                        new_idom = (
-                            pred
-                            if new_idom is None
-                            else intersect(pred, new_idom)
-                        )
-                if new_idom is not None and idom.get(node) != new_idom:
-                    idom[node] = new_idom
-                    changed = True
-        return {
-            node: (None if value == _VIRTUAL_ROOT else value)
-            for node, value in idom.items()
-            if node != _VIRTUAL_ROOT
-        }
-
-    def _intra_loops(self) -> List[Tuple[int, FrozenSet[int]]]:
-        """Natural loops of the intra view (bodies merged per header)."""
-        bodies: Dict[int, Set[int]] = {}
-        for src, dsts in self._intra_succ.items():
-            if src not in self._dominators:
-                continue
-            for dst in dsts:
-                if not self._dominates(dst, src):
-                    continue
-                body = bodies.setdefault(dst, {dst})
-                stack = [src]
-                while stack:
-                    node = stack.pop()
-                    if node in body:
-                        continue
-                    body.add(node)
-                    stack.extend(
-                        pred
-                        for pred in self._intra_pred[node]
-                        if pred in self._dominators
-                    )
-                bodies[dst] = body
-        return sorted(
-            (header, frozenset(body)) for header, body in bodies.items()
-        )
-
-    def _dominates(self, a: int, b: int) -> bool:
-        node: Optional[int] = b
-        while node is not None:
-            if node == a:
-                return True
-            node = self._dominators.get(node)
-        return False
 
     def _latches(self, header: int, body: FrozenSet[int]) -> Tuple[int, ...]:
         return tuple(
             sorted(
                 src
                 for src in body
-                if header in self._intra_succ[src]
+                if header in self.resolution.cfg.intra_successors[src]
             )
         )
 
     def _inner_blocks(self, header: int, body: FrozenSet[int]) -> FrozenSet[int]:
         """Blocks of loops strictly nested inside ``(header, body)``."""
         nested: Set[int] = set()
-        for other_header, other_body in self._loops:
+        for other_header, other_body in self.resolution.cfg.intra_loops:
             if other_header != header and other_body < body:
                 nested.update(other_body)
         return frozenset(nested)
@@ -534,12 +429,12 @@ class LoopAnalysis:
             def_block = cfg.block_at(def_address).start
             if def_block in inner:
                 return None
-            if not all(self._dominates(def_block, latch) for latch in latches):
+            if not all(cfg.dominates(def_block, latch) for latch in latches):
                 return None
             step += instruction.imm
             executes_before = (
                 def_block == use_block and def_address < use_pc
-            ) or (def_block != use_block and self._dominates(def_block, use_block))
+            ) or (def_block != use_block and cfg.dominates(def_block, use_block))
             if executes_before:
                 before_use += instruction.imm
         # The initial value comes from the definitions that reach the loop
@@ -587,7 +482,7 @@ class LoopAnalysis:
             def_block = cfg.block_at(def_address).start
             executes_before = (
                 def_block == use_block and def_address < use_pc
-            ) or (def_block != use_block and self._dominates(def_block, use_block))
+            ) or (def_block != use_block and cfg.dominates(def_block, use_block))
             if not executes_before:
                 return None
         return value
@@ -596,12 +491,12 @@ class LoopAnalysis:
         """A :class:`LoopSummary` for every natural loop, in header order."""
         summaries: List[LoopSummary] = []
         cfg = self.resolution.cfg
-        for header, body in self._loops:
+        for header, body in cfg.intra_loops:
             latches = self._latches(header, body)
             exit_edges = [
                 (src, dst)
                 for src in sorted(body)
-                for dst in self._intra_succ[src]
+                for dst in cfg.intra_successors[src]
                 if dst not in body
             ]
             exit_pc: Optional[int] = None
@@ -610,7 +505,7 @@ class LoopAnalysis:
                 exit_block = cfg.blocks[exit_edges[0][0]]
                 terminator = exit_block.terminator
                 if terminator.opcode in B_FORMAT and all(
-                    self._dominates(exit_block.start, latch) for latch in latches
+                    cfg.dominates(exit_block.start, latch) for latch in latches
                 ):
                     exit_pc = exit_block.end - 4
                     exit_on_taken = (

@@ -17,10 +17,13 @@ target, so the builder recovers a conservative candidate set:
 * ``rts`` gets a RETURN edge to the continuation of every call site, the
   standard context-insensitive approximation.
 
-Dominators use the iterative Cooper-Harvey-Kennedy scheme over a reverse
-post-order; natural loops come from back edges (head dominates tail), and
-strongly-connected components from an iterative Tarjan — the SCCs drive the
-infinite-loop lint rule, which must also catch irreducible cycles.
+One Cooper-Harvey-Kennedy solver, run over a virtual root above any number
+of roots, gives the three views the analyses read, all over the
+intraprocedural edges: dominators rooted at the entry and at every call
+target, post-dominators rooted at every exit, and the natural loops (back
+edges whose head dominates their tail).  Strongly-connected components come
+from an iterative Tarjan — they drive the infinite-loop lint rule, which
+must also catch irreducible cycles.
 """
 
 from __future__ import annotations
@@ -28,7 +31,18 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
@@ -135,6 +149,78 @@ def _address_taken_targets(program: Program) -> FrozenSet[int]:
     return frozenset(candidates)
 
 
+#: The parent the dominator solver gives every root, so that one fixpoint
+#: serves any number of roots (block starts are never negative).
+_VIRTUAL_ROOT = -1
+
+
+def _reverse_post_order(
+    roots: Iterable[int], succ: Mapping[int, Sequence[int]]
+) -> List[int]:
+    """Every node reachable from ``roots`` in reverse post-order (iterative
+    DFS), headed by :data:`_VIRTUAL_ROOT`, whose children are the roots."""
+    seen: Set[int] = {_VIRTUAL_ROOT}
+    order: List[int] = []
+    stack: List[Tuple[int, Iterator[int]]] = [(_VIRTUAL_ROOT, iter(roots))]
+    while stack:
+        node, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(succ[child])))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    order.reverse()
+    return order
+
+
+def _immediate_dominators(
+    roots: Sequence[int],
+    succ: Mapping[int, Sequence[int]],
+    pred: Mapping[int, Sequence[int]],
+) -> Dict[int, Optional[int]]:
+    """Immediate dominator of every node reachable from ``roots``.
+
+    The iterative Cooper-Harvey-Kennedy fixpoint over reverse post-order,
+    with :data:`_VIRTUAL_ROOT` above every root.  A node whose immediate
+    dominator is that virtual root maps to None; unreachable nodes are
+    absent.
+    """
+    order = _reverse_post_order(roots, succ)
+    position = {node: index for index, node in enumerate(order)}
+    root_set = frozenset(roots)
+    idom: Dict[int, int] = {_VIRTUAL_ROOT: _VIRTUAL_ROOT}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while position[a] > position[b]:
+                a = idom[a]
+            while position[b] > position[a]:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for node in order[1:]:
+            new_idom = _VIRTUAL_ROOT if node in root_set else None
+            for parent in pred[node]:
+                if parent in idom:
+                    new_idom = (
+                        parent if new_idom is None else intersect(parent, new_idom)
+                    )
+            if new_idom is not None and idom.get(node) != new_idom:
+                idom[node] = new_idom
+                changed = True
+    return {
+        node: (None if parent == _VIRTUAL_ROOT else parent)
+        for node, parent in idom.items()
+        if node != _VIRTUAL_ROOT
+    }
+
+
 @dataclass
 class ControlFlowGraph:
     """Basic blocks plus typed edges, with the standard graph analyses."""
@@ -191,12 +277,6 @@ class ControlFlowGraph:
             for start in self.blocks
         }
 
-    @cached_property
-    def intra_post_dominators(self) -> Dict[int, Optional[int]]:
-        """:meth:`post_dominators` over the intraprocedural view, computed
-        once and shared."""
-        return self.post_dominators(INTRAPROCEDURAL_KINDS)
-
     def block_at(self, address: int) -> BasicBlock:
         """The block containing ``address`` (must be a valid text address)."""
         index = bisect_right(self._starts, address) - 1
@@ -207,83 +287,53 @@ class ControlFlowGraph:
         raise KeyError(f"address {address:#x} is not in any basic block")
 
     # ------------------------------------------------------------------
+    def reverse_post_order(self) -> List[int]:
+        """Blocks reachable from the entry, in reverse post-order."""
+        succ = {
+            start: [edge.dst for edge in edges]
+            for start, edges in self._succ.items()
+        }
+        return _reverse_post_order((self.entry,), succ)[1:]
+
     def reachable(self) -> Set[int]:
         """Block starts reachable from the entry block."""
-        seen: Set[int] = set()
-        stack = [self.entry]
-        while stack:
-            start = stack.pop()
-            if start in seen:
-                continue
-            seen.add(start)
-            for edge in self._succ[start]:
-                if edge.dst not in seen:
-                    stack.append(edge.dst)
-        return seen
+        return set(self.reverse_post_order())
 
-    def reverse_post_order(self) -> List[int]:
-        """Reachable blocks in reverse post-order (iterative DFS)."""
-        seen: Set[int] = set()
-        order: List[int] = []
-        stack: List[Tuple[int, Iterator[Edge]]] = []
-        seen.add(self.entry)
-        stack.append((self.entry, iter(self._succ[self.entry])))
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for edge in children:
-                if edge.dst not in seen:
-                    seen.add(edge.dst)
-                    stack.append((edge.dst, iter(self._succ[edge.dst])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                order.append(node)
-        order.reverse()
-        return order
+    @cached_property
+    def intra_dominators(self) -> Dict[int, Optional[int]]:
+        """Immediate dominator of each block over the intraprocedural
+        view, rooted at the entry and at every CALL target (the view cuts
+        the edges that reach a callee), so each procedure gets its own
+        tree.  A root, or a block that two roots reach on disjoint paths,
+        maps to None; blocks no root reaches are absent.  Computed once
+        and shared."""
+        roots = {self.entry}
+        roots.update(edge.dst for edge in self.edges if edge.kind == EdgeKind.CALL)
+        return _immediate_dominators(
+            sorted(roots), self.intra_successors, self.intra_predecessors
+        )
 
-    def dominators(self) -> Dict[int, Optional[int]]:
-        """Immediate dominator of every reachable block (entry maps to None).
-
-        Iterative Cooper-Harvey-Kennedy over reverse post-order.
-        """
-        rpo = self.reverse_post_order()
-        position = {start: index for index, start in enumerate(rpo)}
-        idom: Dict[int, Optional[int]] = {self.entry: self.entry}
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while position[a] > position[b]:
-                    a = idom[a]  # type: ignore[assignment]
-                while position[b] > position[a]:
-                    b = idom[b]  # type: ignore[assignment]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for node in rpo:
-                if node == self.entry:
-                    continue
-                new_idom: Optional[int] = None
-                for edge in self._pred[node]:
-                    if edge.src in idom and edge.src in position:
-                        new_idom = (
-                            edge.src
-                            if new_idom is None
-                            else intersect(edge.src, new_idom)
-                        )
-                if new_idom is not None and idom.get(node) != new_idom:
-                    idom[node] = new_idom
-                    changed = True
-        result: Dict[int, Optional[int]] = dict(idom)
-        result[self.entry] = None
-        return result
+    @cached_property
+    def intra_post_dominators(self) -> Dict[int, Optional[int]]:
+        """Immediate post-dominator of each block over the intraprocedural
+        view: the dominators of its reversed edges, rooted at every block
+        with no intraprocedural successor (halts and ``rts``).  These are
+        the within-procedure join points the abstract interpreter skips
+        to; calls are summarised by their continuation because every
+        generated subroutine returns.  A block whose only post-dominator
+        is an exit's virtual parent maps to None; blocks that reach no
+        exit (never-terminating cycles) are absent.  Computed once."""
+        exits = sorted(
+            start for start, succ in self.intra_successors.items() if not succ
+        )
+        return _immediate_dominators(
+            exits, self.intra_predecessors, self.intra_successors
+        )
 
     def dominates(self, a: int, b: int) -> bool:
-        """Whether block ``a`` dominates block ``b`` (both reachable)."""
-        idom = self.dominators()
+        """Whether block ``a`` dominates block ``b`` in
+        :attr:`intra_dominators` (every block dominates itself)."""
+        idom = self.intra_dominators
         node: Optional[int] = b
         while node is not None:
             if node == a:
@@ -291,38 +341,31 @@ class ControlFlowGraph:
             node = idom.get(node)
         return False
 
-    def natural_loops(self) -> List[Tuple[int, FrozenSet[int]]]:
-        """``(header, body)`` for every back edge (tail dominated by head).
-
-        Loops sharing a header are merged, matching the usual definition.
-        """
-        idom = self.dominators()
-
-        def dominates(a: int, b: int) -> bool:
-            node: Optional[int] = b
-            while node is not None:
-                if node == a:
-                    return True
-                node = idom.get(node)
-            return False
-
+    @cached_property
+    def intra_loops(self) -> List[Tuple[int, FrozenSet[int]]]:
+        """``(header, body)`` natural loops of the intraprocedural view, in
+        header order: one per back edge (its head dominates its tail),
+        with the bodies of back edges sharing a header merged."""
+        idom = self.intra_dominators
         bodies: Dict[int, Set[int]] = {}
-        for edge in self.edges:
-            if edge.src not in idom or edge.dst not in idom:
-                continue  # unreachable
-            if not dominates(edge.dst, edge.src):
+        for tail, heads in self.intra_successors.items():
+            if tail not in idom:
                 continue
-            header, tail = edge.dst, edge.src
-            body = bodies.setdefault(header, {header})
-            stack = [tail]
-            while stack:
-                node = stack.pop()
-                if node in body:
+            for header in heads:
+                if not self.dominates(header, tail):
                     continue
-                body.add(node)
-                for pred in self._pred[node]:
-                    stack.append(pred.src)
-            bodies[header] = body
+                body = bodies.setdefault(header, {header})
+                stack = [tail]
+                while stack:
+                    node = stack.pop()
+                    if node in body:
+                        continue
+                    body.add(node)
+                    stack.extend(
+                        pred
+                        for pred in self.intra_predecessors[node]
+                        if pred in idom
+                    )
         return sorted(
             (header, frozenset(body)) for header, body in bodies.items()
         )
@@ -378,97 +421,6 @@ class ControlFlowGraph:
                             break
                     components.append(frozenset(component))
         return components
-
-    def post_dominators(
-        self, edge_kinds: Optional[FrozenSet[str]] = None
-    ) -> Dict[int, Optional[int]]:
-        """Immediate post-dominator of each block, over a kind-filtered view.
-
-        The reverse graph is rooted at a single virtual exit collecting
-        every block with no (kept) successors — halts, and ``rts`` when
-        RETURN edges are filtered out.  Blocks whose immediate
-        post-dominator is the virtual exit map to ``None``; blocks that
-        cannot reach any exit (never-terminating cycles) are absent.
-
-        ``edge_kinds`` restricts the edges considered; passing the
-        intraprocedural kinds (taken / fallthrough / continuation /
-        indirect) yields the within-procedure join points the abstract
-        interpreter skips to — calls are summarised by their continuation,
-        exactly because every generated subroutine returns.
-        """
-        kept = [
-            edge
-            for edge in self.edges
-            if edge_kinds is None or edge.kind in edge_kinds
-        ]
-        succ: Dict[int, List[int]] = {start: [] for start in self.blocks}
-        for edge in kept:
-            succ[edge.src].append(edge.dst)
-        virtual_exit = -1
-        exits = sorted(start for start in self.blocks if not succ[start])
-        # Reverse-graph adjacency: virtual exit -> exits, dst -> src.
-        rsucc: Dict[int, List[int]] = {virtual_exit: exits}
-        rpred: Dict[int, List[int]] = {virtual_exit: []}
-        for start in self.blocks:
-            rsucc[start] = []
-            rpred[start] = []
-        for edge in kept:
-            rsucc[edge.dst].append(edge.src)
-            rpred[edge.src].append(edge.dst)
-        for start in exits:
-            rpred[start].append(virtual_exit)
-
-        seen: Set[int] = {virtual_exit}
-        order: List[int] = []
-        stack: List[Tuple[int, Iterator[int]]] = [
-            (virtual_exit, iter(rsucc[virtual_exit]))
-        ]
-        while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append((child, iter(rsucc[child])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                order.append(node)
-        order.reverse()
-        position = {node: index for index, node in enumerate(order)}
-        ipdom: Dict[int, int] = {virtual_exit: virtual_exit}
-
-        def intersect(a: int, b: int) -> int:
-            while a != b:
-                while position[a] > position[b]:
-                    a = ipdom[a]
-                while position[b] > position[a]:
-                    b = ipdom[b]
-            return a
-
-        changed = True
-        while changed:
-            changed = False
-            for node in order:
-                if node == virtual_exit:
-                    continue
-                new_ipdom: Optional[int] = None
-                for pred in rpred[node]:
-                    if pred in ipdom and pred in position:
-                        new_ipdom = (
-                            pred
-                            if new_ipdom is None
-                            else intersect(pred, new_ipdom)
-                        )
-                if new_ipdom is not None and ipdom.get(node) != new_ipdom:
-                    ipdom[node] = new_ipdom
-                    changed = True
-        return {
-            node: (None if value == virtual_exit else value)
-            for node, value in ipdom.items()
-            if node != virtual_exit
-        }
 
     def label_for(self, address: int) -> Optional[str]:
         """Best symbolic name for a text address: the nearest preceding

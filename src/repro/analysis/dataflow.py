@@ -255,18 +255,6 @@ class LivenessResult:
     block_in: Dict[int, FrozenSet[int]]
     block_out: Dict[int, FrozenSet[int]]
 
-    def live_after(self, address: int) -> FrozenSet[int]:
-        """Registers live immediately *after* the instruction at ``address``."""
-        block = self.cfg.block_at(address)
-        live: Set[int] = set(self.block_out[block.start])
-        pcs = list(block.addresses())
-        for pc, instruction in zip(reversed(pcs), reversed(block.instructions)):
-            if pc == address:
-                return frozenset(live)
-            live.difference_update(registers_written(instruction))
-            live.update(r for r in registers_read(instruction) if r)
-        raise KeyError(f"address {address:#x} is not in block {block.start:#x}")
-
     def dead_stores(self) -> List[Tuple[int, int]]:
         """``(address, register)`` pairs where a written register is not live
         afterwards.

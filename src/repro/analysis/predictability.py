@@ -354,9 +354,6 @@ class SchemeBound(NamedTuple):
     exact: bool
     expected: Optional[int] = None
 
-    def contains(self, correct: int) -> bool:
-        return self.lower <= correct <= self.upper
-
 
 @dataclass
 class SiteReport:

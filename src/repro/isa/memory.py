@@ -1,14 +1,15 @@
 """Sparse data memory.
 
 Word-granular storage over a dict keyed by word index, so workloads can place
-data anywhere in the 32-bit address space without reserving it.  Byte
-accesses (``ldb``/``stb``) are implemented over the word store with
-big-endian byte order, matching the M88100.
+data anywhere in the 32-bit address space without reserving it.  The CPU's
+translated ``ld``/``st``/``ldb``/``stb`` closures read and write that dict
+directly; byte accesses use big-endian order within the word, matching the
+M88100.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict
 
 from repro.errors import ExecutionError
 
@@ -18,9 +19,9 @@ WORD_MASK = 0xFFFFFFFF
 class Memory:
     """Byte-addressed, word-backed sparse memory.
 
-    Unwritten locations read as zero.  Word accesses must be 4-byte aligned;
-    misalignment raises :class:`~repro.errors.ExecutionError` (the M88100
-    faults on misaligned accesses too).
+    Unwritten locations read as zero.  :meth:`store_word`, which loads a
+    program's data segment, requires a 4-byte aligned address and raises
+    :class:`~repro.errors.ExecutionError` otherwise.
     """
 
     __slots__ = ("_words",)
@@ -28,48 +29,10 @@ class Memory:
     def __init__(self) -> None:
         self._words: Dict[int, int] = {}
 
-    def load_word(self, address: int) -> int:
-        if address & 3:
-            raise ExecutionError(f"misaligned word load at {address:#x}")
-        return self._words.get(address >> 2, 0)
-
     def store_word(self, address: int, value: int) -> None:
         if address & 3:
             raise ExecutionError(f"misaligned word store at {address:#x}")
         self._words[address >> 2] = value & WORD_MASK
-
-    def load_byte(self, address: int) -> int:
-        """Load one unsigned byte (big-endian within the word)."""
-        word = self._words.get(address >> 2, 0)
-        shift = (3 - (address & 3)) * 8
-        return (word >> shift) & 0xFF
-
-    def store_byte(self, address: int, value: int) -> None:
-        """Store one byte (big-endian within the word)."""
-        index = address >> 2
-        shift = (3 - (address & 3)) * 8
-        word = self._words.get(index, 0)
-        word = (word & ~(0xFF << shift)) | ((value & 0xFF) << shift)
-        self._words[index] = word & WORD_MASK
-
-    def store_words(self, address: int, values: Iterable[int]) -> None:
-        """Bulk store consecutive words starting at ``address``."""
-        if address & 3:
-            raise ExecutionError(f"misaligned bulk store at {address:#x}")
-        index = address >> 2
-        for offset, value in enumerate(values):
-            self._words[index + offset] = value & WORD_MASK
-
-    def load_words(self, address: int, count: int) -> "list[int]":
-        """Bulk load ``count`` consecutive words starting at ``address``."""
-        if address & 3:
-            raise ExecutionError(f"misaligned bulk load at {address:#x}")
-        index = address >> 2
-        return [self._words.get(index + offset, 0) for offset in range(count)]
-
-    def footprint_words(self) -> int:
-        """Number of distinct words ever written (for tests/diagnostics)."""
-        return len(self._words)
 
     def clear(self) -> None:
         self._words.clear()

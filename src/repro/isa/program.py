@@ -47,15 +47,6 @@ class Program:
         """First byte address past the text segment."""
         return self.text_base + 4 * len(self.instructions)
 
-    def address_of(self, label: str) -> int:
-        """Resolve a label, raising :class:`~repro.errors.ExecutionError` if
-        it is not defined (callers usually hold labels from the same source,
-        so a miss is a bug worth failing loudly on)."""
-        try:
-            return self.symbols[label]
-        except KeyError as exc:
-            raise ExecutionError(f"undefined symbol {label!r}") from exc
-
     def instruction_at(self, address: int) -> Instruction:
         """Fetch the decoded instruction at a byte address."""
         index = (address - self.text_base) >> 2

@@ -33,7 +33,6 @@ from repro.predictors.automata import (
 )
 from repro.predictors.base import ConditionalBranchPredictor, measure_accuracy
 from repro.predictors.btb import LeeSmithPredictor
-from repro.predictors.cost import StorageCost, storage_cost
 from repro.predictors.extensions import GAgPredictor, GSharePredictor
 from repro.predictors.hrt import AHRT, HHRT, IHRT, HistoryRegisterTable
 from repro.predictors.modern import PerceptronPredictor, TagePredictor, TageState
@@ -82,12 +81,10 @@ __all__ = [
     "ProfilePredictor",
     "TagePredictor",
     "TageState",
-    "StorageCost",
     "StaticTrainingPredictor",
     "TwoLevelAdaptivePredictor",
     "automaton_by_name",
     "measure_accuracy",
     "parse_spec",
     "profile_pattern_table",
-    "storage_cost",
 ]

@@ -5,13 +5,12 @@ The paper names every configuration by one grammar,
 :class:`Family` registered in :data:`FAMILIES` under its
 :attr:`~repro.predictors.spec.PredictorSpec.scheme` string.  The family
 owns the scheme's grammar and bounds (:meth:`Family.parse`), canonical
-form, scalar builder, storage cost, training role, the history windows
-its vector recipe reads, and that recipe: either a trace-order
-``direct_mask`` or an automaton ``scan_request`` for the fused scan
-batch (:mod:`repro.sim.sweep`).  :func:`~repro.predictors.spec.parse_spec`,
-:meth:`~repro.predictors.spec.PredictorSpec.build`,
-:func:`~repro.predictors.cost.storage_cost` and the vector core look the
-family up; nothing outside this package branches on a scheme name.
+form, scalar builder, training role, the history windows its vector
+recipe reads, and that recipe: either a trace-order ``direct_mask`` or an
+automaton ``scan_request`` for the fused scan batch (:mod:`repro.sim.sweep`).
+:func:`~repro.predictors.spec.parse_spec`,
+:meth:`~repro.predictors.spec.PredictorSpec.build` and the vector core
+look the family up; nothing outside this package branches on a scheme name.
 
 Modules group families by grammar, not by scheme:
 
@@ -36,7 +35,6 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Pattern
 
 from repro.errors import ConfigError, KernelError, SpecParseError
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.cost import StorageCost
 from repro.predictors.pattern_table import MAX_HISTORY_LENGTH
 from repro.predictors.spec import PredictorSpec
 from repro.trace.record import BranchRecord
@@ -80,10 +78,6 @@ class Family:
     ) -> ConditionalBranchPredictor:
         """The scalar reference predictor for ``spec``."""
         raise NotImplementedError
-
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        """Hardware storage bits (static schemes cost nothing)."""
-        return StorageCost(0, 0, 0)
 
     def training_role(self, spec: PredictorSpec) -> Optional[str]:
         """Which trace ``spec`` profiles: ``None`` (adaptive), ``"test"``

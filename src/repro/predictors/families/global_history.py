@@ -11,7 +11,6 @@ from typing import Any, Optional, Tuple
 from repro.errors import ConfigError, SpecParseError
 from repro.predictors.automata import A2, Automaton, automaton_by_name
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.cost import _STATE_BITS, StorageCost
 from repro.predictors.extensions import GAgPredictor, GSharePredictor
 from repro.predictors.families import Family, call_grammar, history_length, register
 from repro.predictors.spec import PredictorSpec
@@ -45,12 +44,6 @@ class _GlobalHistory(Family):
         self, spec: PredictorSpec, training_records: Any = None
     ) -> ConditionalBranchPredictor:
         return self.predictor(spec.history_length, _automaton(spec))
-
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        """The k-bit global register plus ``2^k`` automaton states."""
-        k = spec.history_length
-        assert k is not None
-        return StorageCost(k, 0, _STATE_BITS[_automaton(spec).name] << k)
 
     def reserve(self, spec: PredictorSpec, ctx: Any) -> None:
         assert spec.history_length is not None

@@ -9,15 +9,12 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import SpecParseError
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.cost import StorageCost
 from repro.predictors.families import Family, call_grammar, register, replay_sessions
 from repro.predictors.modern import (
-    BASE_EXTRA_BITS,
     DEFAULT_ENTRY_BITS,
     DEFAULT_ROWS,
     MAX_HISTORY,
     MAX_TABLES,
-    TAG_BITS,
     PerceptronPredictor,
     TagePredictor,
     TageState,
@@ -63,13 +60,6 @@ class _Perceptron(_Modern):
         assert spec.history_length is not None
         return PerceptronPredictor(spec.history_length, spec.rows or DEFAULT_ROWS)
 
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        """``rows x (h+1)`` 8-bit weights; the history register is the only
-        other state (the "pattern" store is the weight memory)."""
-        assert spec.history_length is not None and spec.rows is not None
-        h = spec.history_length
-        return StorageCost(hrt_bits=h, tag_bits=0, pattern_bits=spec.rows * (h + 1) * 8)
-
     #: training fires on about a quarter of the records, too often for a
     #: columnar scan over the weight rows to beat the scalar ``observe``
     direct_mask = replay_sessions
@@ -103,19 +93,6 @@ class _Tage(_Modern):
     ) -> ConditionalBranchPredictor:
         assert spec.tage_tables is not None
         return TagePredictor(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS)
-
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        """A base bimodal table of 2-bit counters plus ``t`` tagged tables
-        of (3-bit counter + 2-bit useful + valid) entries with
-        ``TAG_BITS``-wide tags."""
-        assert spec.tage_tables is not None and spec.history_length is not None
-        bits = spec.tage_entry_bits or DEFAULT_ENTRY_BITS
-        entries = spec.tage_tables * (1 << bits)
-        return StorageCost(
-            hrt_bits=spec.history_length,
-            tag_bits=entries * TAG_BITS,
-            pattern_bits=2 * (1 << (bits + BASE_EXTRA_BITS)) + entries * (3 + 2 + 1),
-        )
 
     def direct_mask(self, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]) -> Any:
         from repro.sim.kernels import _tage_predictions

@@ -17,7 +17,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import ConfigError, SpecParseError
 from repro.predictors.automata import A2, Automaton, automaton_by_name
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.cost import _STATE_BITS, StorageCost
 from repro.predictors.families import Family, history_length, register, replay_sessions
 from repro.predictors.pattern_table import MAX_HISTORY_LENGTH
 from repro.predictors.spec import PredictorSpec
@@ -122,14 +121,6 @@ class _PerAddress(Family):
     ) -> ConditionalBranchPredictor:
         assert spec.history_length is not None and spec.pt_automaton is not None
         return PerAddressPredictor(spec.history_length, spec.pt_automaton, spec.sets)
-
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        """The ideal per-address registers, and PAp's table per branch,
-        are idealisations costed at zero like the IHRT; PAs pays ``sets``
-        tables of ``2^k`` automaton states."""
-        assert spec.history_length is not None and spec.pt_automaton is not None
-        state_bits = _STATE_BITS[spec.pt_automaton.name] << spec.history_length
-        return StorageCost(0, 0, (spec.sets or 0) * state_bits)
 
     direct_mask = replay_sessions
 

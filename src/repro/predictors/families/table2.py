@@ -26,7 +26,6 @@ from repro.errors import ConfigError, SpecParseError
 from repro.predictors.automata import Automaton, automaton_by_name
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.btb import LeeSmithPredictor
-from repro.predictors.cost import _STATE_BITS, StorageCost, _tag_width
 from repro.predictors.families import Family, history_length, register
 from repro.predictors.hrt import AHRT, HHRT, IHRT, HistoryRegisterTable
 from repro.predictors.pattern_table import PatternTable
@@ -156,16 +155,6 @@ def _hrt_text(spec: PredictorSpec, content: str) -> str:
     return f"{spec.hrt_kind}({size},{content})"
 
 
-def _hrt_cost(spec: PredictorSpec, bits_per_entry: int, pattern_bits: int) -> StorageCost:
-    """``entries x bits_per_entry`` HRT bits, a tag per AHRT entry, and the
-    pattern table; an IHRT is an idealisation and costs nothing."""
-    entries = spec.hrt_entries or 0
-    tag = _tag_width(entries, spec.hrt_associativity) if spec.hrt_kind == "AHRT" else 0
-    return StorageCost(
-        hrt_bits=entries * bits_per_entry, tag_bits=entries * tag, pattern_bits=pattern_bits
-    )
-
-
 class _Table2(Family):
     def parse(self, text: str) -> Optional[PredictorSpec]:
         open_paren = text.find("(")
@@ -237,11 +226,6 @@ class _AT(_TwoLevel):
             _make_hrt(spec), PatternTable(spec.history_length, spec.pt_automaton)
         )
 
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        assert spec.history_length is not None and spec.pt_automaton is not None
-        k = spec.history_length
-        return _hrt_cost(spec, k, _STATE_BITS[spec.pt_automaton.name] << k)
-
     def scan_request(self, spec: PredictorSpec, ctx: Any) -> Tuple[Any, Any, Automaton]:
         from repro.sim.sweep import _hrt_token
 
@@ -282,11 +266,6 @@ class _ST(_TwoLevel):
             data_mode=spec.data_mode or "Same",
         )
 
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        assert spec.history_length is not None
-        k = spec.history_length
-        return _hrt_cost(spec, k, 1 << k)  # one preset prediction bit per pattern
-
     def training_role(self, spec: PredictorSpec) -> Optional[str]:
         return "train" if spec.data_mode == "Diff" else "test"
 
@@ -326,10 +305,6 @@ class _LS(_Table2):
     ) -> ConditionalBranchPredictor:
         assert spec.hrt_automaton is not None
         return LeeSmithPredictor(_make_hrt(spec), spec.hrt_automaton)
-
-    def cost(self, spec: PredictorSpec) -> StorageCost:
-        assert spec.hrt_automaton is not None
-        return _hrt_cost(spec, _STATE_BITS[spec.hrt_automaton.name], 0)
 
     def scan_request(self, spec: PredictorSpec, ctx: Any) -> Tuple[Any, Any, Automaton]:
         from repro.sim.sweep import _hrt_token

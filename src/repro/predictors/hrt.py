@@ -96,11 +96,6 @@ class IHRT(HistoryRegisterTable):
         self.hits = self.misses = 0
 
     @property
-    def num_static_branches(self) -> int:
-        """How many distinct branches have been seen (Table 1 cross-check)."""
-        return len(self._entries)
-
-    @property
     def spec_name(self) -> str:
         return "IHRT(,"
 

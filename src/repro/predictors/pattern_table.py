@@ -69,10 +69,3 @@ class PatternTable:
     def reset(self) -> None:
         """Reinitialise every entry (section 4.2 start-of-execution state)."""
         self._states = [self.automaton.init_state] * self.num_entries
-
-    def counts_by_state(self) -> "dict[int, int]":
-        """Histogram of entry states — useful for diagnosing warm-up."""
-        histogram: "dict[int, int]" = {}
-        for state in self._states:
-            histogram[state] = histogram.get(state, 0) + 1
-        return histogram

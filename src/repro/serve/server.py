@@ -20,9 +20,11 @@ RECORDS2 frame is still answered individually, in per-session order.
 
 **A tick, not a frame.**  With several sessions active a tick lingers so
 their frames fuse, until every answer written earlier is repaid by its
-session's next RECORDS2 (``fuse_window`` only bounds the linger).  A
-tick's replies leave each connection in one write, and each connection
-has one read-deadline timer.
+session's next RECORDS2 (``fuse_window`` only bounds the linger); a
+linger that runs out forgives every session still owing, so an idle
+session delays at most one tick per answer it gets.  A tick's replies
+leave each connection in one write, and each connection has one
+read-deadline timer.
 
 **Robustness.**  Malformed frames, oversized frames, protocol violations,
 bad specs/backends/session-ids and read timeouts each earn the *offending
@@ -277,7 +279,7 @@ class PredictionServer:
         self._queue: "Optional[asyncio.Queue[Tuple[Any, ...]]]" = None
         self._score_task: "Optional[asyncio.Task]" = None
         self._next_session = 0
-        self._owed = 0  #: sum of every session's ``owed``
+        self._debtors: Dict[int, _Session] = {}  #: key -> session owing > 0
         self._refill: "Optional[asyncio.Future[str]]" = None  #: linger waiter
         self._outbox: Set[_Connection] = set()  #: connections with frames to send
         self._stopping = False
@@ -321,10 +323,6 @@ class PredictionServer:
     def active_sessions(self) -> int:
         """Open *logical* sessions (not TCP connections)."""
         return self.stats.active_sessions
-
-    @property
-    def active_connections(self) -> int:
-        return len(self._connections)
 
     def install_signal_handlers(self) -> None:
         """Arrange a graceful drain on SIGTERM / SIGINT."""
@@ -536,9 +534,10 @@ class PredictionServer:
         ends once no session owes one."""
         if count:
             session.owed -= count
-            self._owed -= count
-            if self._owed == 0:
-                self._wake("refilled")
+            if session.owed == 0:
+                del self._debtors[session.key]
+                if not self._debtors:
+                    self._wake("refilled")
 
     def _wake(self, ended: str) -> None:
         if self._refill is not None and not self._refill.done():
@@ -731,16 +730,23 @@ class PredictionServer:
             return "none"
         if queue.full():
             return "capacity"
-        if self._owed == 0:
+        if not self._debtors:
             return "refilled"
         loop = asyncio.get_running_loop()
         self._refill = loop.create_future()
         timer = loop.call_later(self.config.fuse_window, self._wake, "deadline")
         try:
-            return await self._refill
+            ended = await self._refill
         finally:
             timer.cancel()
             self._refill = None
+        if ended == "deadline":
+            # a session that did not refill within the window is idle (its
+            # stream ended, or its client paused): stop waiting for it
+            for session in self._debtors.values():
+                session.owed = 0
+            self._debtors.clear()
+        return ended
 
     def _flush(
         self,
@@ -778,7 +784,7 @@ class PredictionServer:
                     body = protocol.encode_predictions(records, frame_predictions)
                 self._write(session.conn, protocol.pack_predictions2(session.sid, body))
                 session.owed += 1
-                self._owed += 1
+                self._debtors[session.key] = session
         pending.clear()
 
     def _write(self, conn: _Connection, data: bytes) -> None:

@@ -102,15 +102,3 @@ class SweepResult:
             if category is None or self.categories.get(benchmark) == category
         ]
         return geometric_mean(values)
-
-    def summary_rows(self) -> List[Dict[str, float]]:
-        """One dict per scheme with per-benchmark accuracies and the three
-        geometric means — the rows the benches print."""
-        rows: List[Dict[str, float]] = []
-        for scheme in self.results:
-            row: Dict[str, float] = dict(self.accuracies(scheme))
-            row["Tot G Mean"] = self.mean(scheme)
-            row["Int G Mean"] = self.mean(scheme, "integer")
-            row["FP G Mean"] = self.mean(scheme, "fp")
-            rows.append({"scheme": scheme, **row})  # type: ignore[dict-item]
-        return rows

@@ -90,16 +90,6 @@ class SweepRunner:
         workload = self._workload(benchmark)
         return self.cache.get(workload, "test", self.max_conditional).records
 
-    def training_trace(self, benchmark: str, data_mode: str) -> List[BranchRecord]:
-        """The trace a profiled scheme trains on.
-
-        ``Same`` trains on the testing trace itself (the paper's best-case
-        Static Training); ``Diff`` trains on the Table 3 training data set
-        and raises :class:`~repro.errors.WorkloadError` for the four
-        benchmarks that have none.
-        """
-        return self._role_trace(benchmark, "train" if data_mode == "Diff" else "test").records
-
     def _role_trace(self, benchmark: str, role: str) -> WorkloadTrace:
         """The benchmark's cached ``"test"`` or ``"train"`` trace — the
         roles :func:`~repro.sim.sweep.training_role` reports — in its

@@ -13,7 +13,6 @@ from repro.trace.columnar import PackedTrace, pack_records, read_packed_trace
 from repro.trace.encoding import read_trace, write_trace
 from repro.trace.stats import (
     StaticBranchCensus,
-    collect_mix,
     static_branch_census,
     taken_rate,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "InstructionMix",
     "PackedTrace",
     "StaticBranchCensus",
-    "collect_mix",
     "pack_records",
     "read_packed_trace",
     "read_text_trace",

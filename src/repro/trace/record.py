@@ -60,11 +60,6 @@ class BranchRecord(NamedTuple):
         """Whether the taken target precedes the branch (loop-closing)."""
         return self.target < self.pc
 
-    @property
-    def return_address(self) -> int:
-        """Address a call's matching return should come back to."""
-        return self.pc + 4
-
 
 @dataclass
 class InstructionMix:
@@ -104,12 +99,6 @@ class InstructionMix:
         total = self.total_instructions
         return self.total_branches / total if total else 0.0
 
-    @property
-    def conditional_fraction_of_branches(self) -> float:
-        """Fraction of dynamic branches that are conditional (Figure 4)."""
-        branches = self.total_branches
-        return self.conditional / branches if branches else 0.0
-
     def count(self, cls: BranchClass, n: int = 1) -> None:
         """Add ``n`` dynamic instructions of class ``cls``."""
         if cls is BranchClass.CONDITIONAL:
@@ -122,10 +111,6 @@ class InstructionMix:
             self.reg_unconditional += n
         else:
             self.non_branch += n
-
-    def by_class(self) -> dict:
-        """Return counts keyed by :class:`BranchClass`."""
-        return {cls: getattr(self, name) for name, cls in self._FIELDS}
 
     def merged(self, other: "InstructionMix") -> "InstructionMix":
         """Return a new mix summing ``self`` and ``other``."""

@@ -1,7 +1,8 @@
-"""Trace statistics: instruction mix, taken rates, static branch census.
+"""Trace statistics: taken rates and the static branch census.
 
-These feed Figure 3 (dynamic instruction distribution), Figure 4 (dynamic
-branch-class distribution) and Table 1 (static conditional branch counts).
+The census feeds Table 1 (static conditional branch counts); the Figure 3
+and 4 instruction mix is counted by the CPU
+(:class:`~repro.trace.record.InstructionMix`).
 """
 
 from __future__ import annotations
@@ -9,20 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Set
 
-from repro.trace.record import BranchClass, BranchRecord, InstructionMix
-
-
-def collect_mix(records: Iterable[BranchRecord], non_branch: int = 0) -> InstructionMix:
-    """Build an :class:`InstructionMix` from a branch-record stream.
-
-    Branch traces do not carry non-branch instructions, so their count (known
-    to the producer, e.g. :meth:`repro.isa.cpu.CPU.run`) is supplied
-    separately via ``non_branch``.
-    """
-    mix = InstructionMix(non_branch=non_branch)
-    for record in records:
-        mix.count(record.cls)
-    return mix
+from repro.trace.record import BranchClass, BranchRecord
 
 
 def taken_rate(records: Iterable[BranchRecord]) -> float:
@@ -53,9 +41,6 @@ class StaticBranchCensus:
     @property
     def static_conditional(self) -> int:
         return len(self.per_class.get(BranchClass.CONDITIONAL, ()))
-
-    def static_count(self, cls: BranchClass) -> int:
-        return len(self.per_class.get(cls, ()))
 
     def observe(self, record: BranchRecord) -> None:
         self.per_class.setdefault(record.cls, set()).add(record.pc)

@@ -3,7 +3,8 @@
 The real evaluation traces come from running the SPEC-analog programs on the
 ISA simulator (:mod:`repro.workloads`), but unit tests, property tests and
 microbenchmarks need *controlled* branch behaviour: a branch with an exact
-period-3 pattern, a branch with exactly 70 percent taken bias, and so on.
+period-3 pattern, several such branches interleaved, a whole skewed
+program, and so on.
 These generators produce such streams directly, bypassing the CPU.
 
 All generators are deterministic given their ``seed``.
@@ -40,33 +41,6 @@ def periodic_branch(
     for _ in range(repetitions):
         for outcome in pattern:
             yield _record(pc, bool(outcome))
-
-
-def biased_branch(
-    taken_probability: float, count: int, pc: int = _TEXT_BASE, seed: int = 0
-) -> Iterator[BranchRecord]:
-    """A single branch taken independently with the given probability."""
-    if not 0.0 <= taken_probability <= 1.0:
-        raise ConfigError("taken_probability must be within [0, 1]")
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield _record(pc, rng.random() < taken_probability)
-
-
-def loop_branch(
-    trip_count: int, iterations: int, pc: int = _TEXT_BASE
-) -> Iterator[BranchRecord]:
-    """A backward loop branch: taken ``trip_count - 1`` times, then not taken,
-    repeated for ``iterations`` loop entries.
-
-    This is the pattern BTFN and counters handle well (one miss per exit) and
-    where two-level prediction with history >= trip_count achieves zero
-    steady-state misses.
-    """
-    if trip_count < 1:
-        raise ConfigError("trip_count must be >= 1")
-    pattern = [True] * (trip_count - 1) + [False]
-    return periodic_branch(pattern, iterations, pc=pc)
 
 
 def interleaved(

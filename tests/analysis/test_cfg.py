@@ -148,7 +148,7 @@ out:
 
     def test_dominators_chain(self):
         cfg = _cfg(LOOP)
-        idom = cfg.dominators()
+        idom = cfg.intra_dominators
         assert idom[0x1000] is None
         assert idom[0x1004] == 0x1000
         assert idom[0x1010] == 0x1004
@@ -157,7 +157,7 @@ out:
 
     def test_natural_loop_found(self):
         cfg = _cfg(LOOP)
-        loops = cfg.natural_loops()
+        loops = cfg.intra_loops
         assert loops == [(0x1004, frozenset({0x1004}))]
 
     def test_nested_loop_bodies(self):
@@ -175,7 +175,7 @@ inner:
     halt
 """
         )
-        loops = dict(cfg.natural_loops())
+        loops = dict(cfg.intra_loops)
         outer = cfg.program.symbols["outer"]
         inner = cfg.program.symbols["inner"]
         assert inner in loops and outer in loops

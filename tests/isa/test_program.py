@@ -23,11 +23,6 @@ def program():
 
 
 class TestProgram:
-    def test_address_of(self, program):
-        assert program.address_of("target") == DEFAULT_TEXT_BASE + 4
-        with pytest.raises(ExecutionError):
-            program.address_of("missing")
-
     def test_text_bounds(self, program):
         assert program.text_end == DEFAULT_TEXT_BASE + 4 * len(program)
 

@@ -4,7 +4,8 @@ from repro.predictors.automata import A2, LAST_TIME
 from repro.predictors.base import measure_accuracy
 from repro.predictors.btb import LeeSmithPredictor
 from repro.predictors.hrt import AHRT, IHRT
-from repro.trace.synthetic import biased_branch, loop_branch, periodic_branch
+from repro.trace.synthetic import periodic_branch
+from tests.synthetic import biased_branch, loop_branch
 
 
 class TestLeeSmith:

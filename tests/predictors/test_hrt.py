@@ -24,15 +24,17 @@ class TestIHRT:
         table = IHRT(init_payload=1)
         for index in range(10_000):
             table.put(4 * index, index)
-        assert table.num_static_branches == 10_000
         assert table.get(0) == 0
+        assert table.get(4 * 9_999) == 9_999
+        assert table.misses == 0
 
     def test_reset(self):
         table = IHRT()
         table.get(0x10)
         table.reset()
         assert table.hits == table.misses == 0
-        assert table.num_static_branches == 0
+        table.get(0x10)  # the entry went with the reset
+        assert table.misses == 1
 
     def test_spec_name(self):
         assert IHRT().spec_name == "IHRT(,"

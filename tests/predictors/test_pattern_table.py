@@ -45,12 +45,6 @@ class TestOperation:
         table.reset()
         assert table.predict(1) is True
 
-    def test_counts_by_state(self):
-        table = PatternTable(2, A2)
-        table.update(0, False)
-        histogram = table.counts_by_state()
-        assert histogram == {3: 3, 2: 1}
-
     def test_update_follows_automaton(self):
         table = PatternTable(2, A2)
         sequence = [False, False, True, True, False]

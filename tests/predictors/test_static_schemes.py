@@ -8,7 +8,7 @@ from repro.predictors.static_schemes import (
     ProfilePredictor,
 )
 from repro.trace.record import BranchClass, BranchRecord
-from repro.trace.synthetic import biased_branch
+from tests.synthetic import biased_branch
 
 
 def _record(pc, taken, target):

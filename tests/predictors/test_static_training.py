@@ -9,7 +9,8 @@ from repro.predictors.static_training import (
     StaticTrainingPredictor,
     profile_pattern_table,
 )
-from repro.trace.synthetic import biased_branch, periodic_branch
+from repro.trace.synthetic import periodic_branch
+from tests.synthetic import biased_branch
 
 
 class TestProfilePatternTable:
@@ -80,7 +81,8 @@ class TestStaticTrainingPredictor:
         preset_before = list(predictor.preset)
         predictor.reset()
         assert predictor.preset == preset_before
-        assert predictor.hrt.num_static_branches == 0
+        predictor.hrt.get(0x1000)  # the trace's branch: allocated afresh
+        assert predictor.hrt.misses == 1
 
     def test_name_encodes_data_mode(self):
         predictor = StaticTrainingPredictor(IHRT(), 2, [True] * 4, data_mode="Diff")

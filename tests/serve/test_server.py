@@ -576,6 +576,43 @@ class TestTicks:
         assert stats["ticks"] == sum(stats["linger_exits"].values())
         assert stats["linger_s"] < 3.0
 
+    def test_idle_session_costs_one_window_per_answer(self, program_trace):
+        records = program_trace[:640]
+        spec = "GAg(6,A2)"
+
+        async def _run():
+            server = await _started_server(ServerConfig(fuse_window=1.0))
+            try:
+                client = await MuxPredictionClient.connect(
+                    server.host, server.port, max_sessions=2
+                )
+                for sid in (0, 1):
+                    await client.open(sid, spec)
+                # session 0 finishes its frames first and stays open: its
+                # last answer is never repaid by a next frame
+                idle = await client.predict(0, records[:64])
+                started = time.perf_counter()
+                served = []
+                for start in range(0, len(records), 64):
+                    served += await client.predict(1, records[start:start + 64])
+                elapsed = time.perf_counter() - started
+                final = await client.finish()
+                return idle, served, elapsed, final["server"]
+            finally:
+                await server.stop(drain=False)
+
+        idle, served, elapsed, stats = asyncio.run(_run())
+        # waiting the whole window on every one of the ten ticks took 10.5 s
+        assert elapsed < 3.0, elapsed
+        assert stats["linger_exits"]["deadline"] >= 1, stats
+        assert stats["ticks"] == sum(stats["linger_exits"].values())
+
+        def expected(stream):
+            return ScalarStreamingScorer(parse_spec(spec)).feed(stream)
+
+        assert [None if r is None else r.predicted for r in idle] == expected(records[:64])
+        assert [None if r is None else r.predicted for r in served] == expected(records)
+
     def test_read_deadline_rearms_per_frame(self, program_trace):
         frame = protocol.pack_records2(0, program_trace[:32])
 

@@ -69,11 +69,3 @@ class TestSweepResult:
         assert abs(sweep.mean("AT") - math.sqrt(0.94 * 0.98)) < 1e-12
         assert sweep.mean("AT", "integer") == 0.94
         assert sweep.mean("AT", "fp") == 0.98
-
-    def test_summary_rows(self, sweep):
-        rows = sweep.summary_rows()
-        assert len(rows) == 2
-        at_row = rows[0]
-        assert at_row["scheme"] == "AT"
-        assert at_row["gcc"] == 0.94
-        assert "Tot G Mean" in at_row and "Int G Mean" in at_row

@@ -20,16 +20,17 @@ class TestTraces:
         assert first is second  # memory cache returns the same object
 
     def test_training_trace_same_is_testing_trace(self, runner):
-        assert runner.training_trace("li", "Same") is runner.testing_trace("li")
+        # Profile and ST(...,Same) train on the testing trace's cache entry
+        assert runner._role_trace("li", "test").records is runner.testing_trace("li")
 
     def test_training_trace_diff_differs(self, runner):
-        diff = runner.training_trace("li", "Diff")
+        diff = runner._role_trace("li", "train").records
         assert diff is not runner.testing_trace("li")
         assert diff != runner.testing_trace("li")
 
     def test_diff_unavailable_raises(self, runner):
         with pytest.raises(WorkloadError):
-            runner.training_trace("eqntott", "Diff")
+            runner._role_trace("eqntott", "train")
 
 
 class TestRun:

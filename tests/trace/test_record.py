@@ -15,10 +15,6 @@ class TestBranchRecord:
         assert BranchRecord(0x2000, BranchClass.CONDITIONAL, True, 0x1000).is_backward
         assert not BranchRecord(0x1000, BranchClass.CONDITIONAL, True, 0x2000).is_backward
 
-    def test_return_address(self):
-        record = BranchRecord(0x100, BranchClass.IMM_UNCONDITIONAL, True, 0x500, True)
-        assert record.return_address == 0x104
-
     def test_is_call_defaults_false(self):
         assert not BranchRecord(0, BranchClass.CONDITIONAL, True, 4).is_call
 
@@ -34,19 +30,10 @@ class TestInstructionMix:
         assert mix.total_instructions == 100
         assert mix.total_branches == 14
         assert mix.branch_fraction == 0.14
-        assert mix.conditional_fraction_of_branches == 10 / 14
 
     def test_empty_mix_fractions(self):
         mix = InstructionMix()
         assert mix.branch_fraction == 0.0
-        assert mix.conditional_fraction_of_branches == 0.0
-
-    def test_by_class(self):
-        mix = InstructionMix(conditional=3, non_branch=7)
-        table = mix.by_class()
-        assert table[BranchClass.CONDITIONAL] == 3
-        assert table[BranchClass.NON_BRANCH] == 7
-        assert len(table) == 5
 
     def test_merged(self):
         merged = InstructionMix(conditional=1, returns=2).merged(

@@ -1,12 +1,7 @@
 """Trace statistics: mixes, taken rate, static census."""
 
 from repro.trace.record import BranchClass, BranchRecord
-from repro.trace.stats import (
-    collect_mix,
-    conditional_pc_histogram,
-    static_branch_census,
-    taken_rate,
-)
+from repro.trace.stats import conditional_pc_histogram, static_branch_census, taken_rate
 
 
 def _records():
@@ -17,15 +12,6 @@ def _records():
         BranchRecord(0x20, C, True, 0x60),
         BranchRecord(0x30, R, True, 0x14),
     ]
-
-
-class TestCollectMix:
-    def test_counts_and_external_non_branch(self):
-        mix = collect_mix(_records(), non_branch=96)
-        assert mix.conditional == 3
-        assert mix.returns == 1
-        assert mix.non_branch == 96
-        assert mix.total_instructions == 100
 
 
 class TestTakenRate:
@@ -40,8 +26,8 @@ class TestStaticCensus:
     def test_distinct_pcs_per_class(self):
         census = static_branch_census(_records())
         assert census.static_conditional == 2
-        assert census.static_count(BranchClass.RETURN) == 1
-        assert census.static_count(BranchClass.IMM_UNCONDITIONAL) == 0
+        assert census.per_class[BranchClass.RETURN] == {0x30}
+        assert BranchClass.IMM_UNCONDITIONAL not in census.per_class
 
 
 class TestHistogram:

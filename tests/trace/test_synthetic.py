@@ -6,13 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigError
 from repro.trace.record import BranchClass
 from repro.trace.stats import static_branch_census, taken_rate
-from repro.trace.synthetic import (
-    biased_branch,
-    interleaved,
-    loop_branch,
-    periodic_branch,
-    random_program,
-)
+from repro.trace.synthetic import interleaved, periodic_branch, random_program
+from tests.synthetic import biased_branch, loop_branch
 
 
 class TestPeriodicBranch:

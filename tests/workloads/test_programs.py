@@ -60,7 +60,7 @@ class TestDemographics:
 
     def test_conditionals_dominate_branches(self, traces):
         for name, trace in traces.items():
-            assert trace.mix.conditional_fraction_of_branches > 0.5, name
+            assert trace.mix.conditional > trace.mix.total_branches / 2, name
 
     def test_taken_rate_near_sixty_percent_overall(self, traces):
         rates = [taken_rate(trace.records) for trace in traces.values()]
