@@ -26,8 +26,11 @@ instruction, so every value the program ever reads is known: there is no
 unknown operand to skip past and no state to invalidate, and each stream
 is exact for as long as the walk runs.  The walk therefore *is* the
 dynamic conditional-branch trace of its budget; it stops at the budget, at
-HALT, at its step cap, or at a fault (a division by zero or a fetch outside
-the text segment), keeping the branches executed before the stop.
+HALT, at its step cap, or at a fault (a division by zero, a misaligned
+word access or a fetch outside the text segment), keeping the branches
+executed before the stop.  A caller already holding that trace reads the
+walk off it (:meth:`WalkResult.of_trace`) instead of running the CPU
+again.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.trace.columnar import PackedTrace, conditional_only
+from repro.trace.record import InstructionMix
 
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dataflow import (
@@ -573,6 +577,11 @@ def loop_summaries(program: Program) -> List[LoopSummary]:
 # ----------------------------------------------------------------------
 
 
+def default_step_cap(budget: int) -> int:
+    """The instruction cap of a walk of ``budget`` conditional branches."""
+    return 200 * budget + 10_000
+
+
 @dataclass
 class WalkResult:
     """The conditional branches of one deterministic run.
@@ -580,12 +589,43 @@ class WalkResult:
     ``packed`` holds them in execution order as a conditional-only
     :class:`~repro.trace.columnar.PackedTrace`; ``streams[pc]`` holds site
     ``pc``'s outcomes in order.  ``stop_reason`` is ``budget``, ``halt``,
-    ``step-cap``, ``divide-fault`` or ``bad-fetch``.
+    ``step-cap``, ``divide-fault``, ``misaligned-access`` or ``bad-fetch``.
     """
 
     packed: PackedTrace
     streams: Dict[int, List[bool]]
     stop_reason: str
+
+    @classmethod
+    def of_branches(cls, trace: PackedTrace, stop_reason: str) -> "WalkResult":
+        """The walk whose run executed ``trace``'s branches, in order."""
+        packed = conditional_only(trace)
+        streams: Dict[int, List[bool]] = {}
+        for pc, taken in zip(packed.cond_pc, packed.cond_taken):
+            streams.setdefault(pc, []).append(taken)
+        return cls(packed=packed, streams=streams, stop_reason=stop_reason)
+
+    @classmethod
+    def of_trace(
+        cls, trace: PackedTrace, mix: InstructionMix, budget: int
+    ) -> "Optional[WalkResult]":
+        """:func:`walk_program`'s result, read off a dynamic trace.
+
+        ``trace`` and ``mix`` are what the CPU produced running the same
+        program with ``max_conditional_branches=budget`` and no instruction
+        cap (a workload trace of that scale), so the walk would have run
+        the same instructions and stopped at the budget or at HALT, unless
+        its step cap came first.  That stop is the one case a trace cannot
+        reproduce, and it returns None: walk the program instead.
+        """
+        if mix.conditional > budget:
+            raise ValueError(
+                f"a trace of {mix.conditional} conditional branches"
+                f" is not a walk of budget {budget}"
+            )
+        if mix.total_instructions >= default_step_cap(budget):
+            return None
+        return cls.of_branches(trace, "budget" if mix.conditional == budget else "halt")
 
     @property
     def known_conditionals(self) -> int:
@@ -613,14 +653,23 @@ class WalkResult:
         return list(zip(self.packed.cond_pc, self.packed.cond_taken))
 
 
+def _fault_reason(program: Program, pc: int) -> str:
+    """The stop reason of a run that faulted at ``pc``."""
+    if pc & 3 or not program.text_base <= pc < program.text_end:
+        return "bad-fetch"
+    if program.instruction_at(pc).opcode in (Opcode.LD, Opcode.ST):
+        return "misaligned-access"
+    return "divide-fault"
+
+
 def walk_program(
     program: Program, budget: int, step_cap: Optional[int] = None
 ) -> WalkResult:
     """Run ``program`` on the CPU until ``budget`` conditional branches
     have executed, it halts, it faults, or ``step_cap`` instructions (by
-    default ``200 * budget + 10_000``) have run."""
+    default :func:`default_step_cap`) have run."""
     if step_cap is None:
-        step_cap = 200 * budget + 10_000
+        step_cap = default_step_cap(budget)
     try:
         result = CPU(program).run(
             max_instructions=step_cap, max_conditional_branches=budget
@@ -628,17 +677,9 @@ def walk_program(
     except ExecutionError as fault:
         # CPU.run sets both: the faulting pc and the branches before it
         assert fault.pc is not None and fault.trace is not None
-        fetched = program.text_base <= fault.pc < program.text_end and not fault.pc & 3
-        stop_reason = "divide-fault" if fetched else "bad-fetch"
-        trace = fault.trace
+        return WalkResult.of_branches(fault.trace, _fault_reason(program, fault.pc))
+    if result.instructions_executed >= step_cap:
+        stop_reason = "step-cap"
     else:
-        if result.instructions_executed >= step_cap:
-            stop_reason = "step-cap"
-        else:
-            stop_reason = "halt" if result.halted else "budget"
-        trace = result.packed
-    packed = conditional_only(trace)
-    streams: Dict[int, List[bool]] = {}
-    for pc, taken in zip(packed.cond_pc, packed.cond_taken):
-        streams.setdefault(pc, []).append(taken)
-    return WalkResult(packed=packed, streams=streams, stop_reason=stop_reason)
+        stop_reason = "halt" if result.halted else "budget"
+    return WalkResult.of_branches(result.packed, stop_reason)

@@ -65,6 +65,7 @@ from repro.analysis.absint import (
     LoopAnalysis,
     LoopSummary,
     Resolution,
+    WalkResult,
     reaching_definitions,
     walk_program,
 )
@@ -511,13 +512,16 @@ def analyze_program(
     cfg: Optional[ControlFlowGraph] = None,
     schemes: Sequence[AnalysisScheme] = ANALYSIS_SCHEMES,
     backend: Optional[str] = None,
+    walk: Optional[WalkResult] = None,
 ) -> PredictabilityReport:
     """Classify every conditional site of ``program`` and bound every
     scheme's per-site accuracy at trace scale ``scale`` (the simulator's
     ``max_conditional_branches``).  ``backend`` picks the engine that
     replays a complete walk (:func:`repro.sim.analysis.per_site_scores`);
     a partial walk's per-site streams always replay on the scalar engine.
-    The bounds are identical on both."""
+    The bounds are identical on both.  ``walk`` is the program's
+    :func:`walk_program` of ``scale`` when the caller already has it
+    (:meth:`WalkResult.of_trace`); without it the program is walked here."""
     import repro.sim.analysis as sim_analysis
 
     if cfg is None:
@@ -525,7 +529,8 @@ def analyze_program(
     resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
     loop_analysis = LoopAnalysis(resolution=resolution)
     loops = loop_analysis.summarize()
-    walk = walk_program(program, scale)
+    if walk is None:
+        walk = walk_program(program, scale)
     finder = _CorrelationFinder(resolution)
 
     sites = conditional_sites(program)

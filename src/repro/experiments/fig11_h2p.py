@@ -21,6 +21,11 @@ vector/scalar parity gate in CI.
 The report (:func:`run`) and the site table (:func:`site_table`) share one
 pass per benchmark per :class:`TraceCache`: the static analysis and the
 per-site maps are computed once and kept only as long as that cache lives.
+The analysis reads its deterministic walk off the cached test trace
+(:meth:`~repro.analysis.absint.WalkResult.of_trace`), so a benchmark runs
+on the CPU once, or not at all when the trace store is warm.  ``repro
+analyze`` and cross-validation walk on their own, which keeps the static
+side independent where it is checked against the trace.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend:
     key = (name, max_conditional, backend)
     if key not in memo:
         import repro.sim.analysis as sim_analysis
-        from repro.analysis import analyze_program
+        from repro.analysis import WalkResult, analyze_program
         from repro.analysis.predictability import ANALYSIS_SCHEMES, REFERENCE_SCHEME
 
         # the H2P ranking reads the reference scheme's bounds and nothing
@@ -70,11 +75,18 @@ def _benchmark_pass(name: str, max_conditional: int, cache: TraceCache, backend:
         reference = [s for s in ANALYSIS_SCHEMES if s.name == REFERENCE_SCHEME]
         workload = get_workload(name)
         program = assemble(workload.build_source(workload.dataset("test")))
-        static = analyze_program(
-            program, max_conditional, name=name, schemes=reference, backend=backend
-        )
+        # the test trace is the walk of its budget: one CPU run serves both
         trace = cache.get(workload, "test", max_conditional)
-        maps = sim_analysis.per_site_scores(SPECS, trace.packed(), backend)
+        packed = trace.packed()
+        static = analyze_program(
+            program,
+            max_conditional,
+            name=name,
+            schemes=reference,
+            backend=backend,
+            walk=WalkResult.of_trace(packed, trace.mix, max_conditional),
+        )
+        maps = sim_analysis.per_site_scores(SPECS, packed, backend)
         memo[key] = (static, trace, maps)
     return memo[key]
 

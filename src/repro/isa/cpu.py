@@ -51,9 +51,10 @@ _NO_LIMIT = 1 << 62
 #: opcodes that end a block: HALT and every branch
 _CONTROL = frozenset(op for op in Opcode if op == Opcode.HALT or op >= Opcode.BEQ)
 
-#: ops whose only effect is writing ``rd`` (dropped when ``rd`` is r0)
+#: ops whose only effect is writing ``rd`` (dropped when ``rd`` is r0);
+#: a word load is not one, as a misaligned address faults
 _PURE = (
-    frozenset(ALU_SEMANTICS) | frozenset(IMM_SEMANTICS) | {Opcode.LD, Opcode.LDB}
+    frozenset(ALU_SEMANTICS) | frozenset(IMM_SEMANTICS) | {Opcode.LDB}
 ) - {Opcode.DIVS, Opcode.REMS}
 #: register-register ops whose result is a constant when both sources are
 #: r0 (every immediate op folds when its source is r0)
@@ -185,16 +186,28 @@ def _srai(regs, words, rd, rs1, rs2, imm, pc):
 @_effect(Opcode.LD)
 def _ld(regs, words, rd, rs1, rs2, imm, pc):
     load = words.get
+    if not rd:
+        def ld_r0() -> None:  # the load's only effect is its fault
+            address = regs[rs1] + imm
+            if address & 3:
+                raise ExecutionError(f"misaligned word load at {address:#x}", pc=pc)
+        return ld_r0
 
     def ld() -> None:
-        regs[rd] = load((regs[rs1] + imm) >> 2, 0)
+        address = regs[rs1] + imm
+        if address & 3:
+            raise ExecutionError(f"misaligned word load at {address:#x}", pc=pc)
+        regs[rd] = load(address >> 2, 0)
     return ld
 
 
 @_effect(Opcode.ST)
 def _st(regs, words, rd, rs1, rs2, imm, pc):
     def st() -> None:
-        words[(regs[rs1] + imm) >> 2] = regs[rd]
+        address = regs[rs1] + imm
+        if address & 3:
+            raise ExecutionError(f"misaligned word store at {address:#x}", pc=pc)
+        words[address >> 2] = regs[rd]
     return st
 
 

@@ -14,18 +14,28 @@ other: no ``USE_ALT_ON_NA`` heuristic, no randomised allocation (the first
 is decremented), no periodic ``u`` reset.  The hash functions are plain
 XOR folds defined by :func:`fold_history`, :func:`tage_index` and
 :func:`tage_tag`.  The columnar kernel runs the same fixed-chunk fold over
-whole history columns.  The scalar predictor folds nothing per outcome: a
-fold masks, shifts and XORs, so it is linear over XOR, and the fold of a
-history is exactly the XOR of the folds of its bytes.  One 256-entry table
-per history byte, built by :func:`fold_history` itself, holds every
-table's index fold and tag hash for each byte value; a lookup per byte
-(at most four) and their XOR give all of them at once.  The property
-tests hold the result equal to :func:`tage_index` and :func:`tage_tag`
-after every outcome.
+whole history columns.
+
+The scalar predictor folds nothing per outcome.  A fold masks, shifts and
+XORs, so it is linear over XOR, and the fold of a history is exactly the
+XOR of the folds of its bytes.  Each of the four history bytes has a
+256-entry table, built by :func:`fold_history` itself, whose entries are
+*lane-packed* integers: table ``i``'s index fold sits in the 16-bit lane
+at bit ``16 * i`` and its tag hash in the 8-bit lane at bit
+``16 * tables + 8 * i``.  An index fold has at most 16 bits and a tag
+``TAG_BITS == 8``, so XORing entries never carries between lanes.  The
+branch's word address joins every lane with two multiplies,
+``(word & index_mask) * index_rep`` and ``(word & 0xFF) * tag_rep``, where
+``index_rep`` and ``tag_rep`` hold a 1 at the bottom of each index lane and
+of each tag lane.  One
+``struct`` unpack of the resulting ``3 * tables`` little-endian bytes then
+yields every index and every tag.  The property tests hold the result
+equal to :func:`tage_index` and :func:`tage_tag` after every outcome.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import List, Sequence, Tuple
 
@@ -196,22 +206,28 @@ class TageState:
         return prediction
 
 
-@lru_cache(maxsize=None)
-def _byte_tables(tables: int, entry_bits: int) -> Tuple[Tuple[int, ...], ...]:
-    """Per history byte, the packed hash contribution of each byte value.
+#: width of a lane-packed entry's index lanes (an index fold has at most
+#: 16 bits; its tag lanes are TAG_BITS wide)
+INDEX_LANE_BITS = 16
+#: history bytes a lane table covers: the longest history is 32 bits
+HISTORY_BYTES = 4
 
-    Entry ``v`` of table ``k`` packs, for every tagged table ``i``, the
-    index fold of ``v << 8k`` at bit ``i * (entry_bits + TAG_BITS)`` and
-    its tag hash ``fold8 ^ (fold7 << 1)`` just above it.  The fields never
-    carry into each other, so the XOR of packed entries is the packed XOR
-    of the folds.  Cached: every predictor of one geometry, a serve
-    session's included, shares the tables.
+
+@lru_cache(maxsize=None)
+def _lane_tables(tables: int, entry_bits: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per history byte, the lane-packed hash contribution of each value.
+
+    Entry ``v`` of byte ``k`` packs, for every tagged table ``i``, the
+    index fold of ``v << 8k`` in the index lane at bit ``16 * i`` and its
+    tag hash ``fold8 ^ (fold7 << 1)`` in the tag lane at bit
+    ``16 * tables + 8 * i``.  Bytes beyond the longest history fold to
+    zero.  Cached: every predictor of one geometry, a serve session's
+    included, shares the tables.
     """
     lengths = tage_geometries(tables)
-    width = entry_bits + TAG_BITS
-    byte_count = (lengths[-1] + 7) // 8
+    tag_base = INDEX_LANE_BITS * tables
     built = []
-    for position in range(byte_count):
+    for position in range(HISTORY_BYTES):
         entries = []
         for value in range(256):
             history = value << (8 * position)
@@ -220,9 +236,10 @@ def _byte_tables(tables: int, entry_bits: int) -> Tuple[Tuple[int, ...], ...]:
                 tag = fold_history(history, length, TAG_BITS) ^ (
                     fold_history(history, length, TAG_BITS - 1) << 1
                 )
-                packed |= (
-                    fold_history(history, length, entry_bits) | tag << entry_bits
-                ) << (i * width)
+                packed |= fold_history(history, length, entry_bits) << (
+                    INDEX_LANE_BITS * i
+                )
+                packed |= tag << (tag_base + TAG_BITS * i)
             entries.append(packed)
         built.append(tuple(entries))
     return tuple(built)
@@ -232,10 +249,10 @@ class TagePredictor(ConditionalBranchPredictor):
     """TAGE over a single global history register (init all-zeros).
 
     The indices and tags are exactly :func:`tage_index` and
-    :func:`tage_tag`, but no fold runs per outcome: the XOR of at most
-    four byte-table lookups (:func:`_byte_tables`) gives every table's
-    index fold and tag hash at once, and an outcome only shifts the
-    history.
+    :func:`tage_tag`, but no fold runs per outcome: the XOR of four
+    lane-packed byte-table lookups (:func:`_lane_tables`) and the pc's
+    two lane multiplies holds every table's index and tag, one unpack
+    splits them out, and an outcome only shifts the history.
     """
 
     def __init__(self, tables: int, entry_bits: int = DEFAULT_ENTRY_BITS):
@@ -245,28 +262,32 @@ class TagePredictor(ConditionalBranchPredictor):
         self.max_history = self.state.lengths[-1]
         self._mask = (1 << self.max_history) - 1
         self._index_mask = (1 << entry_bits) - 1
-        self._tag_mask = (1 << TAG_BITS) - 1
         self._base_mask = (1 << (entry_bits + BASE_EXTRA_BITS)) - 1
-        width = entry_bits + TAG_BITS
-        self._index_shifts = [i * width for i in range(tables)]
-        self._tag_shifts = [i * width + entry_bits for i in range(tables)]
-        #: (byte table, shift of its history byte), low byte first
-        self._lookups = [
-            (table, 8 * position)
-            for position, table in enumerate(_byte_tables(tables, entry_bits))
-        ]
+        self._lanes = _lane_tables(tables, entry_bits)
+        #: a 1 at the bottom of every index lane, and of every tag lane
+        self._index_rep = sum(1 << (INDEX_LANE_BITS * i) for i in range(tables))
+        self._tag_rep = sum(
+            1 << (INDEX_LANE_BITS * tables + TAG_BITS * i) for i in range(tables)
+        )
+        #: bytes of a lane-packed value: two per index lane, one per tag lane
+        self._width = 3 * tables
+        self._unpack = struct.Struct(f"<{tables}H{tables}B").unpack
         self._history = 0
 
-    def _hashes(self, pc: int) -> Tuple[int, List[int], List[int]]:
-        history = self._history
-        folds = 0
-        for table, shift in self._lookups:
-            folds ^= table[(history >> shift) & 0xFF]
+    def _hashes(self, pc: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """(base index, indices, tags) of ``pc`` under the current history."""
+        low, second, third, high = self._history.to_bytes(HISTORY_BYTES, "little")
+        byte0, byte1, byte2, byte3 = self._lanes
         word = pc >> 2
-        index_mask, tag_mask = self._index_mask, self._tag_mask
-        indices = [(word ^ (folds >> shift)) & index_mask for shift in self._index_shifts]
-        tags = [(word ^ (folds >> shift)) & tag_mask for shift in self._tag_shifts]
-        return word & self._base_mask, indices, tags
+        hashes = self._unpack(
+            (
+                byte0[low] ^ byte1[second] ^ byte2[third] ^ byte3[high]
+                ^ (word & self._index_mask) * self._index_rep
+                ^ (word & 0xFF) * self._tag_rep
+            ).to_bytes(self._width, "little")
+        )
+        tables = self.tables
+        return word & self._base_mask, hashes[:tables], hashes[tables:]
 
     def predict(self, pc: int, target: int) -> bool:
         return self.state.peek(*self._hashes(pc))

@@ -282,11 +282,11 @@ def _tage_predictions(
     """TAGE predictions with columnar hashing and a sequential state walk.
 
     All per-table folded indices and tags — which the scalar predictor
-    reads from its byte tables one record at a time — are precomputed as
-    whole columns;
-    the remaining walk drives :meth:`TageState.step` (the *same* update
-    rule the scalar predictor runs), mutating ``state`` in place so
-    streaming sessions can carry it across batches.
+    reads from its lane-packed byte tables one record at a time — are
+    precomputed as whole columns; the remaining walk drives
+    :meth:`TageState.step` (the *same* update rule the scalar predictor
+    runs), mutating ``state`` in place so streaming sessions can carry it
+    across batches.
     """
     entry_bits = state.entry_bits
     index_mask = (1 << entry_bits) - 1

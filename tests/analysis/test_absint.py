@@ -282,6 +282,29 @@ loop:
         [stream] = result.streams.values()
         assert stream == [True, True, True, False]
 
+    @pytest.mark.parametrize("access", ["ld r6, 2(r5)", "st r6, 2(r5)"])
+    def test_misaligned_word_access_keeps_the_branches_before_it(self, access):
+        program = assemble(
+            f"""
+_start:
+    li r2, 2
+    li r5, buf
+loop:
+    subi r2, r2, 1
+    bnez r2, loop
+    {access}
+    halt
+.data
+buf: .space 2
+"""
+        )
+        result = walk_program(program, budget=100)
+        assert (result.stop_reason, result.halted, result.complete) == (
+            "misaligned-access", False, False,
+        )
+        [stream] = result.streams.values()
+        assert stream == [True, False]
+
     def test_jump_out_of_the_text_segment(self):
         program = assemble(
             """

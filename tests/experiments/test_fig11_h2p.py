@@ -137,3 +137,34 @@ def test_reference_only_ranking_matches_the_full_registry(name):
     full = repro.analysis.analyze_program(program, 1_000, name=name)
     alone = repro.analysis.analyze_program(program, 1_000, name=name, schemes=reference)
     assert alone.h2p_ranking() == full.h2p_ranking()
+
+
+@pytest.fixture()
+def cpu_runs(monkeypatch) -> list:
+    """The program of every ``CPU.run`` call, in call order."""
+    from repro.isa.cpu import CPU
+
+    runs = []
+    original = CPU.run
+
+    def run(self, *args, **kwargs):
+        runs.append(self.program)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CPU, "run", run)
+    return runs
+
+
+def test_each_benchmark_runs_on_the_cpu_once(cpu_runs, tmp_path):
+    # cold: the test trace is generated once and the analysis walks it
+    cache = TraceCache(disk_dir=tmp_path)
+    report = fig11_h2p.run(SCALE, BENCHMARKS, cache)
+    fig11_h2p.site_table(SCALE, BENCHMARKS, cache)
+    assert len(cpu_runs) == len(BENCHMARKS)
+    assert not report.failures()
+
+    # warm: the store holds both traces, so nothing runs at all
+    warm = TraceCache(disk_dir=tmp_path)
+    assert fig11_h2p.run(SCALE, BENCHMARKS, warm).rows == report.rows
+    fig11_h2p.site_table(SCALE, BENCHMARKS, warm)
+    assert len(cpu_runs) == len(BENCHMARKS)

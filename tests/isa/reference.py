@@ -43,6 +43,13 @@ class ReferenceCPU:
         if rd:
             self.regs[rd] = value
 
+    def _word_address(self, address: int, access: str, pc: int) -> int:
+        """``address``, or a fault at ``pc`` if it is not word-aligned."""
+        if address & 3:
+            self.pc = pc
+            raise ExecutionError(f"misaligned word {access} at {address:#x}", pc=pc)
+        return address
+
     def run(
         self,
         max_instructions: Optional[int] = None,
@@ -78,9 +85,11 @@ class ReferenceCPU:
             elif op in IMM_SEMANTICS:
                 self._write(rd, IMM_SEMANTICS[op](regs[rs1], imm))
             elif op is Opcode.LD:
-                self._write(rd, words.get((regs[rs1] + imm) >> 2, 0))
+                address = self._word_address(regs[rs1] + imm, "load", pc)
+                self._write(rd, words.get(address >> 2, 0))
             elif op is Opcode.ST:
-                words[(regs[rs1] + imm) >> 2] = regs[rd]
+                address = self._word_address(regs[rs1] + imm, "store", pc)
+                words[address >> 2] = regs[rd]
             elif op is Opcode.LDB:
                 address = regs[rs1] + imm
                 word = words.get(address >> 2, 0)

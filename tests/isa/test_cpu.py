@@ -117,6 +117,46 @@ class TestMemory:
         assert cpu.regs[6] == 0x44
         assert cpu.regs[8] == 0x11AA3344
 
+    #: a loop's two branches, then one word access at ``buf + 2``
+    MISALIGNED = """
+        _start:
+            li r2, 2
+        loop:
+            subi r2, r2, 1
+            bnez r2, loop
+            li r3, buf
+            li r4, 7
+            {access} 2(r3)
+            halt
+        .data
+        buf: .space 2
+    """
+
+    @pytest.mark.parametrize(
+        "access,message",
+        [
+            ("ld r4,", "misaligned word load"),
+            ("ld r0,", "misaligned word load"),  # a discarded result still faults
+            ("st r4,", "misaligned word store"),
+        ],
+    )
+    def test_misaligned_word_access_faults(self, access, message):
+        program = assemble(self.MISALIGNED.format(access=access))
+        cpu = CPU(program)
+        with pytest.raises(ExecutionError, match=message) as caught:
+            cpu.run()
+        fault = caught.value
+        assert fault.pc == cpu.pc
+        assert program.instruction_at(fault.pc).opcode.name.lower() == access[:2]
+        assert [record.taken for record in fault.trace] == [True, False]
+        assert cpu.regs[4] == 7
+        assert not any(cpu.memory._words.values())  # the store never landed
+
+    def test_byte_access_needs_no_alignment(self):
+        cpu = run(self.MISALIGNED.format(access="stb r4,").replace("halt", "ldb r5, 2(r3)\nhalt"))
+        assert cpu.result.halted
+        assert cpu.regs[5] == 7
+
 
 class TestControlFlow:
     def test_call_and_return(self):

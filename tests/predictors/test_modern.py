@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.predictors.modern import (
@@ -142,9 +143,9 @@ class TestTageHashing:
 
 class TestTageFoldedRegisters:
     """The scalar predictor reads its folded history values from one
-    table per history byte (XORing the lookups); after every outcome they
-    must equal the re-folded definition, and the hashes the definition's
-    indices and tags."""
+    lane-packed table per history byte (XORing the lookups); after every
+    outcome they must equal the re-folded definition, and the hashes the
+    definition's indices and tags."""
 
     @pytest.mark.parametrize("entry_bits", [1, 3, 9, 16])
     @pytest.mark.parametrize("tables", range(1, MAX_TABLES + 1))
@@ -154,7 +155,6 @@ class TestTageFoldedRegisters:
         rng = random.Random(tables * 100 + entry_bits)
         predictor = TagePredictor(tables, entry_bits)
         lengths = tage_geometries(tables)
-        width = entry_bits + TAG_BITS
         history = 0
         for step in range(300):
             if step == 150:
@@ -166,23 +166,43 @@ class TestTageFoldedRegisters:
             history = ((history << 1) | taken) & ((1 << lengths[-1]) - 1)
             assert predictor._history == history
             folds = 0
-            for table, shift in predictor._lookups:
-                folds ^= table[(history >> shift) & 0xFF]
+            for position, table in enumerate(predictor._lanes):
+                folds ^= table[(history >> (8 * position)) & 0xFF]
             for i, length in enumerate(lengths):
-                field = folds >> (i * width)
-                assert field & ((1 << entry_bits) - 1) == fold_history(
+                assert (folds >> (16 * i)) & 0xFFFF == fold_history(
                     history, length, entry_bits
                 )
-                assert (field >> entry_bits) & ((1 << TAG_BITS) - 1) == (
+                assert (folds >> (16 * tables + TAG_BITS * i)) & 0xFF == (
                     fold_history(history, length, TAG_BITS)
                     ^ (fold_history(history, length, TAG_BITS - 1) << 1)
                 )
             base, indices, tags = predictor._hashes(pc)
             assert base == (pc >> 2) & ((1 << (entry_bits + 2)) - 1)
-            assert indices == [
+            assert list(indices) == [
                 tage_index(pc, history, length, entry_bits) for length in lengths
             ]
-            assert tags == [tage_tag(pc, history, length) for length in lengths]
+            assert list(tags) == [tage_tag(pc, history, length) for length in lengths]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tables=st.integers(1, MAX_TABLES),
+        entry_bits=st.sampled_from([1, 8, 9, 16]),
+        history=st.integers(0, (1 << 32) - 1),
+        pc=st.integers(0, (1 << 32) - 1),
+    )
+    def test_lane_hashes_equal_the_definition(self, tables, entry_bits, history, pc):
+        # the widest index lane (16 bits) and tag lane (8 bits) must not
+        # carry into their neighbours under any history or pc
+        predictor = TagePredictor(tables, entry_bits)
+        lengths = tage_geometries(tables)
+        history &= (1 << lengths[-1]) - 1
+        predictor._history = history
+        base, indices, tags = predictor._hashes(pc)
+        assert base == (pc >> 2) & ((1 << (entry_bits + 2)) - 1)
+        assert indices == tuple(
+            tage_index(pc, history, length, entry_bits) for length in lengths
+        )
+        assert tags == tuple(tage_tag(pc, history, length) for length in lengths)
 
     def test_fold_is_xor_linear(self):
         # the property the byte tables rest on
