@@ -1,7 +1,8 @@
 """Vectorized kernels vs the scalar packed-trace engine, wall clock.
 
 For each kernel family (two-level AT, per-address LS, global-history GAg,
-stateless BTFN, and the finite-HRT AHRT/HHRT replays) the bench scores the
+stateless BTFN, the finite-HRT AHRT/HHRT replays, and the perceptron and
+TAGE walks) the bench scores the
 same spec over the same eqntott trace with both backends, asserts the stats
 are identical, and prints best-of-5 timings.  A second test measures the
 trace-store path end to end: building a trace into a cold store, loading it
@@ -39,7 +40,8 @@ from repro.workloads.base import TraceCache, get_workload, parse_scale
 DEFAULT_SCALE = 50_000
 
 #: one spec per kernel shape (PT replay, per-address replay, global history,
-#: stateless comparison, set-associative and hashed HRT front-ends).
+#: stateless comparison, set-associative and hashed HRT front-ends, and the
+#: two sequential walks).
 FAMILIES = [
     ("two-level AT", "AT(IHRT(,12SR),PT(2^12,A2),)"),
     ("Lee-Smith LS", "LS(IHRT(,A2),,)"),

@@ -16,7 +16,10 @@ per-site map, those bounds included, is scored on the requested backend
 (:func:`repro.sim.analysis.per_site_scores`); a parity
 shape-check additionally scores the modern schemes on the scalar engine
 and asserts the totals agree, so `repro h2p` doubles as an end-to-end
-vector/scalar parity gate in CI.
+vector/scalar parity gate in CI.  On the vector backend that compares two
+implementations of each modern scheme: the lane-packed perceptron walk
+and the flat-table TAGE walk (:mod:`repro.sim.kernels`) against
+``PerceptronPredictor`` and ``TagePredictor``.
 
 The report (:func:`run`) and the site table (:func:`site_table`) share one
 pass per benchmark per :class:`TraceCache`: the static analysis and the

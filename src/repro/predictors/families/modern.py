@@ -1,7 +1,8 @@
 """The modern comparators: ``perceptron(h[,rows])`` and
 ``tage(tables[,entry_bits])`` (:mod:`repro.predictors.modern`).  Both
 read one init-0 global history register; TAGE's ``history_length`` is
-its longest geometric table."""
+its longest geometric table.  Both vector recipes walk their records in
+order, one :mod:`repro.sim.kernels` walk object per session."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import SpecParseError
 from repro.predictors.base import ConditionalBranchPredictor
-from repro.predictors.families import Family, call_grammar, register, replay_sessions
+from repro.predictors.families import Family, call_grammar, register
 from repro.predictors.modern import (
     DEFAULT_ENTRY_BITS,
     DEFAULT_ROWS,
@@ -17,7 +18,6 @@ from repro.predictors.modern import (
     MAX_TABLES,
     PerceptronPredictor,
     TagePredictor,
-    TageState,
     tage_geometries,
 )
 from repro.predictors.spec import PredictorSpec
@@ -26,6 +26,24 @@ from repro.predictors.spec import PredictorSpec
 class _Modern(Family):
     def __init__(self) -> None:
         self.grammar = call_grammar(self.scheme, r"\d+")
+
+    def reserve(self, spec: PredictorSpec, ctx: Any) -> None:
+        assert spec.history_length is not None
+        ctx.reserve_global(spec.history_length, 0)
+
+    def direct_mask(self, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]) -> Any:
+        assert spec.history_length is not None
+        windows = ctx.global_history(spec.history_length, 0)
+        prediction = ctx.np.empty(len(ctx), dtype=bool)
+        for rows, walk in ctx.sessions((self.scheme,), lambda: self.walk(spec)):
+            prediction[rows] = walk.predict(
+                ctx.np, ctx.pc[rows], windows[rows], ctx.taken_bool[rows]
+            )
+        return prediction == ctx.taken_bool
+
+    def walk(self, spec: PredictorSpec) -> Any:
+        """A fresh per-session walk object (:mod:`repro.sim.kernels`)."""
+        raise NotImplementedError
 
     def parse(self, text: str) -> Optional[PredictorSpec]:
         match = self.grammar.match(text)
@@ -60,17 +78,15 @@ class _Perceptron(_Modern):
         assert spec.history_length is not None
         return PerceptronPredictor(spec.history_length, spec.rows or DEFAULT_ROWS)
 
-    #: training fires on about a quarter of the records, too often for a
-    #: columnar scan over the weight rows to beat the scalar ``observe``
-    direct_mask = replay_sessions
+    def walk(self, spec: PredictorSpec) -> Any:
+        from repro.sim.kernels import PerceptronWalk
+
+        assert spec.history_length is not None
+        return PerceptronWalk(spec.history_length, spec.rows or DEFAULT_ROWS)
 
 
 class _Tage(_Modern):
     scheme = "TAGE"
-
-    def reserve(self, spec: PredictorSpec, ctx: Any) -> None:
-        assert spec.history_length is not None
-        ctx.reserve_global(spec.history_length, 0)
 
     def make(self, first: int, second: Optional[int], text: str) -> PredictorSpec:
         if not 1 <= first <= MAX_TABLES:
@@ -94,19 +110,11 @@ class _Tage(_Modern):
         assert spec.tage_tables is not None
         return TagePredictor(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS)
 
-    def direct_mask(self, spec: PredictorSpec, ctx: Any, trainings: Mapping[str, Any]) -> Any:
-        from repro.sim.kernels import _tage_predictions
+    def walk(self, spec: PredictorSpec) -> Any:
+        from repro.sim.kernels import TageWalk
 
-        np = ctx.np
-        assert spec.tage_tables is not None and spec.history_length is not None
-        tables, bits = spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS
-        histories = ctx.global_history(spec.history_length, 0)
-        prediction = np.empty(len(ctx), dtype=bool)
-        for rows, state in ctx.sessions(("tage",), lambda: TageState(tables, bits)):
-            prediction[rows] = _tage_predictions(
-                np, ctx.pc[rows], histories[rows], ctx.taken[rows], state
-            )
-        return prediction == ctx.taken_bool
+        assert spec.tage_tables is not None
+        return TageWalk(spec.tage_tables, spec.tage_entry_bits or DEFAULT_ENTRY_BITS)
 
 
 for _family in (_Perceptron(), _Tage()):

@@ -35,9 +35,8 @@ WEIGHT_MAX = 127
 #: default number of weight-vector rows (4 KB-class table at h=12).
 DEFAULT_ROWS = 512
 
-#: widest supported history.  The predictor keeps its history as a list,
-#: so no int64 column bounds it; the limit only fixes which specs the
-#: grammar accepts.
+#: widest supported history.  The vector walk reads each record's history
+#: window from an int64 column, which bounds it below 64 bits.
 MAX_HISTORY = 62
 
 

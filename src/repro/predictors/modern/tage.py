@@ -99,10 +99,10 @@ class TageState:
     """The mutable tables of one TAGE instance, hash-agnostic.
 
     Callers hand :meth:`peek` / :meth:`step` the *precomputed* base index
-    and per-table (index, tag) pairs; the scalar predictor computes them
-    per record, the vector kernel computes them columnar.  Keeping the
-    selection/update logic here — and only here — is what makes the two
-    paths bit-exact by construction.
+    and per-table (index, tag) pairs, which the scalar predictor computes
+    per record.  :meth:`step` is the reference selection and update rule;
+    the vector walk (:class:`repro.sim.kernels.TageWalk`) inlines the same
+    rule over flat tables and is property-tested equal to it.
     """
 
     def __init__(self, tables: int, entry_bits: int):

@@ -18,16 +18,15 @@ here is a one-spec fused sweep.
   pattern derived by a per-branch sliding window), Static Training
   (profiled preset bits, so the test pass is a table lookup), and the
   global-history extensions GAg and gshare (single global window).
-* **TAGE** (:mod:`repro.predictors.modern`) couples its tables through
-  provider selection and allocation, so its per-record state walk is
-  inherently sequential; the kernel instead lifts all the *hash* work —
-  per-table folded indices and tags over the global-history column —
-  into whole-column NumPy passes, then drives the same
-  :class:`~repro.predictors.modern.TageState` update rule the scalar
-  predictor uses, guaranteeing bit-exactness.
-* **The perceptron** trains on about a quarter of its records, too often
-  for a speculative block scan to win, so its recipe drives the scalar
-  predictor itself, one per session.
+* **The perceptron and TAGE** (:mod:`repro.predictors.modern`) train or
+  allocate on so many records that their state walk stays sequential:
+  :class:`PerceptronWalk` and :class:`TageWalk` carry one session's
+  tables and walk its records in order.  The perceptron keeps each weight
+  row as one int of 16-bit lanes, so a dot product is a mask and a
+  multiply and a training step one addition; TAGE computes its folded
+  indices and tags as whole columns and inlines the update rule over flat
+  tables.  The scalar predictors stay the reference they are checked
+  against.
 * **Finite HRT front-ends** (AHRT / HHRT) reduce to the same bucket
   machinery through a *key remap*:
 
@@ -60,8 +59,12 @@ from repro.errors import ConfigError, KernelError
 from repro.predictors.hrt import _HASH_MULTIPLIER
 from repro.predictors.modern import (
     BASE_EXTRA_BITS,
+    CTR_MAX,
+    CTR_MIN,
     TAG_BITS,
-    TageState,
+    U_MAX,
+    perceptron_threshold,
+    tage_geometries,
 )
 from repro.predictors.spec import PredictorSpec
 from repro.sim.backend import numpy_or_none, resolve_backend
@@ -263,8 +266,87 @@ def _hrt_keys(np: Any, spec: PredictorSpec, pc: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# TAGE kernel
+# sequential walks: perceptron and TAGE
 # ----------------------------------------------------------------------
+#: a packed perceptron lane holds ``w + 384``: the weight range [-128, 127]
+#: is lanes 256..511, exactly those with bit 8 set and bit 9 clear, so a
+#: ±1 step that leaves the range (to lane 255 or 512) flips one of them
+_LANE_OFFSET = 384
+#: records per block of perceptron window constants, bounding their size
+_PERCEPTRON_BLOCK = 4096
+
+
+class PerceptronWalk:
+    """One perceptron's weight table, walked record by record.
+
+    Row ``r`` is one Python int of ``h + 1`` 16-bit lanes, lane ``i``
+    holding weight ``i`` plus :data:`_LANE_OFFSET` (lane 0 the bias), next
+    to the row's weight sum.  For a history window whose +1 inputs fill
+    the lane mask ``m`` (``npos`` lanes, the bias included),
+    ``y = 2 * lanesum(row & m) - 2 * 384 * npos - weightsum``, and the lane
+    sum is one multiply: no lane sum reaches ``2 * 63 * 511 < 2**16``, so
+    no lane carries.  Training toward taken adds ``+1`` to the +1 lanes and
+    ``-1`` to the others in one addition (no lane leaves 255..512, so none
+    borrows); only a step out of [-128, 127] clamps.  The window's
+    constants are computed once per distinct window in a block.
+    """
+
+    def __init__(self, history_length: int, rows: int):
+        self.history_length, self.rows = history_length, rows
+        #: a 1 at the bottom of every lane
+        self.ones = int("0001" * (history_length + 1), 16)
+        self.weights = [_LANE_OFFSET * self.ones] * rows
+        self.sums = [0] * rows
+
+    def predict(self, np: Any, pc: Any, windows: Any, taken: Any) -> Any:
+        """Predictions for records with global-history ``windows`` (bit
+        ``j - 1`` the outcome ``j`` branches ago), training as it goes."""
+        h, ones, weights, sums = self.history_length, self.ones, self.weights, self.sums
+        low, high = ones << 8, ones << 9
+        out_of_range, twos, top = low | high, ones << 1, 16 * h
+        theta = perceptron_threshold(h)
+        width = 2 * (h + 1)
+        rows = ((pc >> 2) % self.rows).tolist()
+        taken = taken.tolist()
+        out: List[bool] = []
+        append = out.append
+        for start in range(0, len(rows), _PERCEPTRON_BLOCK):
+            block = slice(start, start + _PERCEPTRON_BLOCK)
+            distinct, inverse = np.unique(windows[block], return_inverse=True)
+            lanes = np.ones((len(distinct), h + 1), dtype=np.uint16)
+            lanes[:, 1:] = (distinct[:, None] >> np.arange(h)) & 1
+            raw = (lanes * np.uint16(0xFFFF)).tobytes()
+            masks = [
+                int.from_bytes(raw[at:at + width], "little") for at in range(0, len(raw), width)
+            ]
+            npos = lanes.sum(axis=1, dtype=np.int64)[inverse]
+            for row, mask, offset, step, outcome in zip(
+                rows[block],
+                map(masks.__getitem__, inverse.tolist()),
+                (2 * _LANE_OFFSET * npos).tolist(),
+                (2 * npos - (h + 1)).tolist(),
+                taken[block],
+            ):
+                packed, total = weights[row], sums[row]
+                y = ((((packed & mask) * twos) >> top) & 0xFFFF) - offset - total
+                prediction = y >= 0
+                append(prediction)
+                if prediction != outcome or -theta <= y <= theta:
+                    delta = 2 * (mask & ones) - ones
+                    if outcome:
+                        packed, total = packed + delta, total + step
+                    else:
+                        packed, total = packed - delta, total - step
+                    bad = (packed ^ low) & out_of_range
+                    if bad:  # lanes at 512 hold 0x300 here, lanes at 255 0x100
+                        over = bad & high
+                        under = (bad & low) ^ (over >> 1)
+                        packed += (under >> 8) - (over >> 9)
+                        total += under.bit_count() - over.bit_count()
+                    weights[row], sums[row] = packed, total
+        return np.array(out, dtype=bool)
+
+
 def _tage_fold_columns(np: Any, histories: Any, length: int, bits: int) -> Any:
     """Columnar twin of :func:`repro.predictors.modern.fold_history`."""
     folded = np.zeros(len(histories), dtype=np.int64)
@@ -276,56 +358,103 @@ def _tage_fold_columns(np: Any, histories: Any, length: int, bits: int) -> Any:
     return folded
 
 
-def _tage_predictions(
-    np: Any, pc: Any, histories: Any, taken: Any, state: TageState
-) -> Any:
-    """TAGE predictions with columnar hashing and a sequential state walk.
+class TageWalk:
+    """One TAGE instance's tables as flat per-field lists, walked record by
+    record.
 
-    All per-table folded indices and tags — which the scalar predictor
-    reads from its lane-packed byte tables one record at a time — are
-    precomputed as whole columns; the remaining walk drives
-    :meth:`TageState.step` (the *same* update rule the scalar predictor
-    runs), mutating ``state`` in place so streaming sessions can carry it
-    across batches.
+    Entry ``index`` of tagged table ``i`` sits at ``i * 2**entry_bits +
+    index`` in :attr:`tag`, :attr:`ctr` and :attr:`useful`.  The per-table
+    folded indices and tags are whole-column passes; the walk inlines
+    :meth:`~repro.predictors.modern.TageState.step`'s selection and update
+    rule, so no method call runs per record.
     """
-    entry_bits = state.entry_bits
-    index_mask = (1 << entry_bits) - 1
-    tag_mask = (1 << TAG_BITS) - 1
-    pc_word = pc >> 2
-    base_index = (pc_word & ((1 << (entry_bits + BASE_EXTRA_BITS)) - 1)).tolist()
-    index_columns = []
-    tag_columns = []
-    for length in state.lengths:
-        index_columns.append(
-            (
-                (pc_word ^ _tage_fold_columns(np, histories, length, entry_bits))
-                & index_mask
-            ).tolist()
-        )
-        tag_columns.append(
-            (
+
+    def __init__(self, tables: int, entry_bits: int):
+        self.tables, self.entry_bits = tables, entry_bits
+        size = tables << entry_bits
+        self.base = [2] * (1 << (entry_bits + BASE_EXTRA_BITS))
+        #: an entry never allocated holds tag -1, which no hashed tag equals
+        self.tag, self.ctr, self.useful = [-1] * size, [0] * size, [0] * size
+
+    def predict(self, np: Any, pc: Any, histories: Any, taken: Any) -> Any:
+        """Predictions for records with global-history ``histories``,
+        updating the tables as it goes."""
+        bits, tables = self.entry_bits, self.tables
+        base, tag, ctr, useful = self.base, self.tag, self.ctr, self.useful
+        pc_word = pc >> 2
+        addresses, tags = [], []
+        for i, length in enumerate(tage_geometries(tables)):
+            index = (pc_word ^ _tage_fold_columns(np, histories, length, bits)) & ((1 << bits) - 1)
+            addresses.append((index | (i << bits)).tolist())
+            tags.append(
                 (
-                    pc_word
-                    ^ _tage_fold_columns(np, histories, length, TAG_BITS)
-                    ^ (_tage_fold_columns(np, histories, length, TAG_BITS - 1) << 1)
-                )
-                & tag_mask
-            ).tolist()
-        )
-    index_rows = list(zip(*index_columns))
-    tag_rows = list(zip(*tag_columns))
-    n = len(taken)
-    out = np.empty(n, dtype=bool)
-    step = state.step
-    taken_list = taken.tolist()
-    for record in range(n):
-        out[record] = step(
-            base_index[record],
-            index_rows[record],
-            tag_rows[record],
-            taken_list[record] == 1,
-        )
-    return out
+                    (
+                        pc_word
+                        ^ _tage_fold_columns(np, histories, length, TAG_BITS)
+                        ^ (_tage_fold_columns(np, histories, length, TAG_BITS - 1) << 1)
+                    )
+                    & ((1 << TAG_BITS) - 1)
+                ).tolist()
+            )
+        out: List[bool] = []
+        append = out.append
+        # each record's addresses and tags, longest history first
+        for base_index, entries, hashes, outcome in zip(
+            (pc_word & ((1 << (bits + BASE_EXTRA_BITS)) - 1)).tolist(),
+            zip(*addresses[::-1]),
+            zip(*tags[::-1]),
+            taken.tolist(),
+        ):
+            provider = alternate = -1
+            for address, hashed in zip(entries, hashes):
+                if tag[address] == hashed:
+                    if provider < 0:
+                        provider = address
+                    else:
+                        alternate = address
+                        break
+            if provider < 0:
+                counter = base[base_index]
+                prediction = counter >= 2
+                if outcome:
+                    if counter < 3:
+                        base[base_index] = counter + 1
+                elif counter > 0:
+                    base[base_index] = counter - 1
+            else:
+                counter = ctr[provider]
+                prediction = counter >= 0
+                if alternate >= 0:
+                    alt_prediction = ctr[alternate] >= 0
+                else:
+                    alt_prediction = base[base_index] >= 2
+                if prediction != alt_prediction:
+                    u = useful[provider]
+                    if prediction == outcome:
+                        if u < U_MAX:
+                            useful[provider] = u + 1
+                    elif u > 0:
+                        useful[provider] = u - 1
+                if outcome:
+                    if counter < CTR_MAX:
+                        ctr[provider] = counter + 1
+                elif counter > CTR_MIN:
+                    ctr[provider] = counter - 1
+            append(prediction)
+            if prediction != outcome:
+                # allocate in a table longer than the provider's (any
+                # table, without one), the shortest first
+                longer = entries.index(provider) if provider >= 0 else tables
+                for address, hashed in zip(entries[:longer][::-1], hashes[:longer][::-1]):
+                    if useful[address] == 0:
+                        tag[address] = hashed
+                        ctr[address] = 0 if outcome else -1
+                        break
+                else:
+                    for address in entries[:longer]:
+                        if useful[address]:
+                            useful[address] -= 1
+        return np.array(out, dtype=bool)
 
 
 def _one_spec_trainings(

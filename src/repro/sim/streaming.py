@@ -274,8 +274,8 @@ class KeyedState:
 
 
 class _PerSlot(dict):
-    """Carried per-session objects (AHRT replays, perceptron predictors,
-    TAGE states) keyed by slot."""
+    """Carried per-session objects (AHRT replays, perceptron and TAGE
+    walks) keyed by slot."""
 
     def drop(self, slot: int) -> None:
         self.pop(slot, None)
@@ -387,7 +387,7 @@ class VectorMultiSessionScorer(MultiSessionScorer):
     ``feed_many`` call scores all queued batches as one
     :class:`SessionContext` over the spec's recipe, with the state that
     must outlive the call (history registers, automaton states, AHRT LRU
-    replays, perceptron predictors, TAGE tables) kept in per-key or per-slot
+    replays, perceptron weights, TAGE tables) kept in per-key or per-slot
     stores.  Slots are recycled: closing a session drops its entries from
     every store, so long-running servers hold state proportional to *open*
     sessions only.
