@@ -36,8 +36,6 @@ from repro.analysis.absint import (
     Resolution,
     ValueRange,
     WalkResult,
-    loop_summaries,
-    resolution_for,
     walk_program,
 )
 from repro.analysis.branches import (
@@ -112,9 +110,7 @@ __all__ = [
     "lint_program",
     "lint_source",
     "liveness",
-    "loop_summaries",
     "reaching_definitions",
-    "resolution_for",
     "static_branch_summary",
     "static_branch_table",
     "validate_predictability",

@@ -4,14 +4,20 @@ Two static engines, built on the CFG of :mod:`repro.analysis.cfg` and
 sharing the interpreter's value semantics through the tables in
 :mod:`repro.isa.instructions` (stated once, never restated):
 
-* **Value resolution** (:class:`Resolution`) — a reaching-definitions-based
-  constant/range analysis.  Registers start at the architectural zero, loads
-  are ⊤ (memory is never modelled), and every ALU opcode is evaluated
-  through :data:`~repro.isa.instructions.ALU_SEMANTICS` /
-  :data:`~repro.isa.instructions.IMM_SEMANTICS`.  Decisive range
-  comparisons prove branches one-sided *forever* — the R009 lint rule.
+* **Value resolution** (:class:`Resolution`) — a constant/range analysis,
+  solved as one fixpoint per program over its definitions.  The entry
+  definition is the architectural zero; a load, and a register no
+  definition reaches, are ⊤ (memory is never modelled); every ALU opcode is
+  evaluated through :data:`~repro.isa.instructions.ALU_SEMANTICS` /
+  :data:`~repro.isa.instructions.IMM_SEMANTICS` over the join of the
+  definitions reaching each operand.  The strongly connected components of
+  that graph are solved in dependency order; inside a cycle a worklist runs
+  lowest address first, and a definition whose value changes after its
+  first assignment widens to ⊤.  The table is a function of the program
+  alone, so no answer depends on which questions came before it.  Decisive
+  range comparisons prove branches one-sided *forever* — the R009 lint rule.
 
-* **Loop summaries** (:func:`loop_summaries`) — affine induction-variable
+* **Loop summaries** (:class:`LoopAnalysis`) — affine induction-variable
   detection through the natural-loop structure, with closed-form trip
   counts where a loop's single conditional exit compares loop-affine values
   (solved algebraically, then verified at the boundary through
@@ -35,7 +41,9 @@ again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ExecutionError
@@ -48,12 +56,13 @@ from repro.isa.instructions import (
     Instruction,
     Opcode,
     encoded_target,
+    registers_written,
 )
 from repro.isa.program import Program
 from repro.trace.columnar import PackedTrace, conditional_only
 from repro.trace.record import InstructionMix
 
-from repro.analysis.cfg import ControlFlowGraph, build_cfg
+from repro.analysis.cfg import ControlFlowGraph, _strongly_connected
 from repro.analysis.dataflow import (
     UNINITIALIZED,
     ReachingDefinitions,
@@ -76,10 +85,6 @@ class ValueRange(NamedTuple):
     @property
     def is_constant(self) -> bool:
         return self.lo == self.hi
-
-    @property
-    def is_top(self) -> bool:
-        return self.lo == 0 and self.hi == _WORD_MAX
 
     def join(self, other: "ValueRange") -> "ValueRange":
         return ValueRange(min(self.lo, other.lo), max(self.hi, other.hi))
@@ -183,7 +188,8 @@ def _apply_alu(opcode: Opcode, a: ValueRange, b: ValueRange) -> ValueRange:
     return TOP
 
 
-_MAX_RESOLVE_DEPTH = 16
+#: The operand node of a register no definition reaches (unreachable code).
+_NO_DEFINITION = -2
 
 
 @dataclass
@@ -192,84 +198,152 @@ class Resolution:
 
     ``resolve(register, address)`` answers "what values can this register
     hold just before ``address`` executes, on any path?" — a sound range,
-    exact when the register is a propagated constant.  The virtual entry
-    definition resolves to the architectural zero, matching ``CPU.run``'s
-    register-file initialisation.
+    exact when the register is a propagated constant.  Every answer reads
+    one table, the program's fixpoint (see the module docstring).
     """
 
     cfg: ControlFlowGraph
     reaching: ReachingDefinitions
-    _memo: Dict[Tuple[int, int], ValueRange] = field(default_factory=dict)
-    _in_progress: Set[Tuple[int, int]] = field(default_factory=set)
 
-    def instruction_at(self, address: int) -> Instruction:
-        index = (address - self.cfg.program.text_base) >> 2
-        return self.cfg.program.instructions[index]
+    @classmethod
+    def of(cls, cfg: ControlFlowGraph) -> "Resolution":
+        """The resolution of ``cfg`` over its reaching definitions."""
+        return cls(cfg=cfg, reaching=reaching_definitions(cfg))
 
-    def resolve(
-        self, register: int, address: int, depth: int = _MAX_RESOLVE_DEPTH
-    ) -> ValueRange:
+    def value_of(self, def_address: int) -> ValueRange:
+        """Range of the value the definition at ``def_address`` writes
+        (:data:`UNINITIALIZED` writes the architectural zero)."""
+        return self._values.get(def_address) or TOP
+
+    def resolve(self, register: int, address: int) -> ValueRange:
         """Range of ``register`` immediately before ``address``."""
         if register == 0:
             return constant(0)
-        if depth <= 0:
-            return TOP
-        key = (register, address)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if key in self._in_progress:
-            return TOP  # definition cycle (induction variable): widen
-        self._in_progress.add(key)
-        try:
-            result: Optional[ValueRange] = None
-            for def_address in self.reaching.of(register, address):
-                value = self._resolve_definition(register, def_address, depth)
+        result: Optional[ValueRange] = None
+        for def_address in self.reaching.of(register, address):
+            value = self._values.get(def_address)
+            if value is not None:
                 result = value if result is None else result.join(value)
-                if result.is_top:
-                    break
-            if result is None:
-                result = TOP  # unreachable code: no facts
-        finally:
-            self._in_progress.discard(key)
-        self._memo[key] = result
-        return result
-
-    def _resolve_definition(
-        self, register: int, def_address: int, depth: int
-    ) -> ValueRange:
-        if def_address == UNINITIALIZED:
-            return constant(0)  # architectural register-file init
-        instruction = self.instruction_at(def_address)
-        opcode = instruction.opcode
-        if opcode in (Opcode.BSR, Opcode.JSR):
-            return constant(def_address + 4)  # link-register value
-        if opcode in (Opcode.LD, Opcode.LDB):
-            return TOP  # memory is never modelled
-        if opcode in IMM_SEMANTICS:
-            base = self.resolve(instruction.rs1, def_address, depth - 1)
-            return _apply_imm(opcode, base, instruction.imm)
-        if opcode in ALU_SEMANTICS:
-            a = self.resolve(instruction.rs1, def_address, depth - 1)
-            b = self.resolve(instruction.rs2, def_address, depth - 1)
-            return _apply_alu(opcode, a, b)
-        return TOP
+        return TOP if result is None else result
 
     def branch_decision(self, pc: int) -> Optional[bool]:
         """Provable constant outcome of the conditional branch at ``pc``,
         valid for *every* execution (None when not provable)."""
-        instruction = self.instruction_at(pc)
+        instruction = self.cfg.program.instruction_at(pc)
         if instruction.opcode not in B_FORMAT:
             return None
         a = self.resolve(instruction.rs1, pc)
         b = self.resolve(instruction.rs2, pc)
         return compare_ranges(instruction.opcode, a, b)
 
+    @cached_property
+    def _values(self) -> Dict[int, Optional[ValueRange]]:
+        """Definition address (or join node) -> its value, solved once.
 
-def resolution_for(program: Program) -> Resolution:
-    """Build a :class:`Resolution` (convenience wrapper)."""
-    cfg = build_cfg(program)
-    return Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
+        A definition reads the node of each register operand its opcode
+        evaluates: the one definition reaching it, or the join node of a
+        reaching set of several, interned by register and set (the keys
+        below :data:`_NO_DEFINITION`); a join reads its definitions.  A
+        node without a value runs on no path from the entry.
+        """
+        reaching, program = self.reaching, self.cfg.program
+        values: Dict[int, Optional[ValueRange]] = {
+            UNINITIALIZED: constant(0),  # architectural register-file init
+            _NO_DEFINITION: TOP,
+        }
+        reads: Dict[int, Tuple[int, ...]] = {UNINITIALIZED: (), _NO_DEFINITION: ()}
+        joins: Dict[Tuple[int, int], int] = {}
+        for start, block in self.cfg.blocks.items():
+            # register -> the node it reads at this point of the block
+            current: Dict[int, int] = {0: UNINITIALIZED}  # r0 reads as zero
+
+            def operand(register: int) -> int:
+                if register not in current:
+                    bits = reaching.entering_bits(register, start)
+                    if bits & (bits - 1):  # several definitions: a join node
+                        key = (register, bits)
+                        if key not in joins:
+                            joins[key] = _NO_DEFINITION - 1 - len(joins)
+                            reads[joins[key]] = reaching.addresses(register, bits)
+                        current[register] = joins[key]
+                    elif bits:
+                        current[register] = reaching.addresses(register, bits)[0]
+                    else:
+                        current[register] = _NO_DEFINITION
+                return current[register]
+
+            for pc, instruction in zip(block.addresses(), block.instructions):
+                written = registers_written(instruction)
+                if not written:
+                    continue
+                opcode = instruction.opcode
+                if opcode in IMM_SEMANTICS:
+                    reads[pc] = (operand(instruction.rs1),)
+                elif opcode in ALU_SEMANTICS:
+                    reads[pc] = (operand(instruction.rs1), operand(instruction.rs2))
+                else:  # a call's link value, or a load: memory is never modelled
+                    link = opcode in (Opcode.BSR, Opcode.JSR)
+                    values[pc] = constant(pc + 4) if link else TOP
+                    reads[pc] = ()
+                current[written[0]] = pc
+
+        def evaluate(node: int) -> Optional[ValueRange]:
+            if node < _NO_DEFINITION:  # a join skips what has no value yet
+                result: Optional[ValueRange] = None
+                for read in reads[node]:
+                    value = values.get(read)
+                    if value is not None:
+                        result = value if result is None else result.join(value)
+                return result
+            operands = [values.get(read) for read in reads[node]]
+            if None in operands:
+                return None
+            instruction = program.instruction_at(node)
+            if instruction.opcode in IMM_SEMANTICS:
+                return _apply_imm(instruction.opcode, operands[0], instruction.imm)
+            return _apply_alu(instruction.opcode, operands[0], operands[1])
+
+        for component in _strongly_connected(list(reads), reads):
+            node = min(component)
+            if len(component) == 1 and node not in reads[node]:
+                if node not in values:  # acyclic: evaluate once
+                    values[node] = evaluate(node)
+                continue
+            # a cycle: seed its joins from the values outside it, then run
+            # its definitions lowest address first; a definition whose value
+            # changes after its first assignment widens to TOP
+            users: Dict[int, List[int]] = {node: [] for node in component}
+            for node in component:
+                for read in reads[node]:
+                    if read in users:
+                        users[read].append(node)
+                if node < _NO_DEFINITION:
+                    values[node] = evaluate(node)
+            work = sorted(node for node in component if node > _NO_DEFINITION)
+            queued = set(work)
+            while work:
+                node = heapq.heappop(work)
+                queued.discard(node)
+                value, old = evaluate(node), values.get(node)
+                if value is None or old in (value, TOP):
+                    continue
+                values[node] = value = value if old is None else TOP
+                for user in users[node]:
+                    readers = [user]
+                    if user < _NO_DEFINITION:  # a join grows by the change
+                        joined = values[user]
+                        if joined == TOP:  # absorbs any change
+                            continue
+                        joined_now = value if joined is None else joined.join(value)
+                        if joined_now == joined:
+                            continue
+                        values[user] = joined_now
+                        readers = users[user]
+                    for reader in readers:
+                        if reader not in queued:
+                            queued.add(reader)
+                            heapq.heappush(work, reader)
+        return values
 
 
 # ----------------------------------------------------------------------
@@ -399,15 +473,11 @@ class LoopAnalysis:
         use_block = cfg.block_at(use_pc).start
         latches = self._latches(header, body)
         inner = self._inner_blocks(header, body)
-        inside: List[int] = []
-        outside: List[int] = []
-        for def_address in resolution.reaching.of(register, use_pc):
-            if def_address == UNINITIALIZED:
-                outside.append(def_address)
-            elif cfg.block_at(def_address).start in body:
-                inside.append(def_address)
-            else:
-                outside.append(def_address)
+        inside = [
+            def_address
+            for def_address in resolution.reaching.of(register, use_pc)
+            if def_address != UNINITIALIZED and cfg.block_at(def_address).start in body
+        ]
         if not inside:
             value = resolution.resolve(register, use_pc)
             if value.is_constant:
@@ -415,7 +485,7 @@ class LoopAnalysis:
             return None
         # Loop-invariant redefinition: every in-body definition produces the
         # same constant and executes before the use on every iteration.
-        invariant = self._invariant_constant(inside, register, use_pc, use_block)
+        invariant = self._invariant_constant(inside, use_pc, use_block)
         if invariant is not None:
             return AffineValue(invariant, 0)
         # Otherwise every inside definition must be a once-per-iteration
@@ -423,7 +493,7 @@ class LoopAnalysis:
         step = 0
         before_use = 0
         for def_address in inside:
-            instruction = resolution.instruction_at(def_address)
+            instruction = cfg.program.instruction_at(def_address)
             if not (
                 instruction.opcode is Opcode.ADDI
                 and instruction.rd == register
@@ -451,9 +521,7 @@ class LoopAnalysis:
                 and cfg.block_at(def_address).start in body
             ):
                 continue  # the increment itself, flowing around the back edge
-            value = resolution._resolve_definition(
-                register, def_address, _MAX_RESOLVE_DEPTH
-            )
+            value = resolution.value_of(def_address)
             if not value.is_constant:
                 return None
             if init is None:
@@ -465,18 +533,16 @@ class LoopAnalysis:
         return AffineValue(init + before_use, step)
 
     def _invariant_constant(
-        self, inside: List[int], register: int, use_pc: int, use_block: int
+        self, inside: List[int], use_pc: int, use_block: int
     ) -> Optional[int]:
-        """The single constant every in-body definition of ``register``
-        produces, when each definition also executes before the use on every
+        """The single constant every in-body definition in ``inside``
+        produces, when each also executes before the use on every
         iteration; None when the pattern does not hold."""
         resolution = self.resolution
         cfg = resolution.cfg
         value: Optional[int] = None
         for def_address in inside:
-            produced = resolution._resolve_definition(
-                register, def_address, _MAX_RESOLVE_DEPTH
-            )
+            produced = resolution.value_of(def_address)
             if not produced.is_constant:
                 return None
             if value is None:
@@ -567,11 +633,6 @@ class LoopAnalysis:
         return first
 
 
-def loop_summaries(program: Program) -> List[LoopSummary]:
-    """Loop summaries for ``program`` (convenience wrapper)."""
-    return LoopAnalysis(resolution=resolution_for(program)).summarize()
-
-
 # ----------------------------------------------------------------------
 # The deterministic walk.
 # ----------------------------------------------------------------------
@@ -640,12 +701,6 @@ class WalkResult:
         """True when the walk stopped where a trace of its budget stops, at
         the budget or at HALT, so its branches ARE that dynamic trace."""
         return self.stop_reason in ("budget", "halt")
-
-    @property
-    def poisoned(self) -> Dict[int, str]:
-        """Sites whose streams stop being exact: none, as every value the
-        walk reads is known (see the module docstring)."""
-        return {}
 
     @property
     def global_stream(self) -> List[Tuple[int, bool]]:

@@ -21,9 +21,10 @@ One Cooper-Harvey-Kennedy solver, run over a virtual root above any number
 of roots, gives the three views the analyses read, all over the
 intraprocedural edges: dominators rooted at the entry and at every call
 target, post-dominators rooted at every exit, and the natural loops (back
-edges whose head dominates their tail).  Strongly-connected components come
-from an iterative Tarjan — they drive the infinite-loop lint rule, which
-must also catch irreducible cycles.
+edges whose head dominates their tail).  One iterative Tarjan gives the
+strongly connected components of any graph: the blocks', which drive the
+infinite-loop lint rule (it must also catch irreducible cycles), and the
+definitions' that value resolution solves in dependency order.
 """
 
 from __future__ import annotations
@@ -221,6 +222,52 @@ def _immediate_dominators(
     }
 
 
+def _strongly_connected(
+    roots: Iterable[int], succ: Mapping[int, Sequence[int]]
+) -> List[FrozenSet[int]]:
+    """The strongly connected components of every node reachable from
+    ``roots`` (iterative Tarjan).  A component comes out after every
+    component it reaches, so dependencies come before their users."""
+    index: Dict[int, int] = {}
+    lowlink: Dict[int, int] = {}
+    on_stack: Set[int] = set()
+    stack: List[int] = []
+    components: List[FrozenSet[int]] = []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work: List[Tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
+        while work:
+            node, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = lowlink[child] = len(index)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(succ[child])))
+                    break
+                if child in on_stack and index[child] < lowlink[node]:
+                    lowlink[node] = index[child]
+            else:
+                work.pop()
+                low = lowlink[node]
+                if work and low < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = low
+                if low == index[node]:
+                    component: Set[int] = set()
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.add(member)
+                        if member == node:
+                            break
+                    components.append(frozenset(component))
+    return components
+
+
 @dataclass
 class ControlFlowGraph:
     """Basic blocks plus typed edges, with the standard graph analyses."""
@@ -371,56 +418,9 @@ class ControlFlowGraph:
         )
 
     def strongly_connected_components(self) -> List[FrozenSet[int]]:
-        """Tarjan SCCs over the *reachable* subgraph (iterative)."""
-        reachable = self.reachable()
-        index: Dict[int, int] = {}
-        lowlink: Dict[int, int] = {}
-        on_stack: Set[int] = set()
-        stack: List[int] = []
-        components: List[FrozenSet[int]] = []
-        counter = 0
-
-        for root in sorted(reachable):
-            if root in index:
-                continue
-            work: List[Tuple[int, Iterator[Edge]]] = [
-                (root, iter(self._succ[root]))
-            ]
-            index[root] = lowlink[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, children = work[-1]
-                advanced = False
-                for edge in children:
-                    child = edge.dst
-                    if child not in index:
-                        index[child] = lowlink[child] = counter
-                        counter += 1
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(self._succ[child])))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        lowlink[node] = min(lowlink[node], index[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-                if lowlink[node] == index[node]:
-                    component: Set[int] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(frozenset(component))
-        return components
+        """Tarjan SCCs over the *reachable* subgraph."""
+        succ = {start: [edge.dst for edge in edges] for start, edges in self._succ.items()}
+        return _strongly_connected(sorted(self.reachable()), succ)
 
     def label_for(self, address: int) -> Optional[str]:
         """Best symbolic name for a text address: the nearest preceding

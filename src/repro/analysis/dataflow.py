@@ -44,82 +44,25 @@ def _analysis_order(cfg: ControlFlowGraph) -> List[int]:
     return order
 
 
-#: bit positions set in each byte value — the decode table for bitset
-#: solutions (see :func:`reaching_definitions`)
-_BYTE_BITS: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(j for j in range(8) if value >> j & 1) for value in range(256)
-)
-
-
-def _decode_bits(
-    bits: int, definitions: List[Definition]
-) -> FrozenSet[Definition]:
-    """Decode one bitset solution into the frozenset interface."""
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    return frozenset(
-        definitions[index * 8 + offset]
-        for index, byte in enumerate(raw)
-        if byte
-        for offset in _BYTE_BITS[byte]
-    )
-
-
-class _LazyDecodedSets(Dict[int, FrozenSet[Definition]]):
-    """block start -> decoded definition set, decoding on first access.
-
-    The fixpoint solves on integer bitsets; most callers only ever look at
-    a few blocks' sets (``at`` walks one block per query), so decoding all
-    of them eagerly would dominate the solve.  Iteration and ``len`` see
-    every block: the map pre-fills keys lazily via ``__missing__`` only.
-    """
-
-    def __init__(self, bits: Dict[int, int], definitions: List[Definition]):
-        super().__init__()
-        self._bits = bits
-        self._definitions = definitions
-
-    def __missing__(self, start: int) -> FrozenSet[Definition]:
-        value = _decode_bits(self._bits[start], self._definitions)
-        self[start] = value
-        return value
-
-
 @dataclass
 class ReachingDefinitions:
-    """Fixpoint solution: definitions reaching each block boundary."""
+    """Fixpoint solution: the definitions reaching each block's entry."""
 
     cfg: ControlFlowGraph
-    block_in: Dict[int, FrozenSet[Definition]]
-    block_out: Dict[int, FrozenSet[Definition]]
-    #: the bitset solution behind ``block_in`` (block start -> bits)
+    #: the definition of each bit of a solution
+    definitions: List[Definition] = field(repr=False)
+    #: block start -> the bits of the definitions reaching the block
     in_bits: Dict[int, int] = field(repr=False)
     #: register -> (its lowest bit, its definition addresses in bit order)
     register_defs: Dict[int, Tuple[int, Tuple[int, ...]]] = field(repr=False)
-
-    def at(self, address: int) -> FrozenSet[Definition]:
-        """Definitions reaching ``address`` (before it executes)."""
-        block = self.cfg.block_at(address)
-        last_def: Dict[int, int] = {}
-        for pc, instruction in zip(block.addresses(), block.instructions):
-            if pc == address:
-                live = {
-                    d for d in self.block_in[block.start] if d[0] not in last_def
-                }
-                live.update(last_def.items())
-                return frozenset(live)
-            for register in registers_written(instruction):
-                last_def[register] = pc
-        raise KeyError(f"address {address:#x} is not in block {block.start:#x}")
 
     def of(self, register: int, address: int) -> Tuple[int, ...]:
         """Addresses of the definitions of ``register`` reaching ``address``
         (:data:`UNINITIALIZED` for the virtual entry definition).
 
-        The same set as ``at(address)`` narrowed to ``register``, without
-        decoding the block's whole solution: a definition earlier in the
-        block is the only one that reaches; otherwise the answer is the
-        register's run of bits in the block's in-set, walked lowest bit
-        first.
+        A definition earlier in the block is the only one that reaches;
+        otherwise the answer is the register's run of bits in the block's
+        in-set, walked lowest bit first.
         """
         block = self.cfg.block_at(address)
         offset = address - block.start
@@ -129,8 +72,18 @@ class ReachingDefinitions:
         for index in range((offset >> 2) - 1, -1, -1):
             if register in registers_written(instructions[index]):
                 return (block.start + 4 * index,)
+        return self.addresses(register, self.entering_bits(register, block.start))
+
+    def entering_bits(self, register: int, start: int) -> int:
+        """``register``'s run of bits in the in-set of block ``start``:
+        bit ``i`` is set when its ``i``-th definition reaches the block."""
         low, addresses = self.register_defs.get(register, (0, ()))
-        bits = (self.in_bits[block.start] >> low) & ((1 << len(addresses)) - 1)
+        return (self.in_bits[start] >> low) & ((1 << len(addresses)) - 1)
+
+    def addresses(self, register: int, bits: int) -> Tuple[int, ...]:
+        """The addresses of the definitions of ``register`` that ``bits``
+        (a run from :meth:`entering_bits`) names, lowest bit first."""
+        addresses = self.register_defs.get(register, (0, ()))[1]
         found: List[int] = []
         while bits:
             lowest = bits & -bits
@@ -148,17 +101,13 @@ class ReachingDefinitions:
         findings: List[Tuple[int, int]] = []
         for start in sorted(self.cfg.blocks):
             block = self.cfg.blocks[start]
-            entry_only: Dict[int, bool] = {}
-            for register, address in self.block_in[start]:
-                entry_only[register] = (
-                    entry_only.get(register, True) and address == UNINITIALIZED
-                )
             written: Set[int] = set()
             for pc, instruction in zip(block.addresses(), block.instructions):
                 for register in registers_read(instruction):
                     if register == 0 or register in written:
                         continue
-                    if entry_only.get(register, False):
+                    bits = self.entering_bits(register, start)
+                    if self.addresses(register, bits) == (UNINITIALIZED,):
                         findings.append((pc, register))
                 written.update(registers_written(instruction))
         return findings
@@ -171,9 +120,7 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
     register can escape it, so the definition universe is the per-block gen
     pairs plus the virtual entry definitions — small enough to give every
     definition a bit and solve with integer ``|``/``&`` instead of
-    per-element frozenset rebuilds.  The solution decodes back to the
-    frozenset interface lazily, one block at a time;
-    :meth:`ReachingDefinitions.of` reads the bitsets directly.
+    per-element frozenset rebuilds.
     """
     last_defs: Dict[int, Dict[int, int]] = {}
     addresses: Dict[int, List[int]] = {
@@ -240,8 +187,7 @@ def reaching_definitions(cfg: ControlFlowGraph) -> ReachingDefinitions:
 
     return ReachingDefinitions(
         cfg=cfg,
-        block_in=_LazyDecodedSets(in_bits, definitions),
-        block_out=_LazyDecodedSets(out_bits, definitions),
+        definitions=definitions,
         in_bits=in_bits,
         register_defs=register_defs,
     )

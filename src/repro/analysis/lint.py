@@ -22,7 +22,7 @@ from repro.isa.registers import register_name
 
 from repro.analysis.absint import LoopAnalysis, Resolution
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
-from repro.analysis.dataflow import liveness, reaching_definitions
+from repro.analysis.dataflow import liveness
 
 
 class Severity(enum.Enum):
@@ -212,7 +212,8 @@ def _diag(
 
 
 # ----------------------------------------------------------------------
-# Rule implementations.  Each takes the CFG and appends diagnostics.
+# Rule implementations.  Each takes the CFG, or the program's Resolution
+# for the rules that read values, and appends diagnostics.
 # ----------------------------------------------------------------------
 
 def _check_unreachable(cfg: ControlFlowGraph, out: List[Diagnostic]) -> None:
@@ -253,14 +254,12 @@ def _check_fallthrough_off_end(
 
 
 def _check_uninitialized_reads(
-    cfg: ControlFlowGraph, out: List[Diagnostic]
+    resolution: Resolution, out: List[Diagnostic]
 ) -> None:
-    for address, register in reaching_definitions(
-        cfg
-    ).definitely_uninitialized_reads():
+    for address, register in resolution.reaching.definitely_uninitialized_reads():
         out.append(
             _diag(
-                cfg,
+                resolution.cfg,
                 "R003",
                 address,
                 f"read of {register_name(register)} which no instruction "
@@ -340,11 +339,7 @@ def _check_call_return_balance(
 def _check_infinite_loops(
     cfg: ControlFlowGraph, out: List[Diagnostic]
 ) -> None:
-    reachable = cfg.reachable()
     for component in cfg.strongly_connected_components():
-        members = component & reachable
-        if not members:
-            continue
         cyclic = len(component) > 1 or any(
             edge.dst in component for edge in cfg.successors(next(iter(component)))
         )
@@ -404,9 +399,9 @@ def _check_halt_reachable(
 
 
 def _check_constant_conditions(
-    cfg: ControlFlowGraph, out: List[Diagnostic]
+    resolution: Resolution, out: List[Diagnostic]
 ) -> None:
-    resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
+    cfg = resolution.cfg
     reachable = cfg.reachable()
     for start in sorted(reachable):
         block = cfg.blocks[start]
@@ -456,16 +451,15 @@ def _check_code_after_jump(
 
 
 def _check_degenerate_loops(
-    cfg: ControlFlowGraph, out: List[Diagnostic]
+    resolution: Resolution, out: List[Diagnostic]
 ) -> None:
-    resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
     for summary in LoopAnalysis(resolution=resolution).summarize():
         if summary.trip_count is None or summary.trip_count > 1:
             continue
         times = "never" if summary.trip_count == 0 else "exactly once"
         out.append(
             _diag(
-                cfg,
+                resolution.cfg,
                 "R011",
                 summary.header,
                 f"loop back-edge is statically known to be taken {times} "
@@ -477,14 +471,19 @@ def _check_degenerate_loops(
 _CHECKS: List[Callable[[ControlFlowGraph, List[Diagnostic]], None]] = [
     _check_unreachable,
     _check_fallthrough_off_end,
-    _check_uninitialized_reads,
     _check_branch_targets,
     _check_call_return_balance,
     _check_infinite_loops,
     _check_dead_stores,
     _check_halt_reachable,
-    _check_constant_conditions,
     _check_code_after_jump,
+]
+
+#: The rules that read values share the program's one :class:`Resolution`:
+#: one reaching-definitions solve and one value fixpoint per lint run.
+_VALUE_CHECKS: List[Callable[[Resolution, List[Diagnostic]], None]] = [
+    _check_uninitialized_reads,
+    _check_constant_conditions,
     _check_degenerate_loops,
 ]
 
@@ -495,6 +494,9 @@ def lint_program(program: Program, name: str = "<program>") -> LintResult:
     diagnostics: List[Diagnostic] = []
     for check in _CHECKS:
         check(cfg, diagnostics)
+    resolution = Resolution.of(cfg)
+    for value_check in _VALUE_CHECKS:
+        value_check(resolution, diagnostics)
     diagnostics.sort(
         key=lambda d: (d.address if d.address is not None else -1, d.rule)
     )

@@ -66,7 +66,6 @@ from repro.analysis.absint import (
     LoopSummary,
     Resolution,
     WalkResult,
-    reaching_definitions,
     walk_program,
 )
 from repro.analysis.branches import BranchSite, conditional_sites
@@ -307,7 +306,7 @@ class _CorrelationFinder:
         cfg = resolution.cfg
         sources: Set[int] = set()
         seen: Set[Tuple[int, int]] = set()
-        instruction = resolution.instruction_at(pc)
+        instruction = cfg.program.instruction_at(pc)
         work: List[Tuple[int, int, int]] = [
             (register, pc, depth)
             for register in (instruction.rs1, instruction.rs2)
@@ -326,7 +325,7 @@ class _CorrelationFinder:
                     block = cfg.block_at(def_address).start
                     sources.update(self._controllers(block))
             for def_address in real:
-                defining = resolution.instruction_at(def_address)
+                defining = cfg.program.instruction_at(def_address)
                 if defining.opcode in (Opcode.LD, Opcode.LDB):
                     continue  # memory: tracked no further
                 for source_register in (defining.rs1, defining.rs2):
@@ -526,7 +525,7 @@ def analyze_program(
 
     if cfg is None:
         cfg = build_cfg(program)
-    resolution = Resolution(cfg=cfg, reaching=reaching_definitions(cfg))
+    resolution = Resolution.of(cfg)
     loop_analysis = LoopAnalysis(resolution=resolution)
     loops = loop_analysis.summarize()
     if walk is None:

@@ -312,7 +312,10 @@ def _build_plans(
     cache: TraceCache,
     backend: Optional[str],
 ) -> "List[SessionPlan]":
-    """Round-robin (spec x benchmark) over the requested session count."""
+    """Session ``i`` replays spec ``i mod S`` on benchmark ``(i mod S +
+    i div S) mod B``: the first ``S`` sessions already reach ``min(S, B)``
+    benchmarks, and ``S * B`` sessions cover every (spec, benchmark) pair
+    once."""
     variants: "List[Tuple[str, str, List[BranchRecord]]]" = []
     for name in benchmarks:
         workload = get_workload(name)
@@ -321,7 +324,8 @@ def _build_plans(
     plans: "List[SessionPlan]" = []
     for index in range(sessions):
         spec_text = specs[index % len(specs)]
-        _name, label, records = variants[(index // len(specs)) % len(variants)]
+        rotation = index % len(specs) + index // len(specs)
+        _name, label, records = variants[rotation % len(variants)]
         parsed = parse_spec(spec_text)
         # plans of the same variant share one record list: sessions never
         # mutate it, and sharing lets the loadgen encode each (variant,

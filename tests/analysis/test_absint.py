@@ -7,22 +7,34 @@ tests here assert that per-site stream equality against the real trace for
 every bundled workload variant.
 """
 
-import pytest
+import random
 
-from repro.analysis import walk_program
+import pytest
+from hypothesis import given, settings
+
+from repro.analysis import (
+    LoopAnalysis,
+    Resolution,
+    build_cfg,
+    conditional_sites,
+    lint_source,
+    walk_program,
+)
 from repro.analysis.absint import (
     TOP,
     ValueRange,
     compare_ranges,
     constant,
     _resolve_relation,
-    loop_summaries,
 )
 from repro.isa.assembler import assemble
 from repro.isa.instructions import Opcode
 from repro.trace.record import BranchClass
 from repro.workloads import workload_names
 from repro.workloads.base import get_workload
+
+from tests.analysis.helpers import loop_summaries
+from tests.isa.test_fuzz import _rich_programs
 
 
 def _program(name, role):
@@ -40,13 +52,13 @@ VARIANTS = [
 class TestValueRange:
     def test_constant_and_top(self):
         five = constant(5)
-        assert five.is_constant and not five.is_top
-        assert TOP.is_top and not TOP.is_constant
+        assert five.is_constant and five != TOP
+        assert TOP == ValueRange(0, 0xFFFFFFFF) and not TOP.is_constant
 
     def test_join_widens(self):
         joined = constant(3).join(constant(9))
         assert (joined.lo, joined.hi) == (3, 9)
-        assert joined.join(TOP).is_top
+        assert joined.join(TOP) == TOP
 
     def test_equality_comparisons(self):
         assert compare_ranges(Opcode.BEQ, constant(5), constant(5)) is True
@@ -66,6 +78,96 @@ class TestValueRange:
     def test_sign_straddling_range_is_undecidable(self):
         straddling = ValueRange(0x7FFFFFFF, 0x80000000)
         assert compare_ranges(Opcode.BLT, straddling, constant(0)) is None
+
+
+#: ``r7`` copies ``r2``, which copies ``r1``, which the loop masks from
+#: ``r7``: a definition cycle that never leaves 5, so both ``bgt`` sites
+#: (0x1010 and 0x101c) compare 5 against 100 on every iteration
+COPY_CYCLE = """
+_start:
+    li r1, 5
+    li r3, 100
+    li r4, 50
+loop:
+    addi r2, r1, 0
+    bgt r2, r3, y1
+y1:
+    addi r7, r2, 0
+    andi r1, r7, 7
+    bgt r7, r3, w1
+w1:
+    subi r4, r4, 1
+    bnez r4, loop
+    halt
+"""
+COPY_CYCLE_SITES = (0x1010, 0x101C)
+
+
+def _query_orders(pcs):
+    """The sites in address order, reversed, and in three seeded shuffles."""
+    pcs = sorted(pcs)
+    orders = [pcs, pcs[::-1]]
+    for seed in range(3):
+        shuffled = list(pcs)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    return orders
+
+
+def _decisions(cfg, order):
+    """``branch_decision`` of every site, asked of a fresh resolution in
+    ``order``."""
+    resolution = Resolution.of(cfg)
+    return {pc: resolution.branch_decision(pc) for pc in order}
+
+
+class TestResolutionOrder:
+    """Every answer reads one fixpoint, whatever was asked before it."""
+
+    def test_copy_cycle_decides_both_sites_in_every_order(self):
+        cfg = build_cfg(assemble(COPY_CYCLE))
+        for order in _query_orders(COPY_CYCLE_SITES):
+            decisions = _decisions(cfg, order)
+            assert decisions == {pc: False for pc in COPY_CYCLE_SITES}, order
+
+    def test_copy_cycle_fires_r009_on_both_sites(self):
+        fired = {
+            d.address for d in lint_source(COPY_CYCLE).diagnostics if d.rule == "R009"
+        }
+        assert fired == set(COPY_CYCLE_SITES)
+
+    @pytest.mark.parametrize("name,role", VARIANTS)
+    def test_shuffled_queries_give_the_same_answers(self, name, role):
+        program = _program(name, role)
+        cfg = build_cfg(program)
+        pcs = [site.pc for site in conditional_sites(program)]
+        answers = []
+        for order in _query_orders(pcs)[::2]:  # address order, two shuffles
+            resolution = Resolution.of(cfg)
+            ranges = {}
+            for pc in order:
+                instruction = program.instruction_at(pc)
+                for register in (instruction.rs1, instruction.rs2):
+                    ranges[pc, register] = resolution.resolve(register, pc)
+            loops = LoopAnalysis(resolution=resolution).summarize()
+            answers.append((ranges, loops))
+        assert all(answer == answers[0] for answer in answers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rich_programs())
+def test_decided_branches_agree_with_the_cpu(source):
+    # the CPU is the oracle: a site the resolution decides must go that way
+    # every time the walk executes it, whatever order the sites are asked in
+    program = assemble(source)
+    cfg = build_cfg(program)
+    pcs = [site.pc for site in conditional_sites(program)]
+    decisions = _decisions(cfg, pcs)
+    assert _decisions(cfg, pcs[::-1]) == decisions
+    streams = walk_program(program, 2000).streams
+    for pc, decision in decisions.items():
+        if decision is not None:
+            assert all(taken == decision for taken in streams.get(pc, ())), hex(pc)
 
 
 class TestResolveRelation:
@@ -345,7 +447,6 @@ class TestWalkMatchesDynamicTrace:
         trace = trace_cache.get(get_workload(name), role, small_scale)
         result = walk_program(program, small_scale)
         assert result.complete, result.stop_reason
-        assert not result.poisoned
 
         dynamic = {}
         for record in trace.records:

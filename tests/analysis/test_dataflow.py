@@ -14,6 +14,8 @@ from repro.isa.registers import NUM_REGISTERS
 from repro.workloads import workload_names
 from repro.workloads.base import get_workload
 
+from tests.analysis.helpers import definitions_at
+
 
 def _cfg(source: str):
     return build_cfg(assemble(source))
@@ -23,8 +25,8 @@ class TestReachingDefinitions:
     def test_entry_seeds_virtual_uninitialized_defs(self):
         cfg = _cfg("_start:\n    halt\n")
         rd = reaching_definitions(cfg)
-        assert (5, UNINITIALIZED) in rd.block_in[cfg.entry]
-        assert (0, UNINITIALIZED) not in rd.block_in[cfg.entry]  # r0 exempt
+        assert (5, UNINITIALIZED) in definitions_at(rd, cfg.entry)
+        assert (0, UNINITIALIZED) not in definitions_at(rd, cfg.entry)  # r0 exempt
 
     def test_definition_kills_uninitialized(self):
         cfg = _cfg(
@@ -36,7 +38,7 @@ _start:
 """
         )
         rd = reaching_definitions(cfg)
-        defs_at_add = {d for d in rd.at(0x1004) if d[0] == 2}
+        defs_at_add = {d for d in definitions_at(rd, 0x1004) if d[0] == 2}
         assert defs_at_add == {(2, 0x1000)}
 
     def test_merge_keeps_both_paths(self):
@@ -55,7 +57,7 @@ join:
         )
         rd = reaching_definitions(cfg)
         join = cfg.program.symbols["join"]
-        defs_r2 = {d[1] for d in rd.block_in[join] if d[0] == 2}
+        defs_r2 = {d[1] for d in definitions_at(rd, join) if d[0] == 2}
         assert len(defs_r2) == 2 and UNINITIALIZED not in defs_r2
 
     def test_definitely_uninitialized_read_detected(self):
@@ -89,15 +91,15 @@ loop:
 
 
 def _of_matches_at(rd, address):
-    """``of(r, address)`` is ``at(address)`` narrowed to ``r``, as a set
-    without repeats, for every register."""
+    """``of(r, address)`` is ``definitions_at(rd, address)`` narrowed to
+    ``r``, as a set without repeats, for every register."""
     found = [
         (register, def_address)
         for register in range(NUM_REGISTERS)
         for def_address in rd.of(register, address)
     ]
     assert len(found) == len(set(found)), f"{address:#x}"
-    assert frozenset(found) == rd.at(address), f"{address:#x}"
+    assert frozenset(found) == definitions_at(rd, address), f"{address:#x}"
 
 
 class TestPerRegisterQuery:

@@ -23,7 +23,7 @@ from repro.analysis import (
 import repro.sim.analysis as sim_analysis
 import repro.sim.sweep as sweep
 from repro.analysis import build_cfg, conditional_sites, reaching_definitions
-from repro.analysis.absint import Resolution, loop_summaries, walk_program
+from repro.analysis.absint import Resolution, walk_program
 from repro.analysis.predictability import (
     PROFILE_SCHEME,
     REFERENCE_SCHEME,
@@ -42,6 +42,8 @@ from repro.trace.record import BranchClass, BranchRecord
 from repro.workloads._asmlib import bounded_driver
 from repro.workloads import workload_names
 from repro.workloads.base import get_workload
+
+from tests.analysis.helpers import loop_summaries
 
 VARIANTS = [
     (name, role)

@@ -537,6 +537,27 @@ class TestLoadgen:
             assert 0.0 < session["accuracy"] <= 1.0
 
 
+    def test_plans_rotate_benchmarks_across_specs(self, trace_cache):
+        from repro.serve.loadgen import _build_plans
+
+        specs = ["BTFN", "GAg(6,A2)", "AT(IHRT(,6SR),PT(2^6,A2),)"]
+        variants = ["eqntott:test", "tomcatv:test"]
+
+        def pairs(sessions):
+            plans = _build_plans(
+                specs, ["eqntott", "tomcatv"], sessions, 500, trace_cache, None
+            )
+            return [(plan.spec, plan.variant) for plan in plans]
+
+        # one session per spec already serves every benchmark
+        assert {variant for _, variant in pairs(len(specs))} == set(variants)
+        # specs x benchmarks sessions replay every pair exactly once
+        everything = pairs(len(specs) * len(variants))
+        assert sorted(everything) == sorted(
+            (spec, variant) for spec in specs for variant in variants
+        )
+
+
 class TestTicks:
     """The score loop pays per tick: the linger ends on refill, the read
     deadline re-arms per frame, a scoring failure fails only its
