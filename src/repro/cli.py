@@ -734,11 +734,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         f" of {_human_bytes(store.max_bytes)} bound"
     )
     if infos:
-        print(f"\n{'shard':52s}{'size':>10s}{'records':>12s}{'comp':>6s}{'hits':>6s}")
+        print(f"\n{'shard':52s}{'size':>10s}{'records':>12s}{'hits':>6s}")
         for info in sorted(infos, key=lambda i: i.last_used, reverse=True):
             print(
                 f"{info.stem:52s}{_human_bytes(info.bytes):>10s}"
-                f"{info.records:>12d}{info.compression:>6s}{info.hits:>6d}"
+                f"{info.records:>12d}{info.hits:>6d}"
             )
     rows = list(results.entries())
     if rows:

@@ -16,6 +16,12 @@ branches, subroutine returns (``rts``), immediate unconditional branches
 (``br``/``bsr``), and unconditional branches on registers (``jmp``/``jsr``).
 """
 
+#: bump when the assembler or the CPU would turn the same program text into
+#: a different trace (an encoding, an instruction's effect, a fault, the
+#: trace the interpreter emits); part of every trace store key
+#: (:func:`repro.trace.store.content_key`), so no stale trace survives it.
+SEMANTICS_VERSION = 1
+
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU, CPUResult
 from repro.isa.disassembler import disassemble_instruction, disassemble_program
@@ -34,6 +40,7 @@ __all__ = [
     "NUM_REGISTERS",
     "Opcode",
     "Program",
+    "SEMANTICS_VERSION",
     "SP_REGISTER",
     "assemble",
     "branch_class_of",

@@ -5,8 +5,10 @@ the exact trace contents and the simulation backend, so a finished stats
 row is cacheable by construction.  The key digests the spec's canonical
 string and its family's ``semantics`` version (so a change to a family's
 predictions never returns a row computed under the old rule), the testing
-trace's store stem (:func:`repro.trace.store.content_key`), the training
-trace's stem for profiled schemes, and the resolved backend (the backends
+trace's store stem (:func:`repro.trace.store.content_key`, which digests
+the program text and the ISA semantics version, so a generator or CPU
+change never returns a row scored on the old trace), the training trace's
+stem for profiled schemes, and the resolved backend (the backends
 are verified bit-identical, but backend-agreement tests *are the
 verification*, so a hit must never pass one backend's row off as the
 other's).

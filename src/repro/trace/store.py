@@ -3,27 +3,21 @@
 Paper-scale runs replay ~20 million conditional branches per benchmark;
 generating such a trace through the pure-Python ISA interpreter takes
 minutes, so the trace *must* be paid for once per machine and then loaded
-in milliseconds.  The legacy disk layer (``.trc`` files written by
-:class:`~repro.workloads.base.TraceCache`) re-parsed nine bytes per record
-through ``struct.iter_unpack`` on every warm load — fine at 50k records,
-minutes at 20M.  This module replaces it with a *shard* store:
+in milliseconds.  The store keeps:
 
 * One **shard file** per trace, holding the three
   :class:`~repro.trace.columnar.PackedTrace` columns as contiguous
   sections plus a JSON meta section (instruction mix and the full content
   key), so every shard is self-describing.
-* Uncompressed shards are **memory-mapped** on load: the ``pc`` and
-  ``target`` columns become zero-copy views into the page cache and the
-  OS faults pages in as the kernels touch them.  A warm load is O(header)
-  no matter the trace length.
-* Shards may be **zstd-compressed** (the ``[store]`` optional extra).
-  When the ``zstandard`` module is missing the store degrades gracefully
-  to uncompressed shards; only *reading* an already-compressed shard
-  without the module is an error (a typed :class:`StoreError`).
+* Shards are **memory-mapped** on load: the ``pc`` and ``target`` columns
+  become zero-copy views into the page cache and the OS faults pages in
+  as the kernels touch them.  A warm load opens the file once and is
+  O(header) no matter the trace length.
 * Keys are **content-addressed**: the stem embeds a digest of the
-  workload name, role, data-set parameters, workload version, scale and
-  shard-format version, so *any* ingredient changing (a program generator
-  edit, a data-set tweak, a format bump) makes the old entry unreachable
+  generated program text, the scale, the shard-format version and the
+  ISA's semantics version (:data:`repro.isa.SEMANTICS_VERSION`), so a
+  generator edit, a data-set tweak, a format bump or a change to what the
+  CPU or assembler makes of a program leaves the old entry unreachable
   rather than silently stale.
 * The store is **bounded**: total shard bytes are kept under ``max_bytes``
   (default 4 GiB, override with ``REPRO_STORE_MAX_BYTES``) by evicting
@@ -63,6 +57,7 @@ try:
 except ImportError:  # pragma: no cover - not on POSIX: writes go unlocked
     fcntl = None  # type: ignore[assignment]
 
+from repro import isa
 from repro.errors import ConfigError, StoreError
 from repro.trace.columnar import PackedTrace
 
@@ -72,7 +67,6 @@ __all__ = [
     "content_key",
     "read_shard",
     "write_shard",
-    "zstd_available",
     "DEFAULT_MAX_BYTES",
     "FORMAT_VERSION",
     "SHARD_SUFFIX",
@@ -85,136 +79,78 @@ SHARD_SUFFIX = ".shard"
 
 _MAGIC = b"YPSHARD1"
 
-#: magic, compression (0=none, 1=zstd), address itemsize, reserved,
-#: record count, then the four section byte lengths (pc, target, flags,
-#: meta) as stored on disk (i.e. post-compression).
+#: magic, compression code (always 0: shards are stored uncompressed, and
+#: any other code reads as a :class:`StoreError`), address itemsize,
+#: reserved, record count, then the four section byte lengths (pc,
+#: target, flags, meta).
 _HEADER = struct.Struct("<8sBBHQQQQQ")
-
-_COMPRESSION_NONE = 0
-_COMPRESSION_ZSTD = 1
-_COMPRESSION_NAMES = {_COMPRESSION_NONE: "none", _COMPRESSION_ZSTD: "zstd"}
 
 DEFAULT_MAX_BYTES = 4 * 1024**3
 
 _ADDR_TYPECODE = "I" if array("I").itemsize == 4 else "L"
 
 
-def _zstd() -> Any:
-    """The ``zstandard`` module, or ``None`` when the extra is not installed."""
-    try:
-        import zstandard
-    except ImportError:
-        return None
-    return zstandard
-
-
-def zstd_available() -> bool:
-    """Whether compressed shards can be written (and read) in this process."""
-    return _zstd() is not None
-
-
-def _resolve_compression(requested: Optional[str]) -> int:
-    """Map a compression request to the on-disk code.
-
-    ``None``/``"auto"`` uses zstd when installed and degrades to
-    uncompressed otherwise; an explicit ``"zstd"`` without the module is a
-    configuration error rather than a silent downgrade.
-    """
-    if requested in (None, "auto"):
-        return _COMPRESSION_ZSTD if zstd_available() else _COMPRESSION_NONE
-    if requested == "none":
-        return _COMPRESSION_NONE
-    if requested == "zstd":
-        if not zstd_available():
-            raise ConfigError(
-                "compression 'zstd' requested but the zstandard module is not"
-                " installed (pip install 'repro-branch-prediction[store]')"
-            )
-        return _COMPRESSION_ZSTD
-    raise ConfigError(
-        f"unknown shard compression {requested!r} (choose none, zstd, or auto)"
-    )
-
-
 # ----------------------------------------------------------------------
 # content-addressed keys
 # ----------------------------------------------------------------------
 def content_key(
-    workload: str,
-    role: str,
-    scale: int,
-    version: int,
-    params: Optional[Dict[str, int]] = None,
+    workload: str, role: str, scale: int, source: str
 ) -> Tuple[str, Dict[str, Any]]:
     """The ``(stem, key_dict)`` identifying one trace in the store.
 
-    The stem is human-scannable (``name-role-scale-vN-digest``) while the
-    digest covers the *canonical JSON* of every generation ingredient —
-    including the data-set parameters, which the legacy cache keys omitted
-    — so a changed seed or table size can never alias a stale shard.
+    ``source`` is the program text the trace is generated from (the
+    workload's ``build_source`` for the role's data set).  The stem is
+    human-scannable (``name-role-scale-digest``) while the digest covers
+    the *canonical JSON* of that text's SHA-256, the scale, the shard
+    format and the ISA semantics version: everything a trace is a function
+    of, so no generator or CPU change can alias a stale shard.
     """
     key = {
         "workload": workload,
         "role": role,
         "scale": int(scale),
-        "version": int(version),
-        "params": dict(sorted((params or {}).items())),
+        "source": hashlib.sha256(source.encode()).hexdigest(),
         "format": FORMAT_VERSION,
+        "isa": isa.SEMANTICS_VERSION,
     }
     canonical = json.dumps(key, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    stem = f"{workload}-{role}-{scale}-v{version}-{digest}"
-    return stem, key
+    return f"{workload}-{role}-{scale}-{digest}", key
 
 
 # ----------------------------------------------------------------------
 # shard encode / decode
 # ----------------------------------------------------------------------
-def write_shard(
-    path: Path,
-    packed: PackedTrace,
-    meta: Dict[str, Any],
-    compression: Optional[str] = None,
-) -> int:
+def write_shard(path: Path, packed: PackedTrace, meta: Dict[str, Any]) -> int:
     """Write ``packed`` (plus its JSON ``meta``) as one shard file.
 
     The write is atomic (temp file + ``os.replace``), so readers never see
     a half-written shard.  Returns the shard's size in bytes.
     """
-    code = _resolve_compression(compression)
-    pc_raw = bytes(memoryview(packed.pc))
-    target_raw = bytes(memoryview(packed.target))
-    flags_raw = packed.flags
-    meta_raw = json.dumps(meta, sort_keys=True).encode()
-    itemsize = memoryview(packed.pc).itemsize
-    if code == _COMPRESSION_ZSTD:
-        compressor = _zstd().ZstdCompressor()
-        pc_raw = compressor.compress(pc_raw)
-        target_raw = compressor.compress(target_raw)
-        flags_raw = compressor.compress(flags_raw)
+    sections = (
+        memoryview(packed.pc).cast("B"),
+        memoryview(packed.target).cast("B"),
+        packed.flags,
+        json.dumps(meta, sort_keys=True).encode(),
+    )
     header = _HEADER.pack(
         _MAGIC,
-        code,
-        itemsize,
+        0,
+        memoryview(packed.pc).itemsize,
         0,
         len(packed),
-        len(pc_raw),
-        len(target_raw),
-        len(flags_raw),
-        len(meta_raw),
+        *(len(section) for section in sections),
     )
     tmp = _temp_path(path)
     with open(tmp, "wb") as handle:
         handle.write(header)
-        handle.write(pc_raw)
-        handle.write(target_raw)
-        handle.write(flags_raw)
-        handle.write(meta_raw)
+        for section in sections:
+            handle.write(section)
     os.replace(tmp, path)
-    return _HEADER.size + len(pc_raw) + len(target_raw) + len(flags_raw) + len(meta_raw)
+    return _HEADER.size + sum(len(section) for section in sections)
 
 
-def _parse_header(path: Path, raw: bytes) -> Tuple[int, int, int, Tuple[int, int, int, int]]:
+def _parse_header(path: Path, raw: bytes) -> Tuple[int, int, Tuple[int, int, int, int]]:
     if len(raw) < _HEADER.size:
         raise StoreError(
             f"{path.name}: shard header needs {_HEADER.size} bytes,"
@@ -225,24 +161,26 @@ def _parse_header(path: Path, raw: bytes) -> Tuple[int, int, int, Tuple[int, int
     )
     if magic != _MAGIC:
         raise StoreError(f"{path.name}: bad shard magic {magic!r} (expected {_MAGIC!r})")
-    if code not in _COMPRESSION_NAMES:
-        raise StoreError(f"{path.name}: unknown compression code {code}")
-    return code, itemsize, count, (pc_len, target_len, flags_len, meta_len)
+    if code != 0:
+        raise StoreError(
+            f"{path.name}: compression code {code} is not supported"
+            " (shards are stored uncompressed)"
+        )
+    return itemsize, count, (pc_len, target_len, flags_len, meta_len)
 
 
 def read_shard(path: Path) -> Tuple[PackedTrace, Dict[str, Any]]:
     """Load one shard into a :class:`PackedTrace` plus its meta dict.
 
-    Uncompressed shards are memory-mapped: the address columns are
-    zero-copy views into the mapping (the flag column is copied — the
-    simulation layers need real ``bytes`` for C-speed ``translate``
-    counting).  Raises :class:`StoreError` for any damage, naming the
-    promised and received byte counts.
+    The shard is memory-mapped: the address columns are zero-copy views
+    into the mapping (the flag column is copied — the simulation layers
+    need real ``bytes`` for C-speed ``translate`` counting).  Raises
+    :class:`StoreError` for any damage, naming the promised and received
+    byte counts.
     """
     try:
         with open(path, "rb") as handle:
-            head = handle.read(_HEADER.size)
-            code, itemsize, count, sections = _parse_header(path, head)
+            itemsize, count, sections = _parse_header(path, handle.read(_HEADER.size))
             total = _HEADER.size + sum(sections)
             size = os.fstat(handle.fileno()).st_size
             if size < total:
@@ -250,12 +188,7 @@ def read_shard(path: Path) -> Tuple[PackedTrace, Dict[str, Any]]:
                     f"{path.name}: truncated shard: header promises {total} bytes"
                     f" ({count} records), file has {size} bytes"
                 )
-            if code == _COMPRESSION_NONE:
-                buffer: Any = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
-            else:
-                buffer = memoryview(handle.read(total - _HEADER.size))
-                # shift section offsets back as if the header were present
-                buffer = memoryview(bytes(_HEADER.size) + bytes(buffer))
+            buffer = memoryview(mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ))
     except OSError as exc:
         raise StoreError(f"{path.name}: unreadable shard: {exc}") from exc
 
@@ -269,18 +202,6 @@ def read_shard(path: Path) -> Tuple[PackedTrace, Dict[str, Any]]:
     offset += flags_len
     meta_raw = bytes(buffer[offset:offset + meta_len])
 
-    if code == _COMPRESSION_ZSTD:
-        zstandard = _zstd()
-        if zstandard is None:
-            raise StoreError(
-                f"{path.name}: shard is zstd-compressed but the zstandard module"
-                " is not installed (pip install 'repro-branch-prediction[store]')"
-            )
-        decompressor = zstandard.ZstdDecompressor()
-        pc_raw = memoryview(decompressor.decompress(bytes(pc_raw), max_output_size=count * itemsize))
-        target_raw = memoryview(decompressor.decompress(bytes(target_raw), max_output_size=count * itemsize))
-        flags_raw = memoryview(decompressor.decompress(bytes(flags_raw), max_output_size=count))
-
     expected = count * itemsize
     if len(pc_raw) != expected or len(target_raw) != expected or len(flags_raw) != count:
         raise StoreError(
@@ -289,8 +210,8 @@ def read_shard(path: Path) -> Tuple[PackedTrace, Dict[str, Any]]:
             f" pc={len(pc_raw)}B target={len(target_raw)}B flags={len(flags_raw)}B"
         )
     try:
-        pc = pc_raw.cast("B").cast(_ADDR_TYPECODE if itemsize == 4 else "Q")
-        target = target_raw.cast("B").cast(_ADDR_TYPECODE if itemsize == 4 else "Q")
+        pc = pc_raw.cast(_ADDR_TYPECODE if itemsize == 4 else "Q")
+        target = target_raw.cast(_ADDR_TYPECODE if itemsize == 4 else "Q")
     except TypeError as exc:
         raise StoreError(f"{path.name}: bad address itemsize {itemsize}") from exc
     flags = bytes(flags_raw)
@@ -315,7 +236,6 @@ class ShardInfo:
     path: Path
     bytes: int
     records: int
-    compression: str
     hits: int
     last_used: float
     created: float
@@ -351,18 +271,12 @@ class TraceStore:
     :meth:`clear`).
     """
 
-    def __init__(
-        self,
-        root: "Path | str",
-        max_bytes: Optional[int] = None,
-        compression: Optional[str] = None,
-    ):
+    def __init__(self, root: "Path | str", max_bytes: Optional[int] = None):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes if max_bytes is not None else default_max_bytes()
         if self.max_bytes <= 0:
             raise ConfigError("TraceStore max_bytes must be positive")
-        self.compression = compression
         self._index_path = self.root / "index.json"
         #: stem -> access stats not yet in ``index.json``: loads only touch
         #: memory, so a run of loads costs one index write, not one each
@@ -374,13 +288,10 @@ class TraceStore:
         """The index on disk with this instance's unwritten touches merged in."""
         return _merge_touches(_read_entries(self._index_path), self._pending)
 
-    def _touch(self, stem: str, size: int, records: int, code: int, hit: bool) -> None:
+    def _touch(self, stem: str, records: int, hit: bool) -> None:
         """Record an access in memory; the next index write carries it."""
         touch = self._pending.setdefault(stem, {"hits": 0})
-        touch.update(
-            bytes=size, records=records, compression=_COMPRESSION_NAMES[code],
-            last_used=time.time(),
-        )
+        touch.update(records=records, last_used=time.time())
         touch["hits"] += int(hit)
 
     def flush(self) -> None:
@@ -402,19 +313,11 @@ class TraceStore:
         and overwrites it); use :meth:`verify` / :func:`read_shard` when the
         damage itself is the point.
         """
-        path = self.path_for(stem)
-        if not path.exists():
-            return None
         try:
-            packed, meta = read_shard(path)
+            packed, meta = read_shard(self.path_for(stem))
         except StoreError:
             return None
-        try:
-            code, _itemsize, _count, _sections = read_shard_header(path)
-            size = path.stat().st_size
-        except (StoreError, OSError):  # pragma: no cover - raced deletion
-            code, size = _COMPRESSION_NONE, 0
-        self._touch(stem, size, len(packed), code, hit=True)
+        self._touch(stem, len(packed), hit=True)
         return packed, meta
 
     def store(
@@ -430,9 +333,8 @@ class TraceStore:
         oversized shard until something newer replaces it).
         """
         path = self.path_for(stem)
-        size = write_shard(path, packed, meta, self.compression)
-        code = _resolve_compression(self.compression)
-        self._touch(stem, size, len(packed), code, hit=False)
+        write_shard(path, packed, meta)
+        self._touch(stem, len(packed), hit=False)
         self.flush()
         self._evict_to_bound(keep=stem)
         return path
@@ -450,29 +352,21 @@ class TraceStore:
                 continue
             entry = index.get(stem, {})
             records = int(entry.get("records", 0))
-            compression = str(entry.get("compression", "?"))
             if not entry:
-                try:
-                    code, _itemsize, records, _sections = read_shard_header(path)
-                    compression = _COMPRESSION_NAMES[code]
-                except StoreError:
-                    compression = "corrupt"
+                with contextlib.suppress(StoreError):
+                    _itemsize, records, _sections = read_shard_header(path)
             infos.append(
                 ShardInfo(
                     stem=stem,
                     path=path,
                     bytes=stat.st_size,
                     records=records,
-                    compression=compression,
                     hits=int(entry.get("hits", 0)),
                     last_used=float(entry.get("last_used", stat.st_mtime)),
                     created=float(entry.get("created", stat.st_mtime)),
                 )
             )
         return infos
-
-    def total_bytes(self) -> int:
-        return sum(info.bytes for info in self.entries())
 
     def _evict_to_bound(self, keep: Optional[str] = None) -> List[str]:
         infos = self.entries()
@@ -603,9 +497,9 @@ def _flush_touches(path: Path, pending: Dict[str, Dict[str, Any]]) -> None:
         _update_index(path, pending)
 
 
-def read_shard_header(path: Path) -> Tuple[int, int, int, Tuple[int, int, int, int]]:
-    """Parse just a shard's header: ``(compression, itemsize, records,
-    section_lengths)``.  Raises :class:`StoreError` on damage."""
+def read_shard_header(path: Path) -> Tuple[int, int, Tuple[int, int, int, int]]:
+    """Parse just a shard's header: ``(itemsize, records, section_lengths)``.
+    Raises :class:`StoreError` on damage."""
     try:
         with open(path, "rb") as handle:
             head = handle.read(_HEADER.size)

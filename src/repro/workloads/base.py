@@ -9,10 +9,10 @@ branch trace.  Data sets model the paper's Table 3 — a workload may define a
 Traces are cached at two levels: an in-process dict (sweeps reuse the same
 trace across dozens of predictor configurations) and an optional on-disk
 :class:`~repro.trace.store.TraceStore` of memory-mapped shards (CPU
-execution is the expensive stage).  Store keys are content-addressed over
-every generation ingredient — workload name, role, data-set parameters,
-workload ``version``, scale — so editing a program generator *or* a data
-set invalidates stale traces.
+execution is the expensive stage).  Store keys digest the generated
+program text itself, the scale and the ISA's semantics version, so editing
+a program generator, a shared macro or a data set invalidates stale traces
+with no version to bump.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Type, Union
 
+from repro import isa
 from repro.errors import ConfigError, WorkloadError
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
@@ -143,13 +144,12 @@ class Workload(ABC):
     """A SPEC-analog benchmark program.
 
     Subclasses define ``name``, ``category`` (integer / fp), their data sets
-    and :meth:`build_source`.  ``version`` must be bumped whenever the
-    generated program changes, to invalidate disk-cached traces.
+    and :meth:`build_source`, which must be a pure function of the class
+    and the data set: the trace cache keys traces by the text it emits.
     """
 
     name: str = ""
     category: str = INTEGER
-    version: int = 1
 
     #: data sets by role; every workload has "test", some also have "train"
     #: (Table 3's five benchmarks with applicable alternative data sets).
@@ -175,12 +175,19 @@ class Workload(ABC):
         return "train" in self.datasets
 
     def generate(
-        self, dataset: Optional[DataSet] = None, max_conditional: int = DEFAULT_CONDITIONAL_BRANCHES
+        self,
+        dataset: Optional[DataSet] = None,
+        max_conditional: int = DEFAULT_CONDITIONAL_BRANCHES,
+        source: Optional[str] = None,
     ) -> WorkloadTrace:
         """Assemble and execute the program, capped at ``max_conditional``
-        conditional branches (the paper's per-benchmark simulation cap)."""
-        chosen = dataset if dataset is not None else self.dataset("test")
-        program = assemble(self.build_source(chosen))
+        conditional branches (the paper's per-benchmark simulation cap).
+
+        ``source`` is the program text already built for ``dataset``; the
+        trace cache passes the text its store key digested."""
+        if source is None:
+            source = self.build_source(dataset if dataset is not None else self.dataset("test"))
+        program = assemble(source)
         cpu = CPU(program)
         result = cpu.run(max_conditional_branches=max_conditional)
         return WorkloadTrace.from_packed(result.packed, result.mix)
@@ -220,13 +227,44 @@ def get_workload(name: str) -> Workload:
 # ----------------------------------------------------------------------
 # trace cache
 # ----------------------------------------------------------------------
+#: (stem, key dict, program text) of each trace this process has keyed.
+#: The key is a function of everything the text is: the workload's class
+#: and ``build_source`` (so a subclass or a patched generator misses), the
+#: data set, plus the cap and ISA semantics the store key adds.  Building
+#: the 14 sources takes about 50 ms, which a fresh TraceCache would
+#: otherwise pay again.
+_TRACE_KEYS: Dict[Tuple[Any, ...], Tuple[str, Dict[str, Any], str]] = {}
+
+
+def _trace_key(
+    workload: Workload, role: str, max_conditional: int
+) -> Tuple[str, Dict[str, Any], str]:
+    """The store's content-addressed (stem, key dict) for one trace, and
+    the program text it digests."""
+    dataset = workload.dataset(role)
+    memo = (
+        type(workload),
+        getattr(workload.build_source, "__func__", workload.build_source),
+        role,
+        dataset.name,
+        tuple(sorted(dataset.params.items())),
+        max_conditional,
+        isa.SEMANTICS_VERSION,
+    )
+    entry = _TRACE_KEYS.get(memo)
+    if entry is None:
+        source = workload.build_source(dataset)
+        stem, key = content_key(workload.name, role, max_conditional, source)
+        entry = _TRACE_KEYS[memo] = (stem, key, source)
+    return entry
+
+
 class TraceCache:
     """Two-level (memory + optional shard-store) cache of workload traces."""
 
     def __init__(self, disk_dir: "Optional[Path | str]" = None):
-        self._memory: Dict[Tuple[str, str, int, int], WorkloadTrace] = {}
-        #: store stems by the same key; a figure asks for each one per cell
-        self._stems: Dict[Tuple[str, str, int, int], Tuple[str, Dict[str, Any]]] = {}
+        #: traces by store stem
+        self._memory: Dict[str, WorkloadTrace] = {}
         self.disk_dir = Path(disk_dir).expanduser() if disk_dir is not None else None
         self.store: Optional[TraceStore] = (
             TraceStore(self.disk_dir) if self.disk_dir is not None else None
@@ -243,33 +281,16 @@ class TraceCache:
         cache._memory = self._memory
         return cache
 
-    def _stem(
-        self, workload: Workload, role: str, max_conditional: int
-    ) -> Tuple[str, Dict[str, Any]]:
-        """The store's content-addressed (stem, key dict) for one trace."""
-        key = (workload.name, role, max_conditional, workload.version)
-        stem = self._stems.get(key)
-        if stem is None:
-            stem = self._stems[key] = content_key(
-                workload.name,
-                role,
-                max_conditional,
-                workload.version,
-                workload.dataset(role).params,
-            )
-        return stem
-
     def stem_for(
         self, workload: Workload, role: str, max_conditional: int
     ) -> str:
         """The content-addressed store stem identifying one trace.
 
-        The stem digests the workload name, role, cap, generator version
-        and dataset parameters, so it is stable across processes and
-        changes whenever the trace's content would — which makes it the
-        trace half of a sweep-result cache key
-        (:mod:`repro.sim.result_cache`)."""
-        return self._stem(workload, role, max_conditional)[0]
+        The stem digests the program text, the cap and the ISA semantics
+        version, so it is stable across processes and changes whenever
+        the trace's content would — which makes it the trace half of a
+        sweep-result cache key (:mod:`repro.sim.result_cache`)."""
+        return _trace_key(workload, role, max_conditional)[0]
 
     def get(
         self,
@@ -278,16 +299,16 @@ class TraceCache:
         max_conditional: int = DEFAULT_CONDITIONAL_BRANCHES,
     ) -> WorkloadTrace:
         """Fetch (or generate and cache) a workload trace."""
-        key = (workload.name, role, max_conditional, workload.version)
-        cached = self._memory.get(key)
+        stem, key, source = _trace_key(workload, role, max_conditional)
+        cached = self._memory.get(stem)
         if cached is not None:
             return cached
 
-        trace = self._load_disk(workload, role, max_conditional)
+        trace = self._load_disk(stem)
         if trace is None:
-            trace = workload.generate(workload.dataset(role), max_conditional)
-            self._store_disk(workload, role, max_conditional, trace)
-        self._memory[key] = trace
+            trace = workload.generate(workload.dataset(role), max_conditional, source)
+            self._store_disk(stem, key, trace)
+        self._memory[stem] = trace
         return trace
 
     def clear_memory(self) -> None:
@@ -308,20 +329,17 @@ class TraceCache:
         """
         if self.store is None:
             raise WorkloadError("ensure_on_disk requires a disk-backed TraceCache")
-        stem, _key = self._stem(workload, role, max_conditional)
+        stem, key, _source = _trace_key(workload, role, max_conditional)
         if self.store.has(stem):
             return
         trace = self.get(workload, role, max_conditional)
         if not self.store.has(stem):  # get() may have stored it
-            self._store_disk(workload, role, max_conditional, trace)
+            self._store_disk(stem, key, trace)
 
     # -- disk layer (shard store) --------------------------------------
-    def _load_disk(
-        self, workload: Workload, role: str, max_conditional: int
-    ) -> Optional[WorkloadTrace]:
+    def _load_disk(self, stem: str) -> Optional[WorkloadTrace]:
         if self.store is None:
             return None
-        stem, _key = self._stem(workload, role, max_conditional)
         loaded = self.store.load(stem)
         if loaded is None:
             return None  # miss, or a corrupt shard regenerating silently
@@ -332,16 +350,9 @@ class TraceCache:
             return None
         return WorkloadTrace.from_packed(packed, mix)
 
-    def _store_disk(
-        self,
-        workload: Workload,
-        role: str,
-        max_conditional: int,
-        trace: WorkloadTrace,
-    ) -> None:
+    def _store_disk(self, stem: str, key: Dict[str, Any], trace: WorkloadTrace) -> None:
         if self.store is None:
             return
-        stem, key = self._stem(workload, role, max_conditional)
         meta = {
             "key": key,
             "mix": {

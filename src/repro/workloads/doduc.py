@@ -33,7 +33,6 @@ class Doduc(Workload):
 
     name = "doduc"
     category = FLOATING_POINT
-    version = 2
     datasets = {
         # The training input ("tiny doducin") is the same reactor model at a
         # smaller scale: identical structure, mildly perturbed parameter

@@ -56,7 +56,6 @@ class Eqntott(Workload):
 
     name = "eqntott"
     category = INTEGER
-    version = 2
     datasets = {
         # Table 3: testing set int_pri_3.eqn; no applicable training set.
         "test": DataSet("int_pri_3", {"seed": 8111, "pairs": 13, "width": 8, "period": 7, "noise": 330}),

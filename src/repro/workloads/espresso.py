@@ -45,7 +45,6 @@ class Espresso(Workload):
 
     name = "espresso"
     category = INTEGER
-    version = 2
     datasets = {
         # Both inputs are PLA covers of the same family: the training cover
         # ("cps") shares most of its cubes with the testing cover ("bca")

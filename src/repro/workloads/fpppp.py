@@ -38,7 +38,6 @@ class Fpppp(Workload):
 
     name = "fpppp"
     category = FLOATING_POINT
-    version = 2
     datasets = {
         # Table 3: no alternative data set applicable (testing set natoms).
         "test": DataSet("natoms", {"shells": 8, "terms": 24}),

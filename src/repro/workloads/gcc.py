@@ -173,7 +173,6 @@ class Gcc(Workload):
 
     name = "gcc"
     category = INTEGER
-    version = 2
     datasets = {
         "test": DataSet("dbxout.i", {"stream_seed": 60601, "stream_len": 420}),
         "train": DataSet("cexp.i", {"stream_seed": 7333, "stream_len": 360}),

@@ -29,7 +29,7 @@ class Li(Workload):
 
     name = "li"
     category = INTEGER
-    # v4: the driver reads hanoi_weight from the data segment instead of an
+    # The driver reads hanoi_weight from the data segment instead of an
     # immediate (R009 flagged the baked-in weight as a provably one-sided
     # guard when it is 0).  One `li` became one `ld`, so every text address
     # is unchanged; the loaded word is written by nothing (queens stores at
@@ -38,7 +38,6 @@ class Li(Workload):
     # every branch outcome is preserved exactly.  This is also the faithful
     # modeling: one interpreter text shared by both data sets, with the
     # interpreted-program mix coming from data.
-    version = 4
     datasets = {
         # hanoi_weight of 8 driver slots run the hanoi kernel; the rest run
         # queens.  Table 3: train = towers of hanoi, test = eight queens.

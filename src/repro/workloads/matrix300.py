@@ -23,7 +23,6 @@ class Matrix300(Workload):
 
     name = "matrix300"
     category = FLOATING_POINT
-    version = 2
     datasets = {
         # Table 3: no alternative data set applicable (marked NA).
         "test": DataSet("default", {"n": 64}),

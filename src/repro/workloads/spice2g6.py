@@ -41,7 +41,6 @@ class Spice2g6(Workload):
 
     name = "spice2g6"
     category = FLOATING_POINT
-    version = 2
     datasets = {
         # The training input is "short greycode.in" — the same circuit run
         # shorter: identical element list with a few devices swapped, same

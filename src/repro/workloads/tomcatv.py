@@ -29,7 +29,6 @@ class Tomcatv(Workload):
 
     name = "tomcatv"
     category = FLOATING_POINT
-    version = 2
     datasets = {
         # Table 3: no alternative data set applicable (marked NA).
         "test": DataSet("default", {"n": 64, "seed": 1009, "tol": 8}),

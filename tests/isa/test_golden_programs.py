@@ -8,8 +8,10 @@ point.  The branch-stream digests in
 execute; these digests pin every instruction the assembler emits, so a
 faster assembler must produce the old image byte for byte.
 
-If a change to a generator is *intentional*, regenerate the digests and
-bump that workload's ``version`` so stale disk-cached traces invalidate.
+If a change is *intentional*, regenerate the digests.  A generator edit
+needs no other step: the trace store keys traces by the program text.  A
+change to the assembler or the CPU also bumps
+``repro.isa.SEMANTICS_VERSION``, so stale stored traces invalidate.
 """
 
 import hashlib
@@ -95,5 +97,6 @@ def test_every_variant_is_pinned():
 def test_assembled_image_matches_golden(name, role):
     assert image_digest(name, role) == GOLDEN[(name, role)], (
         f"the {name}/{role} assembled image changed; if the change is"
-        f" intended, regenerate the digests and bump `{name}.version`"
+        " intended, regenerate the digests (a generator edit needs no bump;"
+        " an assembler or CPU change bumps `repro.isa.SEMANTICS_VERSION`)"
     )

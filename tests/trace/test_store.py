@@ -1,19 +1,20 @@
 """The memory-mapped shard store: round-trips, bounds, keys, corruption.
 
-Everything here runs without NumPy and without zstandard — the store is
-pure stdlib; compressed-shard behaviour is asserted both ways (with the
-module when installed, and the documented degradation when not).
+Everything here runs without NumPy — the store is pure stdlib.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
+import repro.trace.store
+from repro import isa
 from repro.errors import ConfigError, ReproError, StoreError
 from repro.trace.columnar import pack_records
 from repro.trace.record import BranchClass, BranchRecord
@@ -27,7 +28,6 @@ from repro.trace.store import (
     read_shard,
     read_shard_header,
     write_shard,
-    zstd_available,
 )
 
 
@@ -70,7 +70,7 @@ def meta():
 class TestShardRoundTrip:
     def test_uncompressed_round_trip(self, tmp_path, packed, meta):
         path = tmp_path / f"one{SHARD_SUFFIX}"
-        size = write_shard(path, packed, meta, compression="none")
+        size = write_shard(path, packed, meta)
         assert path.stat().st_size == size
         loaded, loaded_meta = read_shard(path)
         assert list(loaded.pc) == list(packed.pc)
@@ -80,38 +80,16 @@ class TestShardRoundTrip:
 
     def test_header_reports_geometry(self, tmp_path, packed, meta):
         path = tmp_path / f"one{SHARD_SUFFIX}"
-        write_shard(path, packed, meta, compression="none")
-        code, itemsize, count, sections = read_shard_header(path)
-        assert code == 0
+        write_shard(path, packed, meta)
+        itemsize, count, sections = read_shard_header(path)
         assert count == len(packed)
         assert sections[0] == count * itemsize
-
-    def test_zstd_round_trip_or_config_error(self, tmp_path, packed, meta):
-        path = tmp_path / f"one{SHARD_SUFFIX}"
-        if not zstd_available():
-            # explicit zstd without the optional extra must fail loudly...
-            with pytest.raises(ConfigError, match="zstd"):
-                write_shard(path, packed, meta, compression="zstd")
-            # ...while auto degrades to an uncompressed shard silently
-            write_shard(path, packed, meta, compression="auto")
-            assert read_shard_header(path)[0] == 0
-            return
-        write_shard(path, packed, meta, compression="zstd")
-        code, _itemsize, _count, _sections = read_shard_header(path)
-        assert code == 1
-        loaded, loaded_meta = read_shard(path)
-        assert list(loaded.pc) == list(packed.pc)
-        assert loaded_meta == meta
-
-    def test_unknown_compression_rejected(self, tmp_path, packed, meta):
-        with pytest.raises(ConfigError):
-            write_shard(tmp_path / "x.shard", packed, meta, compression="lz77")
 
 
 class TestCorruption:
     def test_truncated_shard_names_promised_and_received(self, tmp_path, packed, meta):
         path = tmp_path / f"one{SHARD_SUFFIX}"
-        write_shard(path, packed, meta, compression="none")
+        write_shard(path, packed, meta)
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])
         with pytest.raises(StoreError, match=r"promises \d+ bytes.*has \d+ bytes"):
@@ -119,7 +97,7 @@ class TestCorruption:
 
     def test_bad_magic(self, tmp_path, packed, meta):
         path = tmp_path / f"one{SHARD_SUFFIX}"
-        write_shard(path, packed, meta, compression="none")
+        write_shard(path, packed, meta)
         raw = bytearray(path.read_bytes())
         raw[:8] = b"NOTMAGIC"
         path.write_bytes(bytes(raw))
@@ -139,6 +117,17 @@ class TestCorruption:
     def test_store_error_is_repro_error(self):
         assert issubclass(StoreError, ReproError)
 
+    def test_compressed_header_is_store_error(self, tmp_path, packed, meta):
+        store = TraceStore(tmp_path)
+        store.store("one", packed, meta)
+        path = store.path_for("one")
+        raw = bytearray(path.read_bytes())
+        raw[8] = 1  # the header's compression code
+        path.write_bytes(bytes(raw))
+        with pytest.raises(StoreError, match="compression code 1"):
+            read_shard(path)
+        assert store.load("one") is None
+
     def test_load_treats_corruption_as_miss(self, tmp_path, packed, meta):
         store = TraceStore(tmp_path)
         store.store("one", packed, meta)
@@ -157,31 +146,37 @@ class TestCorruption:
         assert isinstance(results["bad"], StoreError)
 
 
+SOURCE = "_start:\n    li r2, 3\nloop:\n    addi r2, r2, -1\n    bgt r2, r0, loop\n    halt\n"
+
+
 class TestContentKey:
     def test_stem_embeds_ingredients(self):
-        stem, key = content_key("eqntott", "test", 5000, 2, {"seed": 7})
-        assert stem.startswith("eqntott-test-5000-v2-")
+        stem, key = content_key("eqntott", "test", 5000, SOURCE)
+        assert stem.startswith("eqntott-test-5000-")
+        assert len(stem.split("-")) == 4  # name, role, scale, digest
+        assert key["source"] == hashlib.sha256(SOURCE.encode()).hexdigest()
         assert key["format"] == FORMAT_VERSION
-        assert key["params"] == {"seed": 7}
+        assert key["isa"] == isa.SEMANTICS_VERSION
 
-    def test_any_ingredient_changes_the_stem(self):
-        base, _ = content_key("eqntott", "test", 5000, 2, {"seed": 7})
-        assert content_key("eqntott", "train", 5000, 2, {"seed": 7})[0] != base
-        assert content_key("eqntott", "test", 5001, 2, {"seed": 7})[0] != base
-        assert content_key("eqntott", "test", 5000, 3, {"seed": 7})[0] != base
-        # dataset parameters are covered (the legacy cache's blind spot)
-        assert content_key("eqntott", "test", 5000, 2, {"seed": 8})[0] != base
-
-    def test_param_order_is_canonical(self):
-        a, _ = content_key("li", "test", 100, 1, {"a": 1, "b": 2})
-        b, _ = content_key("li", "test", 100, 1, {"b": 2, "a": 1})
-        assert a == b
+    def test_any_ingredient_changes_the_stem(self, monkeypatch):
+        base, _ = content_key("eqntott", "test", 5000, SOURCE)
+        assert content_key("eqntott", "test", 5000, SOURCE)[0] == base
+        assert content_key("eqntott", "train", 5000, SOURCE)[0] != base
+        assert content_key("eqntott", "test", 5001, SOURCE)[0] != base
+        # one instruction more in the program text
+        edited = SOURCE.replace("halt", "nop\n    halt")
+        assert content_key("eqntott", "test", 5000, edited)[0] != base
+        monkeypatch.setattr(repro.trace.store, "FORMAT_VERSION", FORMAT_VERSION + 1)
+        assert content_key("eqntott", "test", 5000, SOURCE)[0] != base
+        monkeypatch.undo()
+        monkeypatch.setattr(isa, "SEMANTICS_VERSION", isa.SEMANTICS_VERSION + 1)
+        assert content_key("eqntott", "test", 5000, SOURCE)[0] != base
 
 
 class TestStoreLifecycle:
     def test_store_load_hit_stats(self, tmp_path, packed, meta):
         store = TraceStore(tmp_path)
-        stem = "eqntott-test-50-v1-abc"
+        stem = "eqntott-test-50-abc"
         assert store.load(stem) is None
         store.store(stem, packed, meta)
         assert store.has(stem)
@@ -194,7 +189,7 @@ class TestStoreLifecycle:
         assert info.records == len(packed)
 
     def test_lru_eviction_bounds_total(self, tmp_path, packed, meta):
-        shard_size = write_shard(tmp_path / "probe.bin", packed, meta, "none")
+        shard_size = write_shard(tmp_path / "probe.bin", packed, meta)
         store = TraceStore(tmp_path / "store", max_bytes=int(shard_size * 2.5))
         store.store("a", packed, meta)
         store.store("b", packed, meta)
@@ -202,7 +197,7 @@ class TestStoreLifecycle:
         store.store("c", packed, meta)
         stems = {info.stem for info in store.entries()}
         assert stems == {"a", "c"}
-        assert store.total_bytes() <= store.max_bytes
+        assert sum(info.bytes for info in store.entries()) <= store.max_bytes
 
     def test_loads_write_the_index_once(self, tmp_path, packed, meta, monkeypatch):
         TraceStore(tmp_path).store("a", packed, meta)
@@ -226,7 +221,7 @@ class TestStoreLifecycle:
         assert [info.hits for info in TraceStore(tmp_path).entries()] == [14]
 
     def test_new_entry_never_evicts_itself(self, tmp_path, packed, meta):
-        shard_size = write_shard(tmp_path / "probe.bin", packed, meta, "none")
+        shard_size = write_shard(tmp_path / "probe.bin", packed, meta)
         store = TraceStore(tmp_path / "store", max_bytes=max(1, shard_size // 2))
         store.store("huge", packed, meta)
         assert store.has("huge")

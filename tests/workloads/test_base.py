@@ -1,7 +1,14 @@
 """Workload framework: registry, data sets, trace caching."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro import isa
 from repro.errors import WorkloadError
 from repro.workloads.base import (
     DataSet,
@@ -100,28 +107,94 @@ class TestTraceCache:
         fresh = TraceCache(disk_dir=tmp_path)
         assert fresh.get(workload, "test", 200).mix.conditional == 200
 
-    def test_version_busts_cache(self, tmp_path):
-        class Versioned(Workload):
-            name = "eqntott"  # reuse the real generator
-            category = "integer"
-            version = 999
-            datasets = get_workload("eqntott").datasets
+    def test_generator_edit_busts_cache(self, tmp_path, monkeypatch):
+        eqntott = get_workload("eqntott")
 
-            def build_source(self, dataset):
-                return get_workload("eqntott").build_source(dataset)
+        class Edited(type(eqntott)):
+            def build_source(self, dataset):  # one more instruction
+                return super().build_source(dataset).replace("_start:\n", "_start:\n    nop\n", 1)
 
+        generated = _count_generations(monkeypatch)
         cache = TraceCache(disk_dir=tmp_path)
-        baseline = cache.get(get_workload("eqntott"), "test", 200)
-        bumped = cache.get(Versioned(), "test", 200)
-        assert bumped is not baseline
+        baseline = cache.get(eqntott, "test", 200)
+        base_stem = cache.stem_for(eqntott, "test", 200)
+        shard = cache.store.path_for(base_stem).read_bytes()
 
-    def test_bumped_version_gets_a_new_stem(self):
+        edited = cache.get(Edited(), "test", 200)
+        edited_stem = cache.stem_for(Edited(), "test", 200)
+        assert edited_stem != base_stem
+        assert edited is not baseline
+        assert generated == ["eqntott", "eqntott"]  # the edit regenerated
+        # nothing else is touched: the old shard stays, byte for byte, and
+        # a fresh cache still loads it without generating
+        assert {info.stem for info in cache.store.entries()} == {base_stem, edited_stem}
+        assert cache.store.path_for(base_stem).read_bytes() == shard
+        TraceCache(disk_dir=tmp_path).get(eqntott, "test", 200)
+        assert len(generated) == 2
+
+    def test_patched_generator_gets_a_new_stem(self, monkeypatch):
         workload = get_workload("li")
-        cache = TraceCache()
+        stem = TraceCache().stem_for(workload, "test", 200)
+        build = type(workload).build_source
+        monkeypatch.setattr(
+            type(workload), "build_source", lambda self, dataset: build(self, dataset) + "    nop\n"
+        )
+        assert TraceCache().stem_for(workload, "test", 200) != stem
+        monkeypatch.undo()
+        assert TraceCache().stem_for(workload, "test", 200) == stem
+
+    def test_bumped_version_gets_a_new_stem(self, tmp_path, monkeypatch):
+        """Bumping the ISA semantics version re-keys every stored trace."""
+        workload = get_workload("li")
+        cache = TraceCache(disk_dir=tmp_path)
         stem = cache.stem_for(workload, "test", 200)
         assert cache.stem_for(workload, "test", 200) == stem  # memoised
-        workload.version += 1
+        cache.get(workload, "test", 200)
+        generated = _count_generations(monkeypatch)
+        monkeypatch.setattr(isa, "SEMANTICS_VERSION", isa.SEMANTICS_VERSION + 1)
         bumped = cache.stem_for(workload, "test", 200)
         assert bumped != stem
-        assert bumped == TraceCache().stem_for(workload, "test", 200)
         assert cache.stem_for(workload, "train", 200) != bumped
+        TraceCache(disk_dir=tmp_path).get(workload, "test", 200)
+        assert generated == ["li"]  # the store missed
+
+    def test_stems_are_stable_across_processes(self):
+        """Stems digest program text, never a per-process hash."""
+        script = (
+            "from repro.workloads import TraceCache, get_workload, workload_names\n"
+            "cache = TraceCache()\n"
+            "for name in workload_names():\n"
+            "    workload = get_workload(name)\n"
+            "    for role in sorted(workload.datasets):\n"
+            "        print(cache.stem_for(workload, role, 200))\n"
+        )
+        src = str(Path(repro.__file__).parents[1])
+        outputs = set()
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outputs.add(
+                subprocess.run(
+                    [sys.executable, "-c", script], env=env, check=True,
+                    capture_output=True, text=True,
+                ).stdout
+            )
+        cache = TraceCache()
+        parent = "".join(
+            f"{cache.stem_for(get_workload(name), role, 200)}\n"
+            for name in workload_names()
+            for role in sorted(get_workload(name).datasets)
+        )
+        assert outputs == {parent}
+
+
+def _count_generations(monkeypatch):
+    """The names of the workloads generated from now on (store misses)."""
+    generated = []
+    generate = Workload.generate
+
+    def counting(self, *args, **kwargs):
+        generated.append(self.name)
+        return generate(self, *args, **kwargs)
+
+    monkeypatch.setattr(Workload, "generate", counting)
+    return generated

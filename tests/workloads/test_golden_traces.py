@@ -7,8 +7,10 @@ from a known-good interpreter.  The digests pin the whole generation path
 -- program generator, assembler and CPU -- bit for bit, so a faster
 interpreter must reproduce the old branch stream exactly.
 
-If a change to a generator is *intentional*, regenerate the digests and
-bump that workload's ``version`` so stale disk-cached traces invalidate.
+If a change is *intentional*, regenerate the digests.  A generator edit
+needs no other step: the trace store keys traces by the program text.  A
+change to the assembler or the CPU also bumps
+``repro.isa.SEMANTICS_VERSION``, so stale stored traces invalidate.
 """
 
 import hashlib
@@ -146,5 +148,6 @@ def test_every_variant_is_pinned():
 def test_branch_stream_matches_golden(name, role):
     assert _digests(name, role) == GOLDEN[(name, role)], (
         f"the {name}/{role} branch stream changed; if the change is intended,"
-        f" regenerate the digests and bump `{name}.version`"
+        " regenerate the digests (a generator edit needs no bump; an assembler"
+        " or CPU change bumps `repro.isa.SEMANTICS_VERSION`)"
     )
