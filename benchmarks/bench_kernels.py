@@ -33,7 +33,7 @@ import pytest
 from repro.predictors.spec import parse_spec
 from repro.sim.backend import has_numpy
 from repro.sim.engine import simulate
-from repro.sim.kernels import simulate_spec
+from repro.sim.kernels import score_spec
 from repro.sim.runner import run_sweep
 from repro.workloads.base import TraceCache, get_workload, parse_scale
 
@@ -111,7 +111,7 @@ def test_kernel_vs_scalar_speedup(bench_cache):
     for label, spec_text in FAMILIES:
         spec = parse_spec(spec_text)
         scalar_s, baseline = _best_of(lambda: simulate(spec.build(), packed))
-        kernel_s, fast = _best_of(lambda: simulate_spec(spec, packed))
+        kernel_s, fast = _best_of(lambda: score_spec(spec, packed, "vector"))
         assert fast == baseline, f"{spec_text} diverged from the scalar engine"
         speedup = scalar_s / kernel_s
         rows.append(
@@ -163,7 +163,7 @@ def test_store_end_to_end(tmp_path):
     cache.ensure_on_disk(workload, "test", scale)
     cold_s = time.perf_counter() - start
 
-    cache.clear_memory()
+    cache = TraceCache(disk_dir=tmp_path / "store")  # empty memory layer
     start = time.perf_counter()
     trace = cache.get(workload, "test", scale)
     warm_s = time.perf_counter() - start

@@ -23,7 +23,7 @@ from repro.predictors.automata import A2
 from repro.predictors.hrt import AHRT
 from repro.predictors.pattern_table import PatternTable
 from repro.predictors.two_level import TwoLevelAdaptivePredictor
-from repro.sim.engine import simulate, simulate_packed
+from repro.sim.engine import simulate
 from repro.sim.runner import run_sweep
 from repro.trace.columnar import pack_records
 from repro.workloads.base import get_workload
@@ -92,7 +92,7 @@ def test_packed_vs_dataclass_simulate():
         return min(timings), result
 
     records_s, baseline = best_of(lambda: simulate(predictor(), records))
-    packed_s, fast = best_of(lambda: simulate_packed(predictor(), packed))
+    packed_s, fast = best_of(lambda: simulate(predictor(), packed))
 
     print(
         f"\nsimulate over eqntott, 50k conditional ({len(records)} records):"

@@ -42,6 +42,7 @@ import pytest
 from repro.predictors.spec import parse_spec
 from repro.sim.backend import has_numpy
 from repro.sim.runner import SweepRunner
+from repro.workloads.base import get_workload
 
 DEFAULT_SCALE = 50_000
 
@@ -119,7 +120,7 @@ def test_fused_sweep_speedup(bench_cache):
 
     # warm the trace cache so every leg measures scoring, not trace generation
     for benchmark in BENCHMARKS:
-        runner().testing_trace(benchmark)
+        bench_cache.get(get_workload(benchmark), "test", scale)
 
     def per_cell(backend):
         r = runner(backend)

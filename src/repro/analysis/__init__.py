@@ -41,7 +41,6 @@ from repro.analysis.absint import (
 from repro.analysis.branches import (
     BranchSite,
     conditional_sites,
-    static_branch_summary,
     static_branch_table,
 )
 from repro.analysis.cfg import BasicBlock, ControlFlowGraph, Edge, EdgeKind, build_cfg
@@ -111,7 +110,6 @@ __all__ = [
     "lint_source",
     "liveness",
     "reaching_definitions",
-    "static_branch_summary",
     "static_branch_table",
     "validate_predictability",
     "walk_program",

@@ -115,42 +115,3 @@ def conditional_sites(program: Program) -> List[BranchSite]:
         for site in static_branch_table(program)
         if site.cls is BranchClass.CONDITIONAL
     ]
-
-
-def static_branch_summary(program: Program) -> Dict[str, int]:
-    """Aggregate counts over :func:`static_branch_table`.
-
-    Keys: total, one per branch class (``conditional``, ``return``,
-    ``imm_unconditional``, ``reg_unconditional``), plus the
-    conditional-direction split (``conditional_backward`` /
-    ``conditional_forward``) and the static BTFN split
-    (``btfn_predict_taken`` / ``btfn_predict_not_taken``).
-    """
-    table = static_branch_table(program)
-    summary = {
-        "total": len(table),
-        "conditional": 0,
-        "return": 0,
-        "imm_unconditional": 0,
-        "reg_unconditional": 0,
-        "conditional_backward": 0,
-        "conditional_forward": 0,
-        "btfn_predict_taken": 0,
-        "btfn_predict_not_taken": 0,
-    }
-    class_keys = {
-        BranchClass.CONDITIONAL: "conditional",
-        BranchClass.RETURN: "return",
-        BranchClass.IMM_UNCONDITIONAL: "imm_unconditional",
-        BranchClass.REG_UNCONDITIONAL: "reg_unconditional",
-    }
-    for site in table:
-        summary[class_keys[site.cls]] += 1
-        if site.cls is BranchClass.CONDITIONAL:
-            if site.is_backward:
-                summary["conditional_backward"] += 1
-                summary["btfn_predict_taken"] += 1
-            else:
-                summary["conditional_forward"] += 1
-                summary["btfn_predict_not_taken"] += 1
-    return summary

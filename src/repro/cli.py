@@ -242,7 +242,7 @@ def _cmd_disasm(args: argparse.Namespace) -> int:
 def _lint_targets(args: argparse.Namespace) -> "List[tuple[str, str, object]]":
     """Resolve lint targets to ``(display_name, kind, payload)`` triples.
 
-    ``kind`` is ``"workload"`` (payload: ``(workload, dataset)``) or
+    ``kind`` is ``"workload"`` (payload: ``(workload, role)``) or
     ``"file"`` (payload: source text).  No targets means every workload.
     """
     from repro.errors import ReproError as _ReproError
@@ -269,9 +269,7 @@ def _lint_targets(args: argparse.Namespace) -> "List[tuple[str, str, object]]":
                         f" (available: {sorted(workload.datasets)})"
                     )
                 continue
-            resolved.append(
-                (f"{workload.name}:{role}", "workload", (workload, workload.dataset(role)))
-            )
+            resolved.append((f"{workload.name}:{role}", "workload", (workload, role)))
     return resolved
 
 
@@ -285,13 +283,13 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             result = lint_source(payload, name=display)
             crossval = None
         else:
-            workload, dataset = payload
-            program = assemble(workload.build_source(dataset))
+            workload, role = payload
+            program = assemble(workload.build_source(workload.dataset(role)))
             result = lint_program(program, name=display)
             crossval = None
             if args.cross_validate:
-                trace = workload.generate(dataset, args.scale)
-                crossval = cross_validate(program, trace.records, name=display)
+                trace = _build_cache(args).get(workload, role, args.scale)
+                crossval = cross_validate(program, trace.packed(), name=display)
         entry = result.as_dict()
         if crossval is not None:
             entry["cross_validation"] = crossval.as_dict()
@@ -353,17 +351,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     for display, kind, payload in _lint_targets(args):
         if kind == "file":
             program = assemble(payload)
-            workload = dataset = None
+            workload = role = None
         else:
-            workload, dataset = payload
-            program = assemble(workload.build_source(dataset))
+            workload, role = payload
+            program = assemble(workload.build_source(workload.dataset(role)))
         report = analyze_program(program, args.scale, name=display)
         validation = None
         if args.cross_validate and workload is not None:
-            trace = workload.generate(dataset, args.scale)
+            trace = _build_cache(args).get(workload, role, args.scale)
             validation = validate_predictability(
                 program,
-                trace.records,
+                trace.packed(),
                 args.scale,
                 name=display,
                 report=report,
@@ -795,11 +793,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _add_perf_options(parser: argparse.ArgumentParser) -> None:
-    """Options shared by the sweep-running subcommands (run, sweep)."""
-    parser.add_argument(
-        "--jobs", type=_count_arg(0), default=1, metavar="N",
-        help="worker processes for the sweep grid (1 = serial, 0 = one per CPU)",
-    )
+    """Options shared by the trace-scoring subcommands (run, sweep, h2p)."""
     parser.add_argument(
         "--backend", choices=BACKEND_CHOICES, default="auto",
         help="simulation backend: vectorized NumPy kernels, the pure-Python"
@@ -852,6 +846,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_perf_options(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
+    # only run and sweep fan a sweep grid out; h2p is one fused pass per
+    # benchmark
+    for grid_parser in (run_parser, sweep_parser):
+        grid_parser.add_argument(
+            "--jobs", type=_count_arg(0), default=1, metavar="N",
+            help="worker processes for the sweep grid (1 = serial, 0 = one per CPU)",
+        )
 
     trace_parser = sub.add_parser("trace", help="generate a workload trace")
     trace_parser.add_argument("workload", choices=workload_names())
@@ -907,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also execute each workload and check the static tables against the trace",
     )
     lint_parser.add_argument(
-        "--scale", type=int, default=20_000,
+        "--scale", type=_scale_arg, default=20_000,
         help="conditional branches to simulate per program for --cross-validate",
     )
     lint_parser.set_defaults(func=_cmd_lint)
@@ -934,7 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
              " bound and the H2P ranking against the trace",
     )
     analyze_parser.add_argument(
-        "--scale", type=int, default=20_000,
+        "--scale", type=_scale_arg, default=20_000,
         help="conditional branches the analysis (and --cross-validate trace)"
              " covers per program",
     )

@@ -124,6 +124,7 @@ def run(
         # vector/scalar parity on the modern schemes: the per-site pipeline
         # must reproduce the scalar engine's totals exactly
         packed = trace.packed()
+        total = packed.num_conditional
         for text in MODERN_SPECS:
             per_site = maps[text]
             total_correct = sum(correct for correct, _ in per_site.values())
@@ -143,7 +144,6 @@ def run(
         for text in SPECS:
             per_site = maps[text]
             correct = sum(c for c, _ in per_site.values())
-            total = sum(n for _, n in per_site.values())
             mass = sum(
                 per_site[pc][1] - per_site[pc][0]
                 for pc in h2p_sites

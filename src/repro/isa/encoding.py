@@ -128,13 +128,3 @@ def decode(word: int) -> Instruction:
         return Instruction(opcode, rs1=(word >> 21) & 0x1F)
     # RTS, NOP, HALT
     return Instruction(opcode)
-
-
-def encode_program(instructions: "list[Instruction]") -> "list[int]":
-    """Encode a sequence of instructions to machine words."""
-    return [encode(instruction) for instruction in instructions]
-
-
-def decode_program(words: "list[int]") -> "list[Instruction]":
-    """Decode a sequence of machine words back to instructions."""
-    return [decode(word) for word in words]

@@ -49,7 +49,6 @@ from repro.predictors.static_training import (
     profile_pattern_table,
 )
 from repro.predictors.two_level import (
-    CachedPredictionTwoLevel,
     DelayedUpdatePredictor,
     TwoLevelAdaptivePredictor,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "AlwaysTaken",
     "Automaton",
     "BTFNPredictor",
-    "CachedPredictionTwoLevel",
     "ConditionalBranchPredictor",
     "DelayedUpdatePredictor",
     "GAgPredictor",

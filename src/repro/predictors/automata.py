@@ -74,10 +74,6 @@ class Automaton:
         """The Moore output ``z = lambda(S)`` (equation 1)."""
         return self.predictions[state]
 
-    def next_state(self, state: int, taken: bool) -> int:
-        """The transition ``S' = delta(S, R)`` (equation 2)."""
-        return self.transitions[state][1 if taken else 0]
-
 
 LAST_TIME = Automaton(
     name="LT",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Iterable
 
-from repro.trace.record import BranchClass, BranchRecord
+from repro.trace.record import BranchRecord
 
 
 class ConditionalBranchPredictor(ABC):
@@ -33,9 +33,9 @@ class ConditionalBranchPredictor(ABC):
 
         Must behave exactly like :meth:`predict` followed by :meth:`update`
         (the default does literally that).  Schemes whose two halves share a
-        table lookup override this to do the lookup once; the columnar fast
-        path in :func:`repro.sim.engine.simulate_packed` drives predictors
-        through this hook."""
+        table lookup override this to do the lookup once; the engine
+        (:func:`repro.sim.engine.simulate`) drives predictors through this
+        hook."""
         prediction = self.predict(pc, target)
         self.update(pc, target, taken)
         return prediction
@@ -55,22 +55,12 @@ def measure_accuracy(
     predictor: ConditionalBranchPredictor, records: Iterable[BranchRecord]
 ) -> float:
     """Convenience scorer: run ``predictor`` over the conditional branches of
-    ``records`` and return the prediction accuracy in [0, 1].
+    ``records`` and return the prediction accuracy in [0, 1] (0.0 for a
+    trace without conditional branches).
 
-    This is the small-scale sibling of the full engine in
-    :mod:`repro.sim.engine` (which returns the full
-    :class:`~repro.sim.results.PredictionStats`); examples and tests use
-    this one.
+    The accuracy of :func:`repro.sim.engine.simulate`'s
+    :class:`~repro.sim.results.PredictionStats`; examples and tests use it.
     """
-    correct = 0
-    total = 0
-    conditional = BranchClass.CONDITIONAL
-    for record in records:
-        if record.cls is not conditional:
-            continue
-        prediction = predictor.predict(record.pc, record.target)
-        predictor.update(record.pc, record.target, record.taken)
-        total += 1
-        if prediction == record.taken:
-            correct += 1
-    return correct / total if total else 0.0
+    from repro.sim.engine import simulate
+
+    return simulate(predictor, records).accuracy

@@ -29,8 +29,6 @@ from repro.predictors.modern.tage import (
     TageState,
     fold_history,
     tage_geometries,
-    tage_index,
-    tage_tag,
 )
 
 __all__ = [
@@ -51,6 +49,4 @@ __all__ = [
     "fold_history",
     "perceptron_threshold",
     "tage_geometries",
-    "tage_index",
-    "tage_tag",
 ]

@@ -12,9 +12,11 @@ vector kernel and streaming scorer can be proved bit-exact against each
 other: no ``USE_ALT_ON_NA`` heuristic, no randomised allocation (the first
 ``u == 0`` table above the provider wins; if none, every candidate's ``u``
 is decremented), no periodic ``u`` reset.  The hash functions are plain
-XOR folds defined by :func:`fold_history`, :func:`tage_index` and
-:func:`tage_tag`.  The columnar kernel runs the same fixed-chunk fold over
-whole history columns.
+XOR folds of :func:`fold_history`: a tagged table's index is the branch's
+word address XOR the history folded to ``entry_bits``, and its tag the
+word address XOR two folds of the history (to ``TAG_BITS`` and, shifted
+left one, to ``TAG_BITS - 1``), masked to ``TAG_BITS``.  The columnar
+kernel runs the same fixed-chunk fold over whole history columns.
 
 The scalar predictor folds nothing per outcome.  A fold masks, shifts and
 XORs, so it is linear over XOR, and the fold of a history is exactly the
@@ -30,7 +32,7 @@ branch's word address joins every lane with two multiplies,
 of each tag lane.  One
 ``struct`` unpack of the resulting ``3 * tables`` little-endian bytes then
 yields every index and every tag.  The property tests hold the result
-equal to :func:`tage_index` and :func:`tage_tag` after every outcome.
+equal to the direct folds after every outcome.
 """
 
 from __future__ import annotations
@@ -77,22 +79,6 @@ def fold_history(history: int, length: int, bits: int) -> int:
         folded ^= value & mask
         value >>= bits
     return folded
-
-
-def tage_index(pc: int, history: int, length: int, entry_bits: int) -> int:
-    """Tagged-table index: folded history XOR branch address."""
-    return ((pc >> 2) ^ fold_history(history, length, entry_bits)) & (
-        (1 << entry_bits) - 1
-    )
-
-
-def tage_tag(pc: int, history: int, length: int) -> int:
-    """Tagged-table tag: two differently-folded history hashes XOR pc."""
-    return (
-        (pc >> 2)
-        ^ fold_history(history, length, TAG_BITS)
-        ^ (fold_history(history, length, TAG_BITS - 1) << 1)
-    ) & ((1 << TAG_BITS) - 1)
 
 
 class TageState:
@@ -248,8 +234,8 @@ def _lane_tables(tables: int, entry_bits: int) -> Tuple[Tuple[int, ...], ...]:
 class TagePredictor(ConditionalBranchPredictor):
     """TAGE over a single global history register (init all-zeros).
 
-    The indices and tags are exactly :func:`tage_index` and
-    :func:`tage_tag`, but no fold runs per outcome: the XOR of four
+    The indices and tags are exactly the folded hashes of the module
+    docstring, but no fold runs per outcome: the XOR of four
     lane-packed byte-table lookups (:func:`_lane_tables`) and the pc's
     two lane multiplies holds every table's index and tag, one unpack
     splits them out, and an outcome only shifts the history.

@@ -6,11 +6,6 @@ automata (level two).  Both levels update on every resolved branch, which is
 what makes the scheme *adaptive* — unlike Static Training, the
 pattern-history information tracks the current execution.
 
-:class:`CachedPredictionTwoLevel` adds the section 3.2 latency optimisation:
-the pattern-table lookup happens at *update* time with the just-shifted
-history, and the resulting prediction bit is stored alongside the history
-register, so a prediction needs only one table access.
-
 :class:`DelayedUpdatePredictor` models the other section 3.2 concern: in a
 deep pipeline the previous outcome of a branch may not have resolved when the
 next prediction is needed.  It delays updates by a configurable number of
@@ -78,55 +73,6 @@ class TwoLevelAdaptivePredictor(ConditionalBranchPredictor):
         k = self.history_length
         return (
             f"AT({self.hrt.spec_name}{k}SR),"
-            f"PT(2^{k},{self.pattern_table.automaton.name}),)"
-        )
-
-
-class CachedPredictionTwoLevel(ConditionalBranchPredictor):
-    """AT with the section 3.2 cached-prediction-bit mechanism.
-
-    The HRT payload packs ``prediction_bit << k | history``.  ``predict``
-    reads only the cached bit (one table access); ``update`` performs the
-    pattern-table work and refreshes the cache with the prediction for the
-    *new* history.
-
-    Behaviour differs from the plain scheme only when another branch updates
-    the shared pattern entry between this branch's update and its next
-    prediction — exactly the staleness the hardware optimisation admits.
-    """
-
-    def __init__(self, hrt: HistoryRegisterTable, pattern_table: PatternTable):
-        self.hrt = hrt
-        self.pattern_table = pattern_table
-        self.history_length = pattern_table.history_length
-        self._mask = (1 << self.history_length) - 1
-        self._pred_bit = 1 << self.history_length
-        # All-ones history; initial cached prediction matches the PT's
-        # initial (taken-leaning) state for that pattern.
-        initial_prediction = pattern_table.predict(self._mask)
-        hrt.init_payload = self._mask | (self._pred_bit if initial_prediction else 0)
-        hrt.reset()
-
-    def predict(self, pc: int, target: int) -> bool:
-        return bool(self.hrt.get(pc) & self._pred_bit)
-
-    def update(self, pc: int, target: int, taken: bool) -> None:
-        payload = self.hrt.get(pc)
-        history = payload & self._mask
-        self.pattern_table.update(history, taken)
-        new_history = ((history << 1) | (1 if taken else 0)) & self._mask
-        cached = self.pattern_table.predict(new_history)
-        self.hrt.put(pc, new_history | (self._pred_bit if cached else 0))
-
-    def reset(self) -> None:
-        self.hrt.reset()
-        self.pattern_table.reset()
-
-    @property
-    def name(self) -> str:
-        k = self.history_length
-        return (
-            f"AT-cached({self.hrt.spec_name}{k}SR),"
             f"PT(2^{k},{self.pattern_table.automaton.name}),)"
         )
 

@@ -350,16 +350,11 @@ def _verify_outcomes(outcomes: Sequence[SessionOutcome]) -> None:
     for outcome in outcomes:
         plan = outcome.plan
         spec = parse_spec(plan.spec)
-        packed = pack_records(plan.records)
-        training_packed = (
-            pack_records(plan.training) if plan.training is not None else None
-        )
         offline = score_spec(
             spec,
-            packed,
+            pack_records(plan.records),
             backend=plan.backend,
-            training=training_packed,
-            training_records=plan.training,
+            training=None if plan.training is None else pack_records(plan.training),
         )
         if (offline.conditional_total, offline.conditional_correct) != (
             outcome.conditional,

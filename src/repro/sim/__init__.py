@@ -18,9 +18,9 @@ from repro.sim.backend import (
     has_numpy,
     resolve_backend,
 )
-from repro.sim.engine import simulate, simulate_packed
+from repro.sim.engine import simulate
 from repro.sim.export import rows_to_markdown, sweep_to_csv, sweep_to_markdown
-from repro.sim.kernels import score_spec, simulate_spec
+from repro.sim.kernels import score_spec
 from repro.sim.results import (
     BenchmarkResult,
     PredictionStats,
@@ -37,7 +37,6 @@ __all__ = [
     "has_numpy",
     "resolve_backend",
     "score_spec",
-    "simulate_spec",
     "PatternConflictStats",
     "PredictionStats",
     "SweepResult",
@@ -47,7 +46,6 @@ __all__ = [
     "run_parallel_sweep",
     "run_sweep",
     "simulate",
-    "simulate_packed",
     "sweep_to_csv",
     "sweep_to_markdown",
     "convergence_point",

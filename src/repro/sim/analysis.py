@@ -21,6 +21,7 @@ arguments into numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.errors import ConfigError
@@ -28,6 +29,7 @@ from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.families import family_of
 from repro.predictors.spec import PredictorSpec, parse_spec
 from repro.sim.backend import resolve_backend
+from repro.sim.engine import simulate
 from repro.trace.columnar import PackedTrace, conditional_branches, pack_records
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -105,34 +107,19 @@ def windowed_accuracy(
     window: int = 1_000,
 ) -> List[float]:
     """Prediction accuracy over consecutive windows of ``window``
-    conditional branches (the final partial window is included)."""
+    conditional branches (the final partial window is included).
+
+    Each window is one :func:`repro.sim.engine.simulate` call; the
+    predictor carries its state from window to window."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
+    conditional = (record for record in records if record.cls is BranchClass.CONDITIONAL)
     accuracies: List[float] = []
-    correct = 0
-    seen = 0
-    for record in records:
-        if record.cls is not BranchClass.CONDITIONAL:
-            continue
-        prediction = predictor.predict(record.pc, record.target)
-        predictor.update(record.pc, record.target, record.taken)
-        correct += prediction == record.taken
-        seen += 1
-        if seen == window:
-            accuracies.append(correct / window)
-            correct = seen = 0
-    if seen:
-        accuracies.append(correct / seen)
-    return accuracies
-
-
-def per_site_accuracy(
-    predictor: ConditionalBranchPredictor,
-    records: Iterable[BranchRecord],
-) -> Dict[int, "tuple[int, int]"]:
-    """Per-static-site ``(correct, total)`` for a predictor over a trace,
-    e.g. to find which sites a scheme loses accuracy on."""
-    return per_site_accuracy_many({"": predictor}, records)[""]
+    while True:
+        chunk = list(islice(conditional, window))
+        if not chunk:
+            return accuracies
+        accuracies.append(simulate(predictor, chunk).accuracy)
 
 
 def per_site_accuracy_many(
@@ -144,7 +131,7 @@ def per_site_accuracy_many(
     The scalar replay behind :func:`per_site_scores`: the trace is read
     once and every predictor observes each conditional record in turn.
     A :class:`PackedTrace` is read through its conditional-only columns,
-    as :func:`repro.sim.engine.simulate_packed` reads it.
+    as :func:`repro.sim.engine.simulate` reads it.
     """
     names = list(predictors)
     correct: Dict[str, Dict[int, int]] = {name: {} for name in names}
@@ -231,7 +218,7 @@ def per_site_scores(
 def misprediction_mass(
     per_site: "Dict[int, tuple[int, int]]",
 ) -> Dict[int, int]:
-    """Per-site misprediction counts from a :func:`per_site_accuracy` map."""
+    """Per-site misprediction counts from a :func:`per_site_scores` map."""
     return {pc: n - correct for pc, (correct, n) in per_site.items()}
 
 

@@ -3,7 +3,7 @@
 Two backends can score a predictor spec over a packed trace:
 
 * ``scalar`` — the authoritative pure-Python engine
-  (:func:`repro.sim.engine.simulate` / ``simulate_packed``), always
+  (:func:`repro.sim.engine.simulate`), always
   available, the reference for every correctness claim in the repo.
 * ``vector`` — the columnar kernels in :mod:`repro.sim.kernels`, which
   score whole predictor families with NumPy batch operations.  NumPy is an

@@ -4,10 +4,10 @@ The scalar engine dispatches one Python ``observe()`` call per conditional
 record — the wall-clock floor of every full-figure sweep.  The vector
 backend scores whole predictor families with columnar batch operations
 instead.  This module holds the per-family primitives and the one-spec
-entry points; the recipe that combines the primitives for a scheme lives
-in its family (:mod:`repro.predictors.families`), the history windows and
-the automaton scan in :mod:`repro.sim.sweep`, and every one-spec call
-here is a one-spec fused sweep.
+entry point :func:`score_spec`; the recipe that combines the primitives
+for a scheme lives in its family (:mod:`repro.predictors.families`), the
+history windows and the automaton scan in :mod:`repro.sim.sweep`, and a
+vector :func:`score_spec` is a one-spec fused sweep.
 
 * **Stateless schemes** (Always Taken / Not Taken, BTFN, per-branch
   profiling) reduce to pure column comparisons.
@@ -53,7 +53,7 @@ here raises :class:`~repro.errors.KernelError` when it is missing.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError, KernelError
 from repro.predictors.hrt import _HASH_MULTIPLIER
@@ -68,6 +68,7 @@ from repro.predictors.modern import (
 )
 from repro.predictors.spec import PredictorSpec
 from repro.sim.backend import numpy_or_none, resolve_backend
+from repro.sim.engine import simulate
 from repro.sim.results import PredictionStats
 from repro.trace.columnar import PackedTrace
 
@@ -457,35 +458,6 @@ class TageWalk:
         return np.array(out, dtype=bool)
 
 
-def _one_spec_trainings(
-    spec: PredictorSpec, training: Optional[PackedTrace]
-) -> Dict[str, PackedTrace]:
-    """The fused sweep's ``trainings`` map for one spec's training trace."""
-    from repro.sim.sweep import training_role
-
-    role = training_role(spec)
-    return {role: training} if role is not None and training is not None else {}
-
-
-def simulate_spec(
-    spec: PredictorSpec,
-    packed: PackedTrace,
-    training: Optional[PackedTrace] = None,
-) -> PredictionStats:
-    """Score ``spec`` over ``packed`` with the vector kernels: a one-spec
-    :func:`repro.sim.sweep.fused_stats` call.
-
-    Returns exactly the :class:`PredictionStats` that
-    ``simulate(spec.build(...), packed)`` produces.  Raises
-    :class:`~repro.errors.KernelError` for a scheme without a kernel or a
-    missing training trace; use :func:`score_spec` for the backend-choosing
-    entry point.
-    """
-    from repro.sim import sweep
-
-    return sweep.fused_stats([spec], packed, _one_spec_trainings(spec, training))[0]
-
-
 # ----------------------------------------------------------------------
 # backend dispatch
 # ----------------------------------------------------------------------
@@ -494,22 +466,26 @@ def score_spec(
     packed: PackedTrace,
     backend: Optional[str] = None,
     training: Optional[PackedTrace] = None,
-    training_records: Optional[Iterable[Any]] = None,
 ) -> PredictionStats:
     """Score one predictor spec over a packed trace on the chosen backend.
 
     This is the engine entry point the sweep layers use: ``backend`` may be
     ``auto`` / ``scalar`` / ``vector`` (or ``None`` for the process
     default), and the result is identical whichever backend runs.  Profiled
-    schemes take their training trace as ``training`` (packed, used by the
-    kernels) and/or ``training_records`` (any record iterable, used by the
-    scalar path; defaults to iterating ``training``).
+    schemes take their training trace as ``training``.  On ``vector`` the
+    spec scores through a one-spec :func:`repro.sim.sweep.fused_stats`
+    call, which raises :class:`~repro.errors.KernelError` for a scheme
+    without a kernel or a missing training trace; on ``scalar`` the built
+    predictor runs through :func:`repro.sim.engine.simulate`.
     """
     if resolve_backend(backend) == "vector":
-        return simulate_spec(spec, packed, training)
-    from repro.sim.engine import simulate
+        from repro.sim import sweep
 
-    if training_records is None:
-        training_records = training
-    predictor = spec.build(training_records=training_records)
-    return simulate(predictor, packed)
+        role = sweep.training_role(spec)
+        trainings = {role: training} if role is not None and training is not None else {}
+        return sweep.fused_stats([spec], packed, trainings)[0]
+    # profile record by record: reading the training trace's conditional
+    # columns would derive and cache boxed tuples that outlive this one
+    # pass (16 MB for li's 200k-branch ST-Diff training trace)
+    records = None if training is None else iter(training)
+    return simulate(spec.build(training_records=records), packed)

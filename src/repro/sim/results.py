@@ -38,11 +38,6 @@ class PredictionStats:
             return 0.0
         return self.conditional_correct / self.conditional_total
 
-    @property
-    def miss_rate(self) -> float:
-        """1 - accuracy: the pipeline-flush rate the paper emphasises."""
-        return 1.0 - self.accuracy if self.conditional_total else 0.0
-
 
 @dataclass
 class BenchmarkResult:

@@ -18,7 +18,6 @@ from repro.sim.kernels import score_spec
 from repro.sim.result_cache import ResultCache
 from repro.sim.results import BenchmarkResult, PredictionStats, SweepResult
 from repro.sim.sweep import TraceContext, fused_stats, training_role
-from repro.trace.record import BranchRecord
 from repro.workloads.base import (
     DEFAULT_CONDITIONAL_BRANCHES,
     TraceCache,
@@ -85,16 +84,11 @@ class SweepRunner:
     def _workload(self, name: str) -> Workload:
         return get_workload(name)
 
-    def testing_trace(self, benchmark: str) -> List[BranchRecord]:
-        """The benchmark's testing-trace records (cached)."""
-        workload = self._workload(benchmark)
-        return self.cache.get(workload, "test", self.max_conditional).records
-
     def _role_trace(self, benchmark: str, role: str) -> WorkloadTrace:
         """The benchmark's cached ``"test"`` or ``"train"`` trace — the
         roles :func:`~repro.sim.sweep.training_role` reports — in its
-        :class:`WorkloadTrace` form, so both backends (records for scalar,
-        columns for vector) share one cache entry."""
+        :class:`WorkloadTrace` form, so both backends share one cache
+        entry."""
         workload = self._workload(benchmark)
         if role == "train" and not workload.has_training_set:
             raise WorkloadError(
@@ -109,25 +103,13 @@ class SweepRunner:
         parsed = _as_spec(spec)
         trace = self._role_trace(benchmark, "test")
         role = training_role(parsed)
-        training = None if role is None else self._role_trace(benchmark, role)
-        # the vector kernels when NumPy is there, else the scalar engine
-        # over the packed columnar form (which replays measurably faster and
-        # scores identically — see repro.sim.engine.simulate_packed and
-        # repro.sim.kernels); either way the stats are bit-identical
-        backend = resolve_backend(self.backend)
-        needs_packed_training = training is not None and backend == "vector"
-        # the scalar path gets a one-pass record iterator rather than the
-        # boxed list: at paper scale a warm-store trace is mmap-backed
-        # columns, and materialising 20M BranchRecords just to profile would
-        # dwarf the simulation itself
+        training = None if role is None else self._role_trace(benchmark, role).packed()
+        # the vector kernels when NumPy is there, else the scalar engine over
+        # the packed columns; either way the stats are bit-identical.  The
+        # scalar path profiles the packed training trace, which iterates
+        # lazily, so no training BranchRecord list is ever materialised
         stats = score_spec(
-            parsed,
-            trace.packed(),
-            backend=backend,
-            training=training.packed() if needs_packed_training else None,
-            training_records=None
-            if training is None or backend == "vector"
-            else training.iter_records(),
+            parsed, trace.packed(), backend=self.backend, training=training
         )
         return BenchmarkResult(
             scheme=parsed.canonical(), benchmark=benchmark, stats=stats

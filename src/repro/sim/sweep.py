@@ -698,9 +698,8 @@ def fused_per_site(
 ) -> List[Dict[int, Tuple[int, int]]]:
     """Per-static-site ``(correct, total)`` maps for every spec, fused.
 
-    The multi-predictor twin of
-    :func:`repro.sim.analysis.per_site_accuracy`: one trace pass, shared
-    intermediates, identical tallies.
+    The fused twin of :func:`repro.sim.analysis.per_site_accuracy_many`:
+    one trace pass, shared intermediates, identical tallies.
     """
     ctx, training_ctxs = _contexts(packed, trainings, context, training_contexts)
     scores = _FusedScores(specs, ctx, training_ctxs)

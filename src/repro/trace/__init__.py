@@ -9,7 +9,7 @@ simulator in :mod:`repro.sim`).  A trace is simply an iterable of
 """
 
 from repro.trace.record import BranchClass, BranchRecord, InstructionMix
-from repro.trace.columnar import PackedTrace, pack_records, read_packed_trace
+from repro.trace.columnar import PackedTrace, pack_records
 from repro.trace.encoding import read_trace, write_trace
 from repro.trace.stats import (
     StaticBranchCensus,
@@ -25,7 +25,6 @@ __all__ = [
     "PackedTrace",
     "StaticBranchCensus",
     "pack_records",
-    "read_packed_trace",
     "read_text_trace",
     "read_trace",
     "static_branch_census",

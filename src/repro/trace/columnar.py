@@ -12,25 +12,20 @@ same information as parallel machine-typed columns:
 
 plus three *derived* conditional-only columns (``cond_pc``, ``cond_target``,
 ``cond_taken``) so the direction-predictor hot loop in
-:func:`repro.sim.engine.simulate_packed` touches nothing but the records it
+:func:`repro.sim.engine.simulate` touches nothing but the records it
 scores.  The derived columns are computed lazily on first access (flag
 validation still happens eagerly in ``__init__``): warm cache loads and
 the vectorized kernel backend never pay for boxed tuples they do not
 read.  The round-trip ``records -> pack_records -> to_records`` is
 lossless for every valid branch record (32-bit addresses, all four branch
 classes, both flag bits).
-
-``read_packed_trace`` parses a binary trace file straight into columns
-without materialising intermediate :class:`BranchRecord` objects, which
-makes warm cache hits in a parallel sweep cheap.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import compress
-from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import TraceFormatError
 from repro.trace.record import BranchClass, BranchRecord
@@ -69,13 +64,12 @@ def unpack_flags(flags: int) -> Tuple[bool, BranchClass, bool]:
 class PackedTrace:
     """A branch trace packed into parallel columns.
 
-    Build one with :func:`pack_records` (from records) or
-    :func:`read_packed_trace` (from a binary trace file); convert back with
+    Build one with :func:`pack_records`; convert back with
     :meth:`to_records`.  Iterating a :class:`PackedTrace` yields
     :class:`BranchRecord` objects, so it can stand in for a record list
     anywhere a plain iterable is expected, while
-    :func:`repro.sim.engine.simulate` recognises the type and switches to
-    the columnar fast path.
+    :func:`conditional_branches` (and so :func:`repro.sim.engine.simulate`)
+    reads its conditional-only columns instead.
     """
 
     __slots__ = ("pc", "target", "flags", "_num_conditional", "_cond_columns", "__weakref__")
@@ -179,9 +173,9 @@ def conditional_branches(
 ) -> Iterable[Tuple[int, int, bool]]:
     """``(pc, target, taken)`` of every conditional record, in trace order.
 
-    A :class:`PackedTrace` is read through its conditional-only columns, as
-    :func:`repro.sim.engine.simulate_packed` reads it, so no
-    :class:`BranchRecord` is boxed.
+    A :class:`PackedTrace` is read through its conditional-only columns, so
+    no :class:`BranchRecord` is boxed: this is the walk the scalar engine
+    (:func:`repro.sim.engine.simulate`) and every profiling pass share.
     """
     if isinstance(records, PackedTrace):
         return zip(records.cond_pc, records.cond_target, records.cond_taken)
@@ -242,38 +236,3 @@ def conditional_only(packed: PackedTrace) -> PackedTrace:
     taken = tuple(map(bool, flags.translate(_TAKEN_TABLE)))
     conditional._cond_columns = (pcs, targets, taken)
     return conditional
-
-
-def read_packed_trace(source: "Union[str, Path, IO[bytes]]") -> PackedTrace:
-    """Read a binary trace file directly into columns.
-
-    Equivalent to ``pack_records(read_trace(source))`` but skips the
-    per-record ``BranchRecord`` construction, so loading a cached trace costs
-    a fraction of regenerating or even re-reading it record-wise.
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as handle:
-            return _read_packed_handle(handle)
-    return _read_packed_handle(source)
-
-
-def _read_packed_handle(handle: IO[bytes]) -> PackedTrace:
-    from repro.trace import encoding
-
-    count = encoding.read_header(handle)
-    expected_bytes = count * encoding.RECORD_SIZE
-    raw = handle.read(expected_bytes)
-    if len(raw) != expected_bytes:
-        raise TraceFormatError(
-            f"truncated trace body: header promised {count} records"
-            f" ({expected_bytes} bytes), got {len(raw)} bytes"
-            f" ({len(raw) // encoding.RECORD_SIZE} complete records)"
-        )
-    pcs = array(_ADDR_TYPECODE)
-    targets = array(_ADDR_TYPECODE)
-    flags = bytearray()
-    for fields in encoding.RECORD.iter_unpack(raw):
-        pcs.append(fields[0])
-        flags.append(fields[1])
-        targets.append(fields[2])
-    return PackedTrace(pcs, targets, bytes(flags))

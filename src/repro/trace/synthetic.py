@@ -1,19 +1,18 @@
-"""Parametric synthetic branch-trace generators.
+"""A parametric synthetic branch-trace generator.
 
 The real evaluation traces come from running the SPEC-analog programs on the
-ISA simulator (:mod:`repro.workloads`), but unit tests, property tests and
-microbenchmarks need *controlled* branch behaviour: a branch with an exact
-period-3 pattern, several such branches interleaved, a whole skewed
-program, and so on.
-These generators produce such streams directly, bypassing the CPU.
-
-All generators are deterministic given their ``seed``.
+ISA simulator (:mod:`repro.workloads`), but the Table 2 smoke experiment and
+the tests need a *controlled* whole-program stream: many static branches
+with a skewed visit profile, some periodic and some biased-random.
+:func:`random_program` produces such a stream directly, bypassing the CPU,
+and is deterministic given its ``seed``.  The single-branch fixtures
+(periodic, interleaved, biased, loop) live with the tests.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.errors import ConfigError
 from repro.trace.record import BranchClass, BranchRecord
@@ -24,44 +23,6 @@ _TEXT_BASE = 0x1000
 def _record(pc: int, taken: bool) -> BranchRecord:
     target = pc + 0x40 if taken else pc + 4
     return BranchRecord(pc=pc, cls=BranchClass.CONDITIONAL, taken=taken, target=target)
-
-
-def periodic_branch(
-    pattern: Sequence[bool], repetitions: int, pc: int = _TEXT_BASE
-) -> Iterator[BranchRecord]:
-    """A single static branch repeating an exact outcome ``pattern``.
-
-    A two-level predictor with history length >= ``len(pattern) - 1`` learns
-    such a branch perfectly after warm-up; a per-address 2-bit counter cannot
-    if the pattern mixes outcomes.  This is the canonical "why Yeh-Patt wins"
-    microworkload.
-    """
-    if not pattern:
-        raise ConfigError("pattern must be non-empty")
-    for _ in range(repetitions):
-        for outcome in pattern:
-            yield _record(pc, bool(outcome))
-
-
-def interleaved(
-    branch_specs: Sequence[Tuple[int, Sequence[bool]]], repetitions: int
-) -> Iterator[BranchRecord]:
-    """Round-robin interleave several periodic static branches.
-
-    ``branch_specs`` is a sequence of ``(pc, pattern)`` pairs.  Each
-    repetition emits one outcome from every branch in order, cycling each
-    branch through its own pattern.  Exercises per-address history isolation
-    (and, under an HHRT, hash interference between the PCs).
-    """
-    if not branch_specs:
-        raise ConfigError("at least one branch spec is required")
-    positions = [0] * len(branch_specs)
-    for _ in range(repetitions):
-        for index, (pc, pattern) in enumerate(branch_specs):
-            if not pattern:
-                raise ConfigError(f"branch at {pc:#x} has an empty pattern")
-            yield _record(pc, bool(pattern[positions[index]]))
-            positions[index] = (positions[index] + 1) % len(pattern)
 
 
 def random_program(

@@ -95,7 +95,8 @@ class WorkloadTrace:
     paper scale the distinction matters: a 20M-record trace loads from the
     store in milliseconds as columns, and boxing it into twenty million
     :class:`BranchRecord` tuples only happens if something actually reads
-    :attr:`records`.  Prefer :meth:`iter_records` for one-pass consumers.
+    :attr:`records`; one-pass consumers read :meth:`packed`, which iterates
+    lazily.
     """
 
     def __init__(
@@ -124,13 +125,6 @@ class WorkloadTrace:
             assert self._packed is not None
             self._records = self._packed.to_records()
         return self._records
-
-    def iter_records(self):
-        """Iterate records without forcing the boxed list into memory."""
-        if self._records is not None:
-            return iter(self._records)
-        assert self._packed is not None
-        return iter(self._packed)
 
     def packed(self) -> PackedTrace:
         """The columnar form of the trace (packed once, then cached)."""
@@ -310,9 +304,6 @@ class TraceCache:
             self._store_disk(stem, key, trace)
         self._memory[stem] = trace
         return trace
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
 
     def ensure_on_disk(
         self,

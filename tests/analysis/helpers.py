@@ -1,7 +1,35 @@
 """Shorthands the analysis tests share over the public analysis API."""
 
-from repro.analysis import LoopAnalysis, Resolution, build_cfg
+from repro.analysis import LoopAnalysis, Resolution, build_cfg, static_branch_table
 from repro.isa.instructions import registers_written
+from repro.trace.record import BranchClass
+
+_CLASS_KEYS = {
+    BranchClass.CONDITIONAL: "conditional",
+    BranchClass.RETURN: "return",
+    BranchClass.IMM_UNCONDITIONAL: "imm_unconditional",
+    BranchClass.REG_UNCONDITIONAL: "reg_unconditional",
+}
+
+
+def static_branch_summary(program):
+    """Counts over :func:`~repro.analysis.static_branch_table`: ``total``,
+    one per branch class, the conditional-direction split
+    (``conditional_backward`` / ``conditional_forward``) and the split of
+    the sites' static BTFN predictions (``btfn_predict_taken`` /
+    ``btfn_predict_not_taken``)."""
+    table = static_branch_table(program)
+    conditional = [site for site in table if site.cls is BranchClass.CONDITIONAL]
+    summary = {"total": len(table)}
+    for cls, key in _CLASS_KEYS.items():
+        summary[key] = sum(1 for site in table if site.cls is cls)
+    summary["conditional_backward"] = sum(1 for site in conditional if site.is_backward)
+    summary["conditional_forward"] = sum(1 for site in conditional if not site.is_backward)
+    summary["btfn_predict_taken"] = sum(1 for site in conditional if site.btfn_taken)
+    summary["btfn_predict_not_taken"] = sum(
+        1 for site in conditional if site.btfn_taken is False
+    )
+    return summary
 
 
 def loop_summaries(program):

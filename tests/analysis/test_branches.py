@@ -1,8 +1,9 @@
 """Static branch-site extraction: classes, directions, BTFN predictions."""
 
-from repro.analysis import static_branch_summary, static_branch_table
+from repro.analysis import static_branch_table
 from repro.isa.assembler import assemble
 from repro.trace.record import BranchClass
+from tests.analysis.helpers import static_branch_summary
 
 SOURCE = """
 _start:

@@ -9,9 +9,9 @@ traces are not reused).
 
 import pytest
 
-from repro.analysis import static_branch_summary
 from repro.isa.assembler import assemble
 from repro.workloads.base import get_workload
+from tests.analysis.helpers import static_branch_summary
 
 GOLDEN = {
     ("eqntott", "test"): {

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.trace.synthetic import periodic_branch, random_program
+from repro.trace.synthetic import random_program
 from repro.workloads.base import TraceCache, get_workload
+from tests.synthetic import periodic_branch
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import EncodingError
-from repro.isa.encoding import decode, decode_program, encode, encode_program
+from repro.isa.encoding import decode, encode
 from repro.isa.instructions import (
     B_FORMAT,
     I_FORMAT,
@@ -92,7 +92,7 @@ class TestRoundTrip:
             Instruction(Opcode.BEQ, rs1=2, rs2=0, imm=-1),
             Instruction(Opcode.HALT),
         ]
-        assert decode_program(encode_program(program)) == program
+        assert [decode(encode(instruction)) for instruction in program] == program
 
 
 class TestEncodeValidation:

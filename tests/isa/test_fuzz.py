@@ -19,7 +19,7 @@ from repro.errors import ExecutionError
 from repro.isa.assembler import assemble
 from repro.isa.cpu import CPU
 from repro.isa.disassembler import disassemble_program
-from repro.isa.encoding import decode_program, encode_program
+from repro.isa.encoding import decode, encode
 from repro.trace.record import BranchClass
 from tests.isa.reference import ReferenceCPU
 
@@ -88,7 +88,8 @@ class TestToolchainProperties:
     @settings(max_examples=60, deadline=None)
     def test_binary_round_trip(self, source):
         program = assemble(source)
-        assert decode_program(encode_program(program.instructions)) == program.instructions
+        words = [encode(instruction) for instruction in program.instructions]
+        assert [decode(word) for word in words] == program.instructions
 
     @given(_programs())
     @settings(max_examples=40, deadline=None)

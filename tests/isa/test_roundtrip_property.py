@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.isa.assembler import assemble
 from repro.isa.disassembler import disassemble_program
-from repro.isa.encoding import decode_program, encode_program
+from repro.isa.encoding import decode, encode
 from repro.isa.instructions import (
     B_FORMAT,
     I_FORMAT,
@@ -73,20 +73,20 @@ class TestFullOpcodeRoundTrip:
     @given(_full_coverage_program())
     @settings(max_examples=50, deadline=None)
     def test_encode_decode_identity(self, program):
-        words = encode_program(program.instructions)
-        assert decode_program(words) == program.instructions
+        words = [encode(instruction) for instruction in program.instructions]
+        assert [decode(word) for word in words] == program.instructions
 
     @given(_full_coverage_program())
     @settings(max_examples=50, deadline=None)
     def test_disassemble_reassemble_same_words(self, program):
-        words = encode_program(program.instructions)
+        words = [encode(instruction) for instruction in program.instructions]
         listing = "\n".join(
             line.split(":", 1)[1]
             for line in disassemble_program(program).splitlines()
         )
         reassembled = assemble(listing)
         assert reassembled.text_base == program.text_base
-        assert encode_program(reassembled.instructions) == words
+        assert [encode(instruction) for instruction in reassembled.instructions] == words
 
     @given(_full_coverage_program())
     @settings(max_examples=10, deadline=None)

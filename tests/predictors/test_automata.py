@@ -14,6 +14,7 @@ from repro.predictors.automata import (
     LAST_TIME,
     automaton_by_name,
 )
+from tests.predictors.helpers import next_state
 
 _ALL = list(AUTOMATA.values())
 
@@ -22,7 +23,7 @@ class TestLastTime:
     def test_predicts_last_outcome(self):
         state = LAST_TIME.init_state
         for outcome in (True, False, False, True):
-            state = LAST_TIME.next_state(state, outcome)
+            state = next_state(LAST_TIME, state, outcome)
             assert LAST_TIME.predict(state) == outcome
 
     def test_initialised_taken(self):
@@ -33,14 +34,14 @@ class TestA1:
     def test_not_taken_only_when_no_taken_recorded(self):
         # state encodes last two outcomes; after two not-takens -> predict NT
         state = A1.init_state
-        state = A1.next_state(state, False)
-        state = A1.next_state(state, False)
+        state = next_state(A1, state, False)
+        state = next_state(A1, state, False)
         assert A1.predict(state) is False
-        state = A1.next_state(state, True)
+        state = next_state(A1, state, True)
         assert A1.predict(state) is True
 
     def test_single_not_taken_still_predicts_taken(self):
-        state = A1.next_state(A1.init_state, False)
+        state = next_state(A1, A1.init_state, False)
         assert A1.predict(state) is True
 
 
@@ -50,12 +51,12 @@ class TestA2:
         state = 3
         expectations = [2, 1, 0, 0]
         for expected in expectations:
-            state = A2.next_state(state, False)
+            state = next_state(A2, state, False)
             assert state == expected
         # walking up with takens: 0 -> 1 -> 2 -> 3 -> 3
         expectations = [1, 2, 3, 3]
         for expected in expectations:
-            state = A2.next_state(state, True)
+            state = next_state(A2, state, True)
             assert state == expected
 
     def test_prediction_threshold(self):
@@ -63,7 +64,7 @@ class TestA2:
 
     def test_hysteresis_absorbs_single_noise(self):
         # strong-taken, one not-taken, still predicts taken
-        state = A2.next_state(3, False)
+        state = next_state(A2, 3, False)
         assert A2.predict(state) is True
 
 
@@ -84,7 +85,7 @@ class TestA3A4:
         """One noisy not-taken in the strong state must not flip the
         prediction (the property Last-Time lacks; an automaton without it
         degenerates to Last-Time, as the paper's Figure 5 discussion implies)."""
-        state = automaton.next_state(3, False)
+        state = next_state(automaton, 3, False)
         assert automaton.predict(state) is True
 
     def test_all_four_state_machines_distinct(self):
@@ -100,7 +101,7 @@ class TestInvariants:
     def test_states_stay_in_range(self, automaton, outcomes):
         state = automaton.init_state
         for outcome in outcomes:
-            state = automaton.next_state(state, outcome)
+            state = next_state(automaton, state, outcome)
             assert 0 <= state < automaton.num_states
 
     @given(automaton=st.sampled_from(_ALL))
@@ -110,8 +111,8 @@ class TestInvariants:
         for outcome in (True, False):
             state = automaton.init_state
             for _ in range(automaton.num_states + 1):
-                state = automaton.next_state(state, outcome)
-            assert automaton.next_state(state, outcome) == state
+                state = next_state(automaton, state, outcome)
+            assert next_state(automaton, state, outcome) == state
             assert automaton.predict(state) == outcome
 
 

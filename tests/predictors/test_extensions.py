@@ -8,7 +8,7 @@ from repro.predictors.base import measure_accuracy
 from repro.predictors.extensions import GAgPredictor, GSharePredictor
 from repro.predictors.families.per_address import PerAddressPredictor
 from repro.predictors.spec import parse_spec
-from repro.trace.synthetic import interleaved, periodic_branch
+from tests.synthetic import interleaved, periodic_branch
 
 
 class TestGAg:

@@ -30,10 +30,24 @@ from repro.predictors.modern import (
     fold_history,
     perceptron_threshold,
     tage_geometries,
-    tage_index,
-    tage_tag,
 )
 TARGET = 0x40
+
+
+def tage_index(pc, history, length, entry_bits):
+    """Tagged-table index by its definition: folded history XOR word address."""
+    return ((pc >> 2) ^ fold_history(history, length, entry_bits)) & (
+        (1 << entry_bits) - 1
+    )
+
+
+def tage_tag(pc, history, length):
+    """Tagged-table tag by its definition: two history folds XOR word address."""
+    return (
+        (pc >> 2)
+        ^ fold_history(history, length, TAG_BITS)
+        ^ (fold_history(history, length, TAG_BITS - 1) << 1)
+    ) & ((1 << TAG_BITS) - 1)
 
 
 def _run(predictor, outcomes, pc=0x1000):

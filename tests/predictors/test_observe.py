@@ -1,7 +1,7 @@
 """The fused ``observe`` hook must equal predict-then-update exactly.
 
-Every override (two-level, Lee & Smith, perceptron, TAGE) and the
-base-class default are driven with the same branch stream as a twin
+Every override (two-level, Lee & Smith, PAp/PAs, perceptron, TAGE) and
+the base-class default are driven with the same branch stream as a twin
 predictor using the two-call protocol; predictions and final table state
 must agree step for step.
 """
@@ -13,6 +13,7 @@ import pytest
 from repro.predictors.automata import A2, LAST_TIME
 from repro.predictors.base import ConditionalBranchPredictor
 from repro.predictors.btb import LeeSmithPredictor
+from repro.predictors.families.per_address import PerAddressPredictor
 from repro.predictors.hrt import AHRT, HHRT, IHRT
 from repro.predictors.modern import PerceptronPredictor, TagePredictor
 from repro.predictors.pattern_table import PatternTable
@@ -45,6 +46,11 @@ def _make_pairs():
         (
             LeeSmithPredictor(AHRT(128), A2),
             LeeSmithPredictor(AHRT(128), A2),
+        ),
+        (PerAddressPredictor(6), PerAddressPredictor(6)),  # PAp
+        (
+            PerAddressPredictor(4, LAST_TIME, sets=16),  # PAs
+            PerAddressPredictor(4, LAST_TIME, sets=16),
         ),
         (TagePredictor(4, 9), TagePredictor(4, 9)),
         (TagePredictor(1, 3), TagePredictor(1, 3)),

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.predictors.automata import A2, LAST_TIME
 from repro.predictors.pattern_table import PatternTable
+from tests.predictors.helpers import next_state
 
 
 class TestConstruction:
@@ -51,5 +52,5 @@ class TestOperation:
         state = A2.init_state
         for outcome in sequence:
             table.update(3, outcome)
-            state = A2.next_state(state, outcome)
+            state = next_state(A2, state, outcome)
             assert table.state(3) == state

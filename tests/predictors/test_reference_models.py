@@ -14,14 +14,11 @@ from repro.predictors.automata import A2
 from repro.predictors.base import measure_accuracy
 from repro.predictors.hrt import AHRT, _index_hash
 from repro.predictors.pattern_table import PatternTable
-from repro.predictors.two_level import (
-    CachedPredictionTwoLevel,
-    DelayedUpdatePredictor,
-    TwoLevelAdaptivePredictor,
-)
+from repro.predictors.two_level import DelayedUpdatePredictor, TwoLevelAdaptivePredictor
 from repro.predictors.hrt import IHRT
 from repro.sim.engine import simulate
 from repro.trace.record import BranchClass, BranchRecord
+from tests.predictors.helpers import next_state
 
 
 # ----------------------------------------------------------------------
@@ -33,7 +30,7 @@ class TestA2AgainstArithmeticCounter:
         state = 3
         counter = 3
         for taken in outcomes:
-            state = A2.next_state(state, taken)
+            state = next_state(A2, state, taken)
             counter = min(3, counter + 1) if taken else max(0, counter - 1)
             assert state == counter
             assert A2.predict(state) == (counter >= 2)
@@ -167,25 +164,6 @@ class TestWrapperEquivalences:
             TwoLevelAdaptivePredictor(IHRT(), PatternTable(6, A2)), delay=0
         )
         assert measure_accuracy(plain, trace) == measure_accuracy(wrapped, trace)
-
-    @given(
-        outcomes=st.lists(st.booleans(), max_size=300),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_cached_prediction_equals_plain_for_single_branch(self, outcomes):
-        """With one branch the cached bit can never be stale, so the §3.2
-        optimisation is behaviourally invisible."""
-        trace = _trace_from_events([(0x500, taken) for taken in outcomes])
-        plain = TwoLevelAdaptivePredictor(IHRT(), PatternTable(5, A2))
-        cached = CachedPredictionTwoLevel(IHRT(), PatternTable(5, A2))
-        plain_stream = []
-        cached_stream = []
-        for record in trace:
-            plain_stream.append(plain.predict(record.pc, record.target))
-            plain.update(record.pc, record.target, record.taken)
-            cached_stream.append(cached.predict(record.pc, record.target))
-            cached.update(record.pc, record.target, record.taken)
-        assert plain_stream == cached_stream
 
     @given(events=_EVENTS)
     @settings(max_examples=30, deadline=None)

@@ -15,7 +15,7 @@ from repro.predictors.static_schemes import (
 )
 from repro.predictors.static_training import StaticTrainingPredictor
 from repro.predictors.two_level import TwoLevelAdaptivePredictor
-from repro.trace.synthetic import periodic_branch
+from tests.synthetic import periodic_branch
 
 TRAIN = list(periodic_branch([True, False], 50))
 

@@ -4,7 +4,7 @@ configuration parses, builds, and reaches a canonical fixed point."""
 from hypothesis import given, settings, strategies as st
 
 from repro.predictors.spec import parse_spec
-from repro.trace.synthetic import periodic_branch
+from tests.synthetic import periodic_branch
 
 _TRAIN = list(periodic_branch([True, False], 30))
 

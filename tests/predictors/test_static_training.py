@@ -9,8 +9,7 @@ from repro.predictors.static_training import (
     StaticTrainingPredictor,
     profile_pattern_table,
 )
-from repro.trace.synthetic import periodic_branch
-from tests.synthetic import biased_branch
+from tests.synthetic import biased_branch, periodic_branch
 
 
 class TestProfilePatternTable:

@@ -1,5 +1,5 @@
-"""The Two-Level Adaptive Training predictor: learning behaviour, the
-cached-prediction variant, and the delayed-update pipeline model."""
+"""The Two-Level Adaptive Training predictor: learning behaviour and the
+delayed-update pipeline model."""
 
 import pytest
 
@@ -8,12 +8,8 @@ from repro.predictors.automata import A2
 from repro.predictors.base import measure_accuracy
 from repro.predictors.hrt import AHRT, IHRT
 from repro.predictors.pattern_table import PatternTable
-from repro.predictors.two_level import (
-    CachedPredictionTwoLevel,
-    DelayedUpdatePredictor,
-    TwoLevelAdaptivePredictor,
-)
-from repro.trace.synthetic import interleaved, periodic_branch
+from repro.predictors.two_level import DelayedUpdatePredictor, TwoLevelAdaptivePredictor
+from tests.synthetic import interleaved, periodic_branch
 
 
 def make_at(history_length=8, hrt=None):
@@ -65,30 +61,6 @@ class TestLearning:
     def test_name_is_canonical_spec(self):
         predictor = make_at(history_length=12, hrt=AHRT(512))
         assert predictor.name == "AT(AHRT(512,12SR),PT(2^12,A2),)"
-
-
-class TestCachedPrediction:
-    def test_matches_plain_scheme_on_single_branch(self):
-        """With one branch there is no pattern-entry sharing, so the cached
-        bit is always fresh and behaviour is identical."""
-        trace = list(periodic_branch([True, True, False, False, True], 300))
-        plain = make_at()
-        cached = CachedPredictionTwoLevel(IHRT(), PatternTable(8, A2))
-        assert measure_accuracy(plain, trace) == measure_accuracy(cached, trace)
-
-    def test_learns_patterns(self):
-        cached = CachedPredictionTwoLevel(IHRT(), PatternTable(8, A2))
-        trace = list(periodic_branch([True, False, False], 400))
-        measure_accuracy(cached, trace[:600])
-        assert measure_accuracy(cached, trace[600:]) > 0.99
-
-    def test_initial_prediction_taken(self):
-        cached = CachedPredictionTwoLevel(IHRT(), PatternTable(6, A2))
-        assert cached.predict(0x500, 0x600) is True
-
-    def test_name(self):
-        cached = CachedPredictionTwoLevel(IHRT(), PatternTable(8, A2))
-        assert cached.name.startswith("AT-cached(")
 
 
 class TestDelayedUpdate:

@@ -13,13 +13,12 @@ from repro.sim.analysis import (
     convergence_point,
     misprediction_mass,
     pattern_conflicts,
-    per_site_accuracy,
     per_site_accuracy_many,
     per_site_replay,
     top_mispredicted,
     windowed_accuracy,
 )
-from repro.trace.synthetic import interleaved, periodic_branch
+from tests.synthetic import interleaved, periodic_branch
 
 
 class TestPatternConflicts:
@@ -107,7 +106,7 @@ class TestPerSiteHelpers:
         combined = per_site_accuracy_many(
             {"a": self._predictor(), "b": self._predictor()}, trace
         )
-        single = per_site_accuracy(self._predictor(), trace)
+        single = per_site_accuracy_many({"": self._predictor()}, trace)[""]
         assert combined["a"] == single
         assert combined["b"] == single
 

@@ -29,7 +29,6 @@ class TestScoring:
         assert stats.conditional_total == 3
         assert stats.conditional_correct == 2
         assert abs(stats.accuracy - 2 / 3) < 1e-12
-        assert abs(stats.miss_rate - 1 / 3) < 1e-12
 
     def test_non_conditionals_not_scored(self):
         trace = [
@@ -43,4 +42,3 @@ class TestScoring:
     def test_empty_trace(self):
         stats = simulate(_Oracle([]), [])
         assert stats.accuracy == 0.0
-        assert stats.miss_rate == 0.0

@@ -22,7 +22,7 @@ from repro.sim.backend import (
     resolve_backend,
 )
 from repro.sim.engine import simulate
-from repro.sim.kernels import score_spec, simulate_spec
+from repro.sim.kernels import score_spec
 from repro.sim.sweep import fused_per_site
 from repro.sim.runner import SweepRunner
 from repro.sim.streaming import make_multi_scorer
@@ -129,7 +129,7 @@ class TestKernelProperty:
         spec = parse_spec(spec_text)
         packed = pack_records(records)
         expected = _scalar_stats(spec, packed, training_records=records)
-        got = simulate_spec(spec, packed, training=packed)
+        got = score_spec(spec, packed, "vector", training=packed)
         assert got == expected
 
     @given(records=_COND_RECORDS)
@@ -137,7 +137,7 @@ class TestKernelProperty:
     def test_per_site_accuracy_matches(self, records):
         spec = parse_spec("AT(IHRT(,4SR),PT(2^4,A2),)")
         packed = pack_records(records)
-        expected = analysis.per_site_accuracy(spec.build(), records)
+        expected = analysis.per_site_accuracy_many({"": spec.build()}, records)[""]
         assert fused_per_site([spec], packed)[0] == expected
 
 
@@ -169,7 +169,7 @@ class TestKernelWorkloads:
             packed = trace.packed()
             for spec_text in self.PROBE_SPECS:
                 spec = parse_spec(spec_text)
-                assert simulate_spec(spec, packed) == _scalar_stats(
+                assert score_spec(spec, packed, "vector") == _scalar_stats(
                     spec, packed
                 ), f"{spec_text} diverged on {name}/{role}"
 
@@ -179,7 +179,7 @@ class TestKernelWorkloads:
         for spec_text in ALL_SPECS:
             spec = parse_spec(spec_text)
             expected = _scalar_stats(spec, packed, training_records=records)
-            assert simulate_spec(spec, packed, training=packed) == expected, spec_text
+            assert score_spec(spec, packed, "vector", training=packed) == expected, spec_text
 
     def test_runner_backends_agree(self, trace_cache, small_scale):
         scalar = SweepRunner(
@@ -225,8 +225,6 @@ class TestBackendDispatch:
         fake = parse_spec("BTFN")
         object.__setattr__(fake, "scheme", "FutureScheme")
         with pytest.raises(KernelError):
-            simulate_spec(fake, eqntott_trace.packed())
-        with pytest.raises(KernelError):
             score_spec(fake, eqntott_trace.packed(), backend="vector")
 
     @needs_numpy
@@ -263,8 +261,8 @@ class TestBackendDispatch:
     def test_ahrt_geometry_validated(self, eqntott_trace):
         # associativity (default 4) must divide entries
         with pytest.raises(ConfigError):
-            simulate_spec(
-                parse_spec("AT(AHRT(6,4SR),PT(2^4,A2),)"), eqntott_trace.packed()
+            score_spec(
+                parse_spec("AT(AHRT(6,4SR),PT(2^4,A2),)"), eqntott_trace.packed(), "vector"
             )
 
 

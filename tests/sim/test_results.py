@@ -34,12 +34,10 @@ class TestPredictionStats:
     def test_rates(self):
         stats = PredictionStats(conditional_total=100, conditional_correct=97)
         assert stats.accuracy == 0.97
-        assert abs(stats.miss_rate - 0.03) < 1e-12
 
     def test_empty(self):
         stats = PredictionStats()
         assert stats.accuracy == 0.0
-        assert stats.miss_rate == 0.0
 
 
 def _result(scheme, benchmark, correct, total=100):

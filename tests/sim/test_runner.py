@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.sim.runner import SweepRunner, run_sweep
+from repro.workloads.base import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -15,18 +16,20 @@ def runner(trace_cache):
 
 class TestTraces:
     def test_testing_trace_cached_identity(self, runner):
-        first = runner.testing_trace("eqntott")
-        second = runner.testing_trace("eqntott")
+        first = runner._role_trace("eqntott", "test")
+        second = runner._role_trace("eqntott", "test")
         assert first is second  # memory cache returns the same object
 
     def test_training_trace_same_is_testing_trace(self, runner):
         # Profile and ST(...,Same) train on the testing trace's cache entry
-        assert runner._role_trace("li", "test").records is runner.testing_trace("li")
+        testing = runner.cache.get(get_workload("li"), "test", runner.max_conditional)
+        assert runner._role_trace("li", "test") is testing
 
     def test_training_trace_diff_differs(self, runner):
         diff = runner._role_trace("li", "train").records
-        assert diff is not runner.testing_trace("li")
-        assert diff != runner.testing_trace("li")
+        testing = runner._role_trace("li", "test").records
+        assert diff is not testing
+        assert diff != testing
 
     def test_diff_unavailable_raises(self, runner):
         with pytest.raises(WorkloadError):

@@ -309,6 +309,29 @@ class TestScaleParsing:
         assert excinfo.value.code == 2
         assert "invalid scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "li", "--dataset", "test", "--scale", "-5"],
+            ["analyze", "li", "--dataset", "test", "--cross-validate", "--scale", "0"],
+            ["lint", "li", "--dataset", "test", "--cross-validate", "--scale", "0"],
+        ],
+        ids=["analyze", "analyze-cross-validate", "lint-cross-validate"],
+    )
+    def test_analysis_scale_below_one_is_usage_error(self, argv, capsys):
+        """A walk or cross-validation of no branches checks nothing, so
+        analyze and lint refuse it like run/sweep/h2p do."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "scale must be >= 1" in capsys.readouterr().err
+
+    def test_analysis_scale_accepts_paper(self):
+        from repro.workloads.base import PAPER_CONDITIONAL_BRANCHES
+
+        args = build_parser().parse_args(["analyze", "li", "--scale", "paper"])
+        assert args.scale == PAPER_CONDITIONAL_BRANCHES
+
 
 class TestCountValidation:
     @pytest.mark.parametrize(
@@ -328,6 +351,14 @@ class TestCountValidation:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "must be >=" in capsys.readouterr().err
+
+    def test_h2p_has_no_jobs(self, capsys):
+        """h2p is one fused pass per benchmark: a --jobs it ignored was a
+        dead knob, so the parser refuses it."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["h2p", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     def test_boundary_counts_accepted(self):
         args = build_parser().parse_args(["sweep", "BTFN", "--jobs", "0"])

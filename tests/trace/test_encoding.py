@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TraceFormatError
-from repro.trace.columnar import read_packed_trace
 from repro.trace.encoding import MAGIC, decode_record, iter_trace, read_trace, write_trace
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -100,5 +99,3 @@ class TestCorruption:
         data = MAGIC + (1).to_bytes(4, "little") + bytes(4) + record
         with pytest.raises(TraceFormatError, match="flags"):
             read_trace(io.BytesIO(data))
-        with pytest.raises(TraceFormatError, match="flags"):
-            read_packed_trace(io.BytesIO(data))

@@ -12,7 +12,7 @@ import io
 import pytest
 
 from repro.errors import TraceFormatError
-from repro.trace.columnar import read_packed_trace
+from repro.trace.columnar import pack_records
 from repro.trace.encoding import MAGIC, read_trace, write_trace
 from repro.trace.record import BranchClass, BranchRecord
 
@@ -76,7 +76,7 @@ class TestLegacyV1:
 
     def test_packed_reader_rejects_v1_bytes(self):
         with pytest.raises(TraceFormatError, match="bad magic"):
-            read_packed_trace(io.BytesIO(GOLDEN_BYTES_V1))
+            pack_records(read_trace(io.BytesIO(GOLDEN_BYTES_V1)))
 
     def test_writer_no_longer_emits_v1(self):
         buffer = io.BytesIO()

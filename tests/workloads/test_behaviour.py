@@ -170,9 +170,9 @@ class TestCrossSuite:
     def test_program_text_fits_encoding(self, name):
         """Every analog's branches stay within the 16/26-bit offset ranges
         (the assembler would fault, but this pins it as a property)."""
-        from repro.isa.encoding import encode_program
+        from repro.isa.encoding import encode
 
         workload = get_workload(name)
         program = assemble(workload.build_source(workload.dataset("test")))
-        words = encode_program(program.instructions)
+        words = [encode(instruction) for instruction in program.instructions]
         assert len(words) == len(program.instructions)
